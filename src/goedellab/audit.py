@@ -279,32 +279,14 @@ def instantiate_assumption(
                 "assumption %s is a designator schema; a [template] is required"
                 % assumption.label
             )
-        holes = _collect_dvars(schema)
-        for hole in holes:
-            schema = M.subst_dvar(schema, hole, template)
+        schema = M.map_atoms(
+            schema, lambda d: template if isinstance(d, M.DVar) else d, None
+        )
         for var in sorted(M.desig_metavars(template)):
             schema = M.ForAllIndex(var, schema)
     elif template is not None:
         raise RuleError("assumption %s takes no template" % assumption.label)
     return M.normalize(schema)
-
-
-def _collect_dvars(phi: M.MetaFormula) -> set[str]:
-    if isinstance(phi, (M.Assert, M.DemOf)):
-        d = phi.desig
-        names = set()
-        while isinstance(d, M.NegD):
-            d = d.sub
-        if isinstance(d, M.DVar):
-            names.add(d.name)
-        return names
-    if isinstance(phi, M.MNot):
-        return _collect_dvars(phi.sub)
-    if isinstance(phi, (M.MImplies, M.MIff)):
-        return _collect_dvars(phi.left) | _collect_dvars(phi.right)
-    if isinstance(phi, M.ForAllIndex):
-        return _collect_dvars(phi.body)
-    return set()
 
 
 class _Engine:
@@ -499,8 +481,8 @@ def _find_contradictions(steps: list[CheckedStep]) -> list[Finding]:
                     )
                 )
             elif isinstance(left, M.DemOf) and isinstance(right, M.DemOf):
-                dl = M.normalize_desig(_expand_desig(left.desig))
-                dr = M.normalize_desig(_expand_desig(right.desig))
+                dl = M.normalize_desig(M.expand_desig(left.desig))
+                dr = M.normalize_desig(M.expand_desig(right.desig))
                 if M.normalize_desig(M.NegD(dl)) == dr:
                     findings.append(
                         Finding(
@@ -531,14 +513,6 @@ def _find_contradictions(steps: list[CheckedStep]) -> list[Finding]:
     return findings
 
 
-def _expand_desig(d: M.Designator) -> M.Designator:
-    if isinstance(d, M.InE):
-        return M.App(M.Q, d.arg)
-    if isinstance(d, M.NegD):
-        return M.NegD(_expand_desig(d.sub))
-    return d
-
-
 def _ground_theory(steps: list[CheckedStep]) -> list[M.MetaFormula]:
     return [
         s.formula
@@ -552,7 +526,7 @@ def _ground_designators(steps: list[CheckedStep]) -> list[M.Designator]:
 
     def visit(phi: M.MetaFormula) -> None:
         if isinstance(phi, (M.Assert, M.DemOf)):
-            d = M.normalize_desig(_expand_desig(phi.desig))
+            d = M.normalize_desig(M.expand_desig(phi.desig))
             while isinstance(d, M.NegD):
                 d = d.sub
             if not M.desig_metavars(d) and not isinstance(d, M.DVar):
@@ -575,7 +549,7 @@ def classify(d: M.Designator, theory: list[M.MetaFormula]) -> str:
     """Provability status of the designated proposition under the ground
     facts of a report: provable, refutable, independent, overdetermined,
     or unknown when neither side is settled."""
-    d = M.normalize_desig(_expand_desig(d))
+    d = M.normalize_desig(M.expand_desig(d))
     pos = M.DemOf(d)
     neg_side = M.DemOf(M.normalize_desig(M.NegD(d)))
 

@@ -48,7 +48,13 @@ def parse_number(text: str) -> int:
             return int(text, 16)
         if "e" in text.lower():
             base, _, exp = text.lower().partition("e")
-            return int(base) * 10 ** int(exp)
+            base, exp = int(base), int(exp)
+            if exp >= 0:
+                return base * 10**exp
+            n, rest = divmod(base, 10**-exp)
+            if rest:
+                raise ValueError("not an exact integer")
+            return n
         return int(text)
     except ValueError as e:
         raise WorkbenchError("not a number: %r (%s)" % (text, e))
@@ -115,11 +121,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_subnum(args) -> int:
-    code = codec.sub_num(args.n, args.m, _cache(args))
+    n, m = parse_number(args.n), parse_number(args.m)
+    code = codec.sub_num(n, m, _cache(args))
     if args.json:
-        _emit_json(
-            {"schema": "code/1", "n": args.n, "m": args.m, "code_hex": "%x" % code}
-        )
+        _emit_json({"schema": "code/1", "n": n, "m": m, "code_hex": "%x" % code})
     else:
         print(format_number(code))
     return 0
@@ -344,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("subnum", help="code of formula #n at the numeral of m")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n")
+    p.add_argument("m")
     p.set_defaults(func=cmd_subnum)
 
     p = sub.add_parser("diagnum", help="code of the diagonalization of code g")

@@ -306,12 +306,14 @@ class CodeRLE:
         return g
 
 
-class _RebindsX0(Exception):
-    pass
-
-
-def _rle_substitute_x0_numeral(psi_tokens: list[int], m: int) -> CodeRLE:
-    """Token string of psi with every x0 replaced by the numeral of m."""
+def _substitute_x0_numeral(psi: F.Formula, m: int) -> CodeRLE:
+    """Run-length code of psi with the numeral of m for every free x0."""
+    tokens = formula_tokens(psi)
+    if any(a == ALL and b == VAR_BASE for a, b in zip(tokens, tokens[1:])):
+        # psi also binds x0 somewhere, which needs scope-aware substitution
+        if m > MAX_TOKENS:
+            raise ResourceBound("numeral of %d too large for symbolic route" % m)
+        return CodeRLE.from_tokens(formula_tokens(F.substitute(psi, 0, F.numeral(m))))
     runs: list[tuple[int, int]] = []
 
     def push(tok: int, count: int = 1) -> None:
@@ -320,20 +322,13 @@ def _rle_substitute_x0_numeral(psi_tokens: list[int], m: int) -> CodeRLE:
         else:
             runs.append((tok, count))
 
-    # A formula that also *binds* x0 somewhere would need scope-aware
-    # substitution; callers fall back to the symbolic route for those.
-    i = 0
-    while i < len(psi_tokens):
-        tok = psi_tokens[i]
-        if tok == ALL and i + 1 < len(psi_tokens) and psi_tokens[i + 1] == VAR_BASE:
-            raise _RebindsX0()
+    for tok in tokens:
         if tok == VAR_BASE:
             if m:
                 push(S, m)
             push(ZERO)
         else:
             push(tok)
-        i += 1
     return CodeRLE(tuple(runs))
 
 
@@ -472,14 +467,7 @@ def index_of(f: F.Formula, cache: "IndexTable | None" = None) -> int:
 
 
 def sub_num_rle(n: int, m: int, cache: "IndexTable | None" = None) -> CodeRLE:
-    psi = formula_at(n, cache)
-    try:
-        return _rle_substitute_x0_numeral(formula_tokens(psi), m)
-    except _RebindsX0:
-        if m > MAX_TOKENS:
-            raise ResourceBound("numeral of %d too large for symbolic route" % m)
-        subst = F.substitute(psi, 0, F.numeral(m))
-        return CodeRLE.from_tokens(formula_tokens(subst))
+    return _substitute_x0_numeral(formula_at(n, cache), m)
 
 
 def sub_num(n: int, m: int, cache: "IndexTable | None" = None) -> int:
@@ -491,13 +479,7 @@ def diag_num_rle(g: int) -> CodeRLE:
     psi = decode_formula(g)
     if F.free_vars(psi) != {0}:
         raise NotUnary("decoded formula is not unary in x0")
-    try:
-        return _rle_substitute_x0_numeral(formula_tokens(psi), g)
-    except _RebindsX0:
-        if g > MAX_TOKENS:
-            raise ResourceBound("numeral of %d too large for symbolic route" % g)
-        subst = F.substitute(psi, 0, F.numeral(g))
-        return CodeRLE.from_tokens(formula_tokens(subst))
+    return _substitute_x0_numeral(psi, g)
 
 
 def diag_num(g: int) -> int:

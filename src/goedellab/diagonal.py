@@ -18,7 +18,6 @@ from .errors import NotUnary
 
 @dataclass(frozen=True)
 class DiagonalCertificate:
-    template: F.Formula
     psi: F.Formula
     q: int
     sentence: F.Formula
@@ -27,7 +26,7 @@ class DiagonalCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "template": F.print_formula(self.template),
+            "template": F.print_formula(self.psi),
             "psi": F.print_formula(self.psi),
             "q": self.q,
             "sentence": F.print_formula(self.sentence),
@@ -61,7 +60,6 @@ def diagonalize(
             "routes disagree (codec bug)" % q
         )
     return DiagonalCertificate(
-        template=psi,
         psi=psi,
         q=q,
         sentence=sentence,

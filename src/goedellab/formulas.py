@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import NotClosed, ParseError
+from .syntax import Cursor, tokenize
 
 # --- terms -------------------------------------------------------------
 
@@ -230,55 +231,23 @@ def print_formula(f: Formula) -> str:
 
 # --- parser ------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow2><->)|(?P<arrow>->)|(?P<sym>[~&|().,=])"
-    r"|(?P<var>x\d+)|(?P<num>\d+)|(?P<word>[A-Za-z_]+))"
-)
+_TOKEN_RE = re.compile(r"<->|->|[~&|().,=]|x\d+|\d+|[A-Za-z_]+")
+_WORD_RE = re.compile(r"[A-Za-z_]+")
 
 _KEYWORDS = {"forall", "exists", "Dem", "sub", "diag", "S"}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        if m.lastgroup == "word" and m.group("word") not in _KEYWORDS:
-            raise ParseError("unknown identifier %r" % m.group("word"), m.start("word"))
-        tokens.append((m.group().strip(), m.start() + (len(m.group()) - len(m.group().lstrip()))))
-        pos = m.end()
-    tokens.append(("<end>", len(text)))
-    return tokens
+def _tokens(text: str):
+    for tok, pos in tokenize(_TOKEN_RE, text):
+        if tok not in _KEYWORDS and _WORD_RE.fullmatch(tok):
+            raise ParseError("unknown identifier %r" % tok, pos)
+        yield tok, pos
 
 
 _TERM_START = {"0", "S", "sub", "diag"}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, want: str):
-        tok, pos = self.next()
-        if tok != want:
-            raise ParseError("expected %r, found %r" % (want, tok), pos)
-
-    def fail(self, message: str):
-        raise ParseError(message, self.tokens[self.i][1])
-
+class _Parser(Cursor):
     # formula := iff
     def formula(self) -> Formula:
         left = self.implication()
@@ -377,18 +346,10 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.formula()
-    tok, pos = p.tokens[p.i]
-    if tok != "<end>":
-        raise ParseError("trailing input %r" % tok, pos)
-    return f
+    p = _Parser(_tokens(text))
+    return p.parse(p.formula)
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    tok, pos = p.tokens[p.i]
-    if tok != "<end>":
-        raise ParseError("trailing input %r" % tok, pos)
-    return t
+    p = _Parser(_tokens(text))
+    return p.parse(p.term)

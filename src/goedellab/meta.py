@@ -15,11 +15,13 @@ canonical.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import and_
 
 from .errors import ParseError, ResourceBound
+from .syntax import Cursor, tokenize
 
 # --- index terms -------------------------------------------------------
 
@@ -182,95 +184,69 @@ def is_ground(phi: MetaFormula) -> bool:
     return not free_metavars(phi) and not has_dvar(phi)
 
 
-def _map_desig(d: Designator, f) -> Designator:
-    """Rebuild d with index terms passed through f."""
-    if isinstance(d, App):
-        return App(f(d.func), f(d.arg))
-    if isinstance(d, InE):
-        return InE(f(d.arg))
+def _map_leaf(d: Designator, fn) -> Designator:
+    """Rebuild d with its innermost, non-negation designator passed
+    through fn."""
     if isinstance(d, NegD):
-        return NegD(_map_desig(d.sub, f))
-    return d
+        return NegD(_map_leaf(d.sub, fn))
+    return fn(d)
+
+
+def map_atoms(phi: MetaFormula, fn, bound: str | None) -> MetaFormula:
+    """Rebuild phi with the innermost designator of every atom passed
+    through fn.  A quantifier over the index variable `bound` (None for
+    none) keeps its body as it is."""
+    if isinstance(phi, Assert):
+        return Assert(_map_leaf(phi.desig, fn))
+    if isinstance(phi, DemOf):
+        return DemOf(_map_leaf(phi.desig, fn))
+    if isinstance(phi, MNot):
+        return MNot(map_atoms(phi.sub, fn, bound))
+    if isinstance(phi, (MImplies, MIff)):
+        return type(phi)(map_atoms(phi.left, fn, bound), map_atoms(phi.right, fn, bound))
+    if phi.var == bound:
+        return phi
+    return ForAllIndex(phi.var, map_atoms(phi.body, fn, bound))
 
 
 def subst_index(phi: MetaFormula, name: str, value: Const) -> MetaFormula:
     def on_term(t: IndexTerm) -> IndexTerm:
         return value if isinstance(t, MetaVar) and t.name == name else t
 
-    if isinstance(phi, Assert):
-        return Assert(_map_desig(phi.desig, on_term))
-    if isinstance(phi, DemOf):
-        return DemOf(_map_desig(phi.desig, on_term))
-    if isinstance(phi, MNot):
-        return MNot(subst_index(phi.sub, name, value))
-    if isinstance(phi, MImplies):
-        return MImplies(
-            subst_index(phi.left, name, value), subst_index(phi.right, name, value)
-        )
-    if isinstance(phi, MIff):
-        return MIff(
-            subst_index(phi.left, name, value), subst_index(phi.right, name, value)
-        )
-    if phi.var == name:
-        return phi
-    return ForAllIndex(phi.var, subst_index(phi.body, name, value))
+    def on_leaf(d: Designator) -> Designator:
+        if isinstance(d, App):
+            return App(on_term(d.func), on_term(d.arg))
+        if isinstance(d, InE):
+            return InE(on_term(d.arg))
+        return d
 
-
-def _subst_dvar_desig(d: Designator, name: str, repl: Designator) -> Designator:
-    if isinstance(d, DVar):
-        return repl if d.name == name else d
-    if isinstance(d, NegD):
-        return NegD(_subst_dvar_desig(d.sub, name, repl))
-    return d
+    return map_atoms(phi, on_leaf, name)
 
 
 def subst_dvar(phi: MetaFormula, name: str, repl: Designator) -> MetaFormula:
-    if isinstance(phi, Assert):
-        return Assert(_subst_dvar_desig(phi.desig, name, repl))
-    if isinstance(phi, DemOf):
-        return DemOf(_subst_dvar_desig(phi.desig, name, repl))
-    if isinstance(phi, MNot):
-        return MNot(subst_dvar(phi.sub, name, repl))
-    if isinstance(phi, MImplies):
-        return MImplies(
-            subst_dvar(phi.left, name, repl), subst_dvar(phi.right, name, repl)
-        )
-    if isinstance(phi, MIff):
-        return MIff(subst_dvar(phi.left, name, repl), subst_dvar(phi.right, name, repl))
-    return ForAllIndex(phi.var, subst_dvar(phi.body, name, repl))
+    return map_atoms(
+        phi, lambda d: repl if isinstance(d, DVar) and d.name == name else d, None
+    )
+
+
+def _expand_leaf(d: Designator) -> Designator:
+    return App(Q, d.arg) if isinstance(d, InE) else d
+
+
+def expand_desig(d: Designator) -> Designator:
+    """Definitional rewrite on a designator: InE(t) -> App(q, t)."""
+    return _map_leaf(d, _expand_leaf)
 
 
 def expand_ine(phi: MetaFormula) -> MetaFormula:
     """Definitional rewrite: InE(t) and App(q, t) designate the same
     proposition; expand to the App form."""
-
-    def on_desig(d: Designator) -> Designator:
-        if isinstance(d, InE):
-            return App(Q, d.arg)
-        if isinstance(d, NegD):
-            return NegD(on_desig(d.sub))
-        return d
-
-    if isinstance(phi, Assert):
-        return Assert(on_desig(phi.desig))
-    if isinstance(phi, DemOf):
-        return DemOf(on_desig(phi.desig))
-    if isinstance(phi, MNot):
-        return MNot(expand_ine(phi.sub))
-    if isinstance(phi, MImplies):
-        return MImplies(expand_ine(phi.left), expand_ine(phi.right))
-    if isinstance(phi, MIff):
-        return MIff(expand_ine(phi.left), expand_ine(phi.right))
-    return ForAllIndex(phi.var, expand_ine(phi.body))
+    return map_atoms(phi, _expand_leaf, None)
 
 
 def collapse_ine(d: Designator) -> Designator:
     """Inverse definitional rewrite on a designator: App(q, t) -> InE(t)."""
-    if isinstance(d, App) and d.func == Q:
-        return InE(d.arg)
-    if isinstance(d, NegD):
-        return NegD(collapse_ine(d.sub))
-    return d
+    return _map_leaf(d, lambda d: InE(d.arg) if isinstance(d, App) and d.func == Q else d)
 
 
 # --- printing ----------------------------------------------------------
@@ -306,45 +282,10 @@ def print_meta(phi: MetaFormula) -> str:
 
 # --- parsing -----------------------------------------------------------
 
-_META_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow2><->)|(?P<arrow>->)|(?P<sym>[~().,\[\]])"
-    r"|(?P<num>\d+)|(?P<word>[A-Za-z_][A-Za-z0-9_]*\*?))"
-)
+_META_TOKEN_RE = re.compile(r"<->|->|[~().,\[\]]|\d+|[A-Za-z_][A-Za-z0-9_]*\*?")
 
 
-def _meta_tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _META_TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        tokens.append((m.group().strip(), pos))
-        pos = m.end()
-    tokens.append(("<end>", len(text)))
-    return tokens
-
-
-class _MetaParser:
-    def __init__(self, text: str):
-        self.tokens = _meta_tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, want):
-        tok, pos = self.next()
-        if tok != want:
-            raise ParseError("expected %r, found %r" % (want, tok), pos)
-
+class _MetaParser(Cursor):
     def formula(self) -> MetaFormula:
         left = self.implication()
         if self.peek() == "<->":
@@ -416,21 +357,13 @@ class _MetaParser:
 
 
 def parse_meta(text: str) -> MetaFormula:
-    p = _MetaParser(text)
-    f = p.formula()
-    tok, pos = p.tokens[p.i]
-    if tok != "<end>":
-        raise ParseError("trailing input %r" % tok, pos)
-    return f
+    p = _MetaParser(tokenize(_META_TOKEN_RE, text))
+    return p.parse(p.formula)
 
 
 def parse_desig(text: str) -> Designator:
-    p = _MetaParser(text)
-    d = p.desig()
-    tok, pos = p.tokens[p.i]
-    if tok != "<end>":
-        raise ParseError("trailing input %r" % tok, pos)
-    return d
+    p = _MetaParser(tokenize(_META_TOKEN_RE, text))
+    return p.parse(p.desig)
 
 
 # --- propositional engine over modal atoms -----------------------------
@@ -438,32 +371,18 @@ def parse_desig(text: str) -> Designator:
 MAX_ATOMS = 14
 
 
-def _atom_key(phi: MetaFormula) -> str:
-    return print_meta(phi)
-
-
-def collect_atoms(phi: MetaFormula, acc: dict[str, MetaFormula]) -> None:
-    if isinstance(phi, (Assert, DemOf)):
-        acc.setdefault(_atom_key(phi), phi)
-    elif isinstance(phi, MNot):
-        collect_atoms(phi.sub, acc)
-    elif isinstance(phi, (MImplies, MIff)):
-        collect_atoms(phi.left, acc)
-        collect_atoms(phi.right, acc)
-    else:
-        collect_atoms(phi.body, acc)
-
-
-def eval_meta(phi: MetaFormula, assignment: dict[str, bool]) -> bool:
-    if isinstance(phi, (Assert, DemOf)):
-        return assignment[_atom_key(phi)]
-    if isinstance(phi, MNot):
-        return not eval_meta(phi.sub, assignment)
-    if isinstance(phi, MImplies):
-        return (not eval_meta(phi.left, assignment)) or eval_meta(phi.right, assignment)
-    if isinstance(phi, MIff):
-        return eval_meta(phi.left, assignment) == eval_meta(phi.right, assignment)
-    raise ValueError("quantified formula reached the propositional engine")
+@lru_cache(maxsize=32)
+def truth_columns(k: int) -> tuple[int, tuple[int, ...]]:
+    """The truth table of k variables as bit columns: (full, cols), where
+    full has one bit per row (2**k rows) and bit r of cols[i] is bit i of
+    r, the value of variable i in row r."""
+    full = (1 << (1 << k)) - 1
+    cols = []
+    for i in range(k):
+        half = 1 << i
+        # the pattern 0^half 1^half, repeated over all rows
+        cols.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+    return full, tuple(cols)
 
 
 def _prepare(formulas: list[MetaFormula]) -> list[MetaFormula]:
@@ -480,34 +399,51 @@ def _prepare(formulas: list[MetaFormula]) -> list[MetaFormula]:
     return out
 
 
-def _assignments(formulas: list[MetaFormula]):
-    acc: dict[str, MetaFormula] = {}
+def _truth_rows(formulas: list[MetaFormula]) -> tuple[int, list[int]]:
+    """(full, one int per formula whose bit r says it holds in row r of
+    the truth table over the formulas' atoms)."""
+    keys: set[str] = set()
+
+    def atoms(phi: MetaFormula) -> None:
+        if isinstance(phi, (Assert, DemOf)):
+            keys.add(print_meta(phi))
+        elif isinstance(phi, MNot):
+            atoms(phi.sub)
+        elif isinstance(phi, (MImplies, MIff)):
+            atoms(phi.left)
+            atoms(phi.right)
+        else:
+            atoms(phi.body)
+
     for phi in formulas:
-        collect_atoms(phi, acc)
-    keys = sorted(acc)
+        atoms(phi)
     if len(keys) > MAX_ATOMS:
         raise ResourceBound("%d modal atoms exceed the truth-table bound" % len(keys))
-    for values in itertools.product((False, True), repeat=len(keys)):
-        yield dict(zip(keys, values))
+    full, cols = truth_columns(len(keys))
+    column = dict(zip(sorted(keys), cols))
+
+    def rows(phi: MetaFormula) -> int:
+        if isinstance(phi, (Assert, DemOf)):
+            return column[print_meta(phi)]
+        if isinstance(phi, MNot):
+            return full ^ rows(phi.sub)
+        if isinstance(phi, MImplies):
+            return (full ^ rows(phi.left)) | rows(phi.right)
+        if isinstance(phi, MIff):
+            return full ^ rows(phi.left) ^ rows(phi.right)
+        raise ValueError("quantified formula reached the propositional engine")
+
+    return full, [rows(phi) for phi in formulas]
 
 
 def tautological_consequence(
     premises: list[MetaFormula], conclusion: MetaFormula
 ) -> bool:
     """Truth-table check over the modal atoms of premises and conclusion."""
-    prepared = _prepare(premises + [conclusion])
-    prems, concl = prepared[:-1], prepared[-1]
-    for assignment in _assignments(prepared):
-        if all(eval_meta(p, assignment) for p in prems) and not eval_meta(
-            concl, assignment
-        ):
-            return False
-    return True
+    full, values = _truth_rows(_prepare(premises + [conclusion]))
+    return reduce(and_, values[:-1], full) & ~values[-1] == 0
 
 
 def satisfiable(formulas: list[MetaFormula]) -> bool:
-    prepared = _prepare(list(formulas))
-    for assignment in _assignments(prepared):
-        if all(eval_meta(p, assignment) for p in prepared):
-            return True
-    return False
+    full, values = _truth_rows(_prepare(list(formulas)))
+    return reduce(and_, values, full) != 0

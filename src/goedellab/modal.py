@@ -6,7 +6,8 @@ Two independent engines are provided on purpose:
   trusted base;
 * an exhaustive finite-model search (`find_model`) whose frames are
   enumerated constructively (GL frames are exactly the finite strict
-  partial orders) and whose valuation sweep is vectorized with numpy;
+  partial orders) and whose valuation sweep runs over all valuations at
+  once, one bit per valuation in a Python int;
 * a tableau satisfiability procedure (`is_satisfiable` / `is_valid`)
   that decides the logics outright.
 
@@ -17,15 +18,15 @@ them raises ResourceBound rather than returning a silently wrong answer.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import reduce
+from operator import or_
 
 from .errors import ParseError, ResourceBound, WorkbenchError
+from .meta import truth_columns
+from .syntax import Cursor, tokenize
 
 LOGICS = ("K", "K4", "GL")
 
@@ -106,46 +107,12 @@ def print_modal(f: ModalFormula) -> str:
     return "(%s -> %s)" % (print_modal(f.left), print_modal(f.right))
 
 
-_MODAL_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<box>\[\])|(?P<dia><>)|(?P<iff><->)|(?P<arrow>->)"
-    r"|(?P<sym>[~&|()])|(?P<word>[a-z][a-z0-9_]*))"
-)
+_MODAL_TOKEN_RE = re.compile(r"\[\]|<>|<->|->|[~&|()]|[a-z][a-z0-9_]*")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _MODAL_TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        tokens.append((m.group().strip(), pos))
-        pos = m.end()
-    tokens.append(("<end>", len(text)))
-    return tokens
-
-
-class _Parser:
+class _Parser(Cursor):
     """Precedence (loosest first): <->, ->, |, &, unary.  Conjunction,
     disjunction, equivalence and diamond desugar into the ~/->/[] core."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
-
-    def next(self) -> tuple[str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, want: str) -> None:
-        tok, pos = self.next()
-        if tok != want:
-            raise ParseError("expected %r, found %r" % (want, tok), pos)
 
     def formula(self) -> ModalFormula:
         left = self.implication()
@@ -193,12 +160,8 @@ class _Parser:
 
 
 def parse_modal(text: str) -> ModalFormula:
-    p = _Parser(text)
-    f = p.formula()
-    tok, pos = p.tokens[p.i]
-    if tok != "<end>":
-        raise ParseError("trailing input %r" % tok, pos)
-    return f
+    p = _Parser(tokenize(_MODAL_TOKEN_RE, text))
+    return p.parse(p.formula)
 
 
 # --- Kripke models: the trusted base -----------------------------------
@@ -383,35 +346,34 @@ def _frames(logic: str, max_worlds: int | None):
     raise WorkbenchError("unknown logic %r" % logic)
 
 
-# --- vectorized valuation sweep ----------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _extensions(n: int, k: int) -> tuple:
-    """For k atoms on n worlds, column i of the result enumerates the
-    i-th atom's extension bitmask across all (2^n)^k valuations."""
-    idx = np.arange(1 << (n * k), dtype=np.uint32)
-    full = np.uint32((1 << n) - 1)
-    return tuple((idx >> np.uint32(i * n)) & full for i in range(k))
+# --- bit-parallel valuation sweep --------------------------------------
+#
+# Valuations are the rows of a truth table over atoms x worlds: in row v,
+# atom i holds at world w iff bit i*n + w of v is set.  A truth value is
+# kept per world as an int with one bit per row.
 
 
 def _sweep(f: ModalFormula, succ: tuple[int, ...], atom_order: dict[str, int]):
+    """For each world w, the rows (valuations) under which w forces f."""
     n = len(succ)
-    ext = _extensions(n, len(atom_order))
-    full = np.uint32((1 << n) - 1)
+    full, cols = truth_columns(n * len(atom_order))
 
-    def ev(g: ModalFormula):
+    def ev(g: ModalFormula) -> list[int]:
         if isinstance(g, Atom):
-            return ext[atom_order[g.name]]
+            i = atom_order[g.name]
+            return list(cols[i * n : i * n + n])
         if isinstance(g, Neg):
-            return full & ~ev(g.sub)
+            return [full ^ x for x in ev(g.sub)]
         if isinstance(g, Imp):
-            return (full & ~ev(g.left)) | ev(g.right)
+            return [(full ^ a) | b for a, b in zip(ev(g.left), ev(g.right))]
         sub = ev(g.sub)
-        out = np.zeros_like(sub)
+        out = []
         for w in range(n):
-            sw = np.uint32(succ[w])
-            out |= np.where((sub & sw) == sw, np.uint32(1 << w), np.uint32(0))
+            rows = full
+            for u in range(n):
+                if succ[w] >> u & 1:
+                    rows &= sub[u]
+            out.append(rows)
         return out
 
     return ev(f)
@@ -420,11 +382,11 @@ def _sweep(f: ModalFormula, succ: tuple[int, ...], atom_order: dict[str, int]):
 def _prop_satisfiable(f: ModalFormula) -> bool:
     """Treat Box-subformulas as opaque atoms; a propositionally
     unsatisfiable formula has no model in any logic."""
-    keys: dict[str, ModalFormula] = {}
+    keys: set[str] = set()
 
     def scan(g: ModalFormula):
         if isinstance(g, (Atom, Box)):
-            keys.setdefault(print_modal(g), g)
+            keys.add(print_modal(g))
         elif isinstance(g, Neg):
             scan(g.sub)
         else:
@@ -432,21 +394,19 @@ def _prop_satisfiable(f: ModalFormula) -> bool:
             scan(g.right)
 
     scan(f)
-    names = sorted(keys)
-    if len(names) > 20:
+    if len(keys) > 20:
         return True  # inconclusive; defer to the real procedures
+    full, cols = truth_columns(len(keys))
+    column = dict(zip(sorted(keys), cols))
 
-    def ev(g: ModalFormula, a: dict[str, bool]) -> bool:
+    def ev(g: ModalFormula) -> int:
         if isinstance(g, (Atom, Box)):
-            return a[print_modal(g)]
+            return column[print_modal(g)]
         if isinstance(g, Neg):
-            return not ev(g.sub, a)
-        return (not ev(g.left, a)) or ev(g.right, a)
+            return full ^ ev(g.sub)
+        return (full ^ ev(g.left)) | ev(g.right)
 
-    return any(
-        ev(f, dict(zip(names, vals)))
-        for vals in itertools.product((False, True), repeat=len(names))
-    )
+    return ev(f) != 0
 
 
 @dataclass(frozen=True)
@@ -478,11 +438,12 @@ def find_model(
                 "%d atoms on %d worlds exceed the valuation sweep bound"
                 % (len(atom_names), n)
             )
-        masks = _sweep(f, succ, atom_order)
-        hit = np.flatnonzero(masks)
-        if hit.size:
-            v = int(hit[0])
-            world = int(masks[v]).bit_length() - 1
+        forced = _sweep(f, succ, atom_order)
+        hit = reduce(or_, forced)
+        if hit:
+            # the lowest valuation row, then the highest world forcing f in it
+            v = (hit & -hit).bit_length() - 1
+            world = max(w for w in range(n) if forced[w] >> v & 1)
             valuation = {
                 a: {w for w in range(n) if (v >> (i * n + w)) & 1}
                 for a, i in atom_order.items()

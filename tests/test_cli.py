@@ -4,6 +4,7 @@ import pytest
 
 from goedellab import cli, codec
 from goedellab import formulas as F
+from goedellab.errors import WorkbenchError
 
 
 def run(capsys, *argv):
@@ -34,6 +35,10 @@ def test_parse_number_accepts_common_forms():
         cli.parse_number("hex3:ff")  # length prefix mismatch
     with pytest.raises(Exception):
         cli.parse_number("12.5e3")  # only exact integers
+    assert cli.parse_number("120e-1") == 12
+    for text in ("1e-3", "12e-1"):  # not integers
+        with pytest.raises(WorkbenchError, match="not a number"):
+            cli.parse_number(text)
 
 
 # --- encode / decode ---------------------------------------------------
@@ -122,6 +127,12 @@ def test_subnum_matches_the_library(capsys):
     code, out, _ = run(capsys, "subnum", "169", "169")
     assert code == 0
     assert cli.parse_number(out.strip()) == codec.sub_num(169, 169)
+    # every documented number form: exponent, 0x hex, length-prefixed hex
+    for n, m in (("1", "1e3"), ("0x2", "6e2"), ("hex1:3", "0x5dc"), ("1", "hex3:3e8")):
+        code, out, _ = run(capsys, "subnum", n, m)
+        assert code == 0
+        expected = codec.sub_num(cli.parse_number(n), cli.parse_number(m))
+        assert cli.parse_number(out.strip()) == expected
 
 
 def test_subnum_resource_bound_is_exit_three(capsys):
