@@ -35,7 +35,7 @@ def format_number(n: int) -> str:
 
 def parse_number(text: str) -> int:
     """Decimal (with optional exponent, exactly), 0x hex, or the
-    length-prefixed hex form emitted by this tool."""
+    length-prefixed hex form emitted by this tool.  Naturals only."""
     text = text.strip().replace("_", "")
     try:
         if text.startswith("hex"):
@@ -43,19 +43,22 @@ def parse_number(text: str) -> int:
             n = int(digits, 16)
             if int(length) != len(digits):
                 raise ValueError("length prefix does not match")
-            return n
-        if text.lower().startswith("0x"):
-            return int(text, 16)
-        if "e" in text.lower():
+        elif text.lower().startswith("0x"):
+            n = int(text, 16)
+        elif "e" in text.lower():
             base, _, exp = text.lower().partition("e")
             base, exp = int(base), int(exp)
             if exp >= 0:
-                return base * 10**exp
-            n, rest = divmod(base, 10**-exp)
-            if rest:
-                raise ValueError("not an exact integer")
-            return n
-        return int(text)
+                n = base * 10**exp
+            else:
+                n, rest = divmod(base, 10**-exp)
+                if rest:
+                    raise ValueError("not an exact integer")
+        else:
+            n = int(text)
+        if text.startswith("-") or n < 0:
+            raise ValueError("negative")
+        return n
     except ValueError as e:
         raise WorkbenchError("not a number: %r (%s)" % (text, e))
 
@@ -257,6 +260,8 @@ def cmd_audit_cores(args) -> int:
 def cmd_model_check(args) -> int:
     model = modal.KripkeModel.load(args.file)
     f = modal.parse_modal(args.formula)
+    if args.world is not None and not 0 <= args.world < model.worlds:
+        raise WorkbenchError("world %d out of range" % args.world)
     forcing = [w for w in range(model.worlds) if model.forces(w, f)]
     if args.json:
         _emit_json(

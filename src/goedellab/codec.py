@@ -10,6 +10,8 @@ orders them by ascending code.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -25,27 +27,33 @@ RESERVED = {10, 11, 12}
 # Materialization guard for codes built from substituted numerals.
 MAX_TOKENS = 200_000
 
+# Folded into the index table's checksum: a table written under another
+# token table fails the check and is rebuilt.
+CODEC_VERSION = "goedellab-codec/1 tokens %s" % " ".join(
+    map(str, (NOT, IMP, ALL, EQ, DEM, SUB, DIAG, ZERO, S, VAR_BASE))
+)
+
 # --- primes ------------------------------------------------------------
 
 _primes = [2, 3, 5, 7, 11, 13]
 
 
 def _ensure_primes(k: int) -> None:
-    """Grow the global prime list to at least k entries."""
+    """Grow the global prime list to at least k entries.
+
+    Sieves one segment [lo, 2*lo) at a time; every prime below sqrt(2*lo)
+    is already in the list.
+    """
     while len(_primes) < k:
-        n = _primes[-1] + 2
-        while True:
-            composite = False
-            for p in _primes:
-                if p * p > n:
-                    break
-                if n % p == 0:
-                    composite = True
-                    break
-            if not composite:
-                _primes.append(n)
+        lo = _primes[-1] + 1
+        hi = 2 * lo
+        sieve = bytearray([1]) * (hi - lo)
+        for p in _primes:
+            if p * p >= hi:
                 break
-            n += 2
+            first = max(p * p, -(-lo // p) * p) - lo
+            sieve[first::p] = bytes(len(range(first, hi - lo, p)))
+        _primes.extend(itertools.compress(range(lo, hi), sieve))
 
 
 def nth_prime(i: int) -> int:
@@ -183,16 +191,43 @@ def tokens_to_formula(tokens: list[int]) -> F.Formula:
 # --- encode / decode ---------------------------------------------------
 
 
+def _product(factors: list[int]) -> int:
+    """Product by a balanced tree: each round multiplies neighbours, so
+    the big multiplications are between operands of about equal size.
+    The last few are multiplied in order, which is cheaper for short lists."""
+    while len(factors) > 8:
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
+    return math.prod(factors)
+
+
+def _runs_code(runs) -> int:
+    """prod p_i^{t_i} of a token string given as (token, count) runs.
+
+    A run of c copies of t from prime i on contributes
+    (p_i * ... * p_{i+c-1})^t.
+    """
+    _ensure_primes(sum(c for (_, c) in runs))
+    factors = []
+    i = 0
+    for tok, count in runs:
+        base = _primes[i] if count == 1 else _product(_primes[i:i + count])
+        factors.append(base**tok)
+        i += count
+    return _product(factors)
+
+
 def encode_tokens(tokens: list[int]) -> int:
     _ensure_primes(len(tokens))
-    g = 1
-    for i, tok in enumerate(tokens):
-        g *= _primes[i] ** tok
-    return g
+    return _product([p**t for p, t in zip(_primes, tokens)])
 
 
 def encode_formula(f: F.Formula) -> int:
     return encode_tokens(formula_tokens(f))
+
+
+# CPython's long division is fastest by a one-digit divisor, below 2**30.
+_DIGIT_BITS = 30
 
 
 def decode_tokens(g: int) -> list[int]:
@@ -202,10 +237,22 @@ def decode_tokens(g: int) -> list[int]:
     i = 0
     while g > 1:
         p = nth_prime(i)
+        # strip p^k (a power of p below one digit) while it divides; the
+        # rest of the exponent is read off the small remainder
+        k = max(1, _DIGIT_BITS // p.bit_length())
+        pk = p**k
         e = 0
-        while g % p == 0:
-            g //= p
-            e += 1
+        q, r = divmod(g, pk)
+        while not r:
+            g, e = q, e + k
+            q, r = divmod(g, pk)
+        j = 0
+        while r % p == 0:
+            r //= p
+            j += 1
+        if j:
+            g //= p**j
+            e += j
         if e == 0:
             raise NotWellFormed(
                 "exponent gap at prime %d (not a contiguous token string)" % p
@@ -242,10 +289,7 @@ class ProofCode:
                 "proof code needs about %d bits; raise max_bits to materialize"
                 % bits
             )
-        g = 1
-        for p, e in self.factors:
-            g *= p**e
-        return g
+        return _product([p**e for (p, e) in self.factors])
 
 
 def encode_proof(step_formulas: list[F.Formula]) -> ProofCode:
@@ -296,14 +340,7 @@ class CodeRLE:
             raise ResourceBound(
                 "code has %d tokens; raise max_tokens to materialize" % n
             )
-        _ensure_primes(n)
-        g = 1
-        i = 0
-        for tok, count in self.runs:
-            for _ in range(count):
-                g *= _primes[i] ** tok
-                i += 1
-        return g
+        return _runs_code(self.runs)
 
 
 def _substitute_x0_numeral(psi: F.Formula, m: int) -> CodeRLE:
@@ -338,84 +375,94 @@ def _substitute_x0_numeral(psi: F.Formula, m: int) -> CodeRLE:
 def _scan_unary(bound: int):
     """All (code, tokens) with code <= bound, formula unary in x0 exactly.
 
-    Depth-first search over grammar-valid Polish prefixes; a prefix is
-    abandoned as soon as its partial prime product exceeds the bound.
+    Branch and bound over grammar-valid Polish prefixes, depth first on an
+    explicit stack.  A state holds the partial product, the next position
+    and the slots still open, left to right; a slot is a formula or a term
+    slot with the mask of the variables bound above it.  A prefix is cut
+    when its product times the cheapest completion of its open slots
+    exceeds the bound.  Binders precede their bodies, so a variable other
+    than x0 that is unbound where it appears stays free: it is cut there.
     """
-    # enough primes that the primorial exceeds the bound
+    # no code <= bound has k tokens, so no token sits at position k or later
     k, prod = 1, 2
     while prod <= bound:
         k += 1
         prod *= nth_prime(k - 1)
-    _ensure_primes(k + 2)
-    primes = _primes
-    n = k + 1
+    _ensure_primes(k + 3)
+    p = _primes
+    # cheapest factor of a term (`0`) or a formula from position i on, a
+    # lower bound: later subformulas start no earlier than the shortest
+    # ones before them allow, a factor only grows with its position, and
+    # the entries past position k stay 1
+    min_t = [p[i] ** ZERO for i in range(k + 3)]
+    min_f = [1] * (k + 4)
+    for i in reversed(range(k + 1)):
+        min_f[i] = min(
+            p[i] ** NOT * min_f[i + 1],
+            p[i] ** IMP * min_f[i + 1] * min_f[i + 3],
+            p[i] ** ALL * p[i + 1] ** VAR_BASE * min_f[i + 2],
+            p[i] ** EQ * min_t[i + 1] * min_t[i + 2],
+            p[i] ** DEM * min_t[i + 1],
+        )
 
-    def gen_formula(i, prod):
-        # yields (next position, product, free-variable mask, tokens)
-        if i >= n:
-            return
-        p = primes[i]
-        q = prod * p  # NOT
-        if q <= bound:
-            for (j, pr, fv, tk) in gen_formula(i + 1, q):
-                yield (j, pr, fv, (NOT,) + tk)
-        q = prod * p * p  # IMP
-        if q <= bound:
-            for (j1, pr1, fv1, tk1) in gen_formula(i + 1, q):
-                for (j2, pr2, fv2, tk2) in gen_formula(j1, pr1):
-                    yield (j2, pr2, fv1 | fv2, (IMP,) + tk1 + tk2)
-        q = prod * p**ALL  # ALL, then a variable token, then a body
-        if q <= bound and i + 1 < n:
-            p2 = primes[i + 1]
-            v = 0
-            while True:
-                q2 = q * p2 ** (VAR_BASE + v)
-                if q2 > bound:
-                    break
-                for (j, pr, fv, tk) in gen_formula(i + 2, q2):
-                    yield (j, pr, fv & ~(1 << v), (ALL, VAR_BASE + v) + tk)
-                v += 1
-        q = prod * p**EQ
-        if q <= bound:
-            for (j1, pr1, fv1, tk1) in gen_term(i + 1, q):
-                for (j2, pr2, fv2, tk2) in gen_term(j1, pr1):
-                    yield (j2, pr2, fv1 | fv2, (EQ,) + tk1 + tk2)
-        q = prod * p**DEM
-        if q <= bound:
-            for (j, pr, fv, tk) in gen_term(i + 1, q):
-                yield (j, pr, fv, (DEM,) + tk)
-
-    def gen_term(i, prod):
-        if i >= n:
-            return
-        p = primes[i]
-        q = prod * p**SUB
-        if q <= bound:
-            for (j1, pr1, fv1, tk1) in gen_term(i + 1, q):
-                for (j2, pr2, fv2, tk2) in gen_term(j1, pr1):
-                    yield (j2, pr2, fv1 | fv2, (SUB,) + tk1 + tk2)
-        q = prod * p**DIAG
-        if q <= bound:
-            for (j, pr, fv, tk) in gen_term(i + 1, q):
-                yield (j, pr, fv, (DIAG,) + tk)
-        q = prod * p**ZERO
-        if q <= bound:
-            yield (i + 1, q, 0, (ZERO,))
-        q = prod * p**S
-        if q <= bound:
-            for (j, pr, fv, tk) in gen_term(i + 1, q):
-                yield (j, pr, fv, (S,) + tk)
-        v = 0
-        while True:
-            q = prod * p ** (VAR_BASE + v)
+    def fits(q: int, i: int, slots: tuple) -> bool:
+        """q times the cheapest completion of slots from position i is
+        within the bound."""
+        for is_formula, _ in slots:
+            if i >= k:
+                return False
+            if is_formula:
+                q *= min_f[i]
+                i += 2
+            else:
+                q *= min_t[i]
+                i += 1
             if q > bound:
-                break
-            yield (i + 1, q, 1 << v, (VAR_BASE + v,))
-            v += 1
+                return False
+        return q <= bound
 
-    for (_, pr, fv, tk) in gen_formula(0, 1):
-        if fv == 1:
-            yield (pr, tk)
+    # (product, next position, open slots, tokens, free x0 seen)
+    stack = [(1, 0, ((True, 0),), (), False)]
+    while stack:
+        q, i, slots, tokens, x0 = stack.pop()
+        if not slots:
+            if x0:
+                yield q, tokens
+            continue
+        (is_formula, bound_vars), rest = slots[0], slots[1:]
+        pi = p[i]
+        if is_formula:
+            f1, t1 = (True, bound_vars), (False, bound_vars)
+            children = [
+                (pi**NOT, (NOT,), (f1,)),
+                (pi**IMP, (IMP,), (f1, f1)),
+                (pi**EQ, (EQ,), (t1, t1)),
+                (pi**DEM, (DEM,), (t1,)),
+            ]
+            v = 0
+            while True:  # ALL, a variable token, then a body
+                factor = pi**ALL * p[i + 1] ** (VAR_BASE + v)
+                body = ((True, bound_vars | 1 << v),)
+                if not fits(q * factor, i + 2, body + rest):
+                    break
+                children.append((factor, (ALL, VAR_BASE + v), body))
+                v += 1
+        else:
+            t1 = (False, bound_vars)
+            children = [
+                (pi**SUB, (SUB,), (t1, t1)),
+                (pi**DIAG, (DIAG,), (t1,)),
+                (pi**ZERO, (ZERO,), ()),
+                (pi**S, (S,), (t1,)),
+            ]
+            for v in range(max(1, bound_vars.bit_length())):
+                if v == 0 or bound_vars >> v & 1:
+                    children.append((pi ** (VAR_BASE + v), (VAR_BASE + v,), ()))
+        for factor, toks, opened in children:
+            q2, j, slots2 = q * factor, i + len(toks), opened + rest
+            if fits(q2, j, slots2):
+                seen = x0 or (toks == (VAR_BASE,) and not bound_vars & 1)
+                stack.append((q2, j, slots2, tokens + toks, seen))
 
 
 def unary_formulas_below(bound: int) -> list[tuple[int, F.Formula]]:
@@ -492,56 +539,74 @@ def diag_num(g: int) -> int:
 
 class IndexTable:
     """Line-based cache `<index> <code-hex> <printed formula>` with a
-    checksum header; regenerable from scratch at any time."""
+    checksum header; regenerable from scratch at any time.
+
+    The checksum covers CODEC_VERSION and the body, so a table written
+    under another token table fails it.  Entries keep the printed text; a
+    formula is parsed only when looked up.
+    """
 
     def __init__(self, path: str | None):
         self.path = path
-        self.by_index: dict[int, tuple[int, F.Formula]] = {}
+        self.entries: dict[int, tuple[int, str]] = {}
         self.by_code: dict[int, int] = {}
         # indices 0..contiguous-1 are known to be the full ascending prefix
         self.contiguous = 0
         if path and os.path.exists(path):
             self._load()
 
+    @property
+    def by_index(self) -> dict[int, tuple[int, F.Formula]]:
+        """Every entry as (code, formula), parsed on each access."""
+        return {idx: (code, F.parse_formula(text)) for idx, (code, text) in self.entries.items()}
+
+    @staticmethod
+    def _digest(body: str) -> str:
+        return hashlib.sha256(("%s\n%s" % (CODEC_VERSION, body)).encode()).hexdigest()
+
     def _load(self) -> None:
         with open(self.path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         if not lines or not lines[0].startswith("# sha256:"):
             return  # stale or foreign file; rebuild lazily
-        body = "\n".join(lines[1:])
-        if hashlib.sha256(body.encode()).hexdigest() != lines[0][len("# sha256:"):]:
+        if self._digest("\n".join(lines[1:])) != lines[0][len("# sha256:"):]:
             return
         for line in lines[1:]:
             if not line.strip():
                 continue
             idx_s, code_hex, text = line.split(" ", 2)
             idx, code = int(idx_s), int(code_hex, 16)
-            self.by_index[idx] = (code, F.parse_formula(text))
+            self.entries[idx] = (code, text)
             self.by_code[code] = idx
         self._recompute_contiguous()
 
     def _recompute_contiguous(self) -> None:
         n = 0
-        while n in self.by_index:
+        while n in self.entries:
             n += 1
         self.contiguous = n
 
     def save(self) -> None:
+        """Write the table to a temporary file beside it, then rename it
+        over the old one, so a reader never sees a partial table."""
         if not self.path:
             return
-        lines = [
-            "%d %x %s" % (idx, code, F.print_formula(f))
-            for idx, (code, f) in sorted(self.by_index.items())
-        ]
-        body = "\n".join(lines)
-        digest = hashlib.sha256(body.encode()).hexdigest()
+        body = "\n".join(
+            "%d %x %s" % (idx, code, text) for idx, (code, text) in sorted(self.entries.items())
+        )
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write("# sha256:%s\n%s\n" % (digest, body))
+        tmp = "%s.%d.tmp" % (self.path, os.getpid())
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("# sha256:%s\n%s\n" % (self._digest(body), body))
+            os.replace(tmp, self.path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     def formula_at(self, n: int) -> F.Formula | None:
-        if n in self.by_index:
-            return self.by_index[n][1]
+        if n in self.entries:
+            return F.parse_formula(self.entries[n][1])
         return None
 
     def index_of(self, code: int) -> int | None:
@@ -551,18 +616,24 @@ class IndexTable:
         # proves absence only within the prefix; stay conservative
         return None
 
+    def _add(self, idx: int, code: int, f: F.Formula) -> bool:
+        """Store one entry; False when the table already has it."""
+        if idx in self.entries and self.entries[idx][0] == code:
+            return False
+        self.entries[idx] = (code, F.print_formula(f))
+        self.by_code[code] = idx
+        return True
+
     def record(self, entries: list[tuple[int, F.Formula]]) -> None:
-        for idx, (code, f) in enumerate(entries):
-            self.by_index[idx] = (code, f)
-            self.by_code[code] = idx
-        self._recompute_contiguous()
-        self.save()
+        added = [self._add(idx, code, f) for idx, (code, f) in enumerate(entries)]
+        if any(added):
+            self._recompute_contiguous()
+            self.save()
 
     def record_single(self, idx: int, code: int, f: F.Formula) -> None:
-        self.by_index[idx] = (code, f)
-        self.by_code[code] = idx
-        self._recompute_contiguous()
-        self.save()
+        if self._add(idx, code, f):
+            self._recompute_contiguous()
+            self.save()
 
 
 DEFAULT_CACHE_ENV = "GOEDEL_CACHE_DIR"

@@ -41,6 +41,19 @@ def test_parse_number_accepts_common_forms():
             cli.parse_number(text)
 
 
+def test_parse_number_rejects_negative_numbers():
+    for text in ("-5", "-0", "-1e3", "-0x5", "hex2:-5"):
+        with pytest.raises(WorkbenchError, match="not a number"):
+            cli.parse_number(text)
+
+
+def test_negative_number_arguments_are_exit_one(capsys):
+    for argv in (("subnum", "--", "1", "-5"), ("enumerate", "--up-to=-5")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "not a number" in err
+
+
 # --- encode / decode ---------------------------------------------------
 
 
@@ -269,6 +282,17 @@ def test_model_check(tmp_path, capsys):
     code, out, _ = run(capsys, "--json", "model", "check", str(path), "<>p")
     payload = json.loads(out)
     assert payload["forcing_worlds"] == [0]
+
+
+def test_model_check_world_out_of_range_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": 3, "relation": [], "valuation": {}}))
+    for flags in ((), ("--json",)):
+        for world in ("9", "3", "-1"):
+            code, out, err = run(capsys, *flags, "model", "check", str(path), "p",
+                                 "--world", world)
+            assert code == 1 and out == ""
+            assert "world %s out of range" % world in err
 
 
 def test_model_find(capsys):

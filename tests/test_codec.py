@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -163,6 +164,96 @@ def test_enumeration_small_counts():
     assert codec.count_unary_below(10**24) == 38
 
 
+# --- the unpruned scan, kept as a referee for the pruned one -----------
+#
+# Depth-first over grammar-valid Polish prefixes, cut only when the
+# partial product itself exceeds the bound.  Far slower than the library's
+# branch and bound, but fast enough up to 1e32.
+
+
+def _unpruned_unary_below(bound):
+    k, prod = 1, 2
+    while prod <= bound:
+        k += 1
+        prod *= codec.nth_prime(k - 1)
+    n = k + 1
+    primes = [codec.nth_prime(i) for i in range(n + 2)]
+
+    def gen_formula(i, prod):
+        # yields (next position, product, free-variable mask, tokens)
+        if i >= n:
+            return
+        p = primes[i]
+        q = prod * p  # negation
+        if q <= bound:
+            for (j, pr, fv, tk) in gen_formula(i + 1, q):
+                yield (j, pr, fv, (1,) + tk)
+        q = prod * p * p  # implication
+        if q <= bound:
+            for (j1, pr1, fv1, tk1) in gen_formula(i + 1, q):
+                for (j2, pr2, fv2, tk2) in gen_formula(j1, pr1):
+                    yield (j2, pr2, fv1 | fv2, (2,) + tk1 + tk2)
+        q = prod * p**3  # quantifier, then a variable token, then a body
+        if q <= bound and i + 1 < n:
+            v = 0
+            while True:
+                q2 = q * primes[i + 1] ** (13 + v)
+                if q2 > bound:
+                    break
+                for (j, pr, fv, tk) in gen_formula(i + 2, q2):
+                    yield (j, pr, fv & ~(1 << v), (3, 13 + v) + tk)
+                v += 1
+        q = prod * p**4  # equation
+        if q <= bound:
+            for (j1, pr1, fv1, tk1) in gen_term(i + 1, q):
+                for (j2, pr2, fv2, tk2) in gen_term(j1, pr1):
+                    yield (j2, pr2, fv1 | fv2, (4,) + tk1 + tk2)
+        q = prod * p**5  # provability predicate
+        if q <= bound:
+            for (j, pr, fv, tk) in gen_term(i + 1, q):
+                yield (j, pr, fv, (5,) + tk)
+
+    def gen_term(i, prod):
+        if i >= n:
+            return
+        p = primes[i]
+        q = prod * p**6  # substitution function
+        if q <= bound:
+            for (j1, pr1, fv1, tk1) in gen_term(i + 1, q):
+                for (j2, pr2, fv2, tk2) in gen_term(j1, pr1):
+                    yield (j2, pr2, fv1 | fv2, (6,) + tk1 + tk2)
+        for tok in (7, 9):  # diagonalization, successor
+            q = prod * p**tok
+            if q <= bound:
+                for (j, pr, fv, tk) in gen_term(i + 1, q):
+                    yield (j, pr, fv, (tok,) + tk)
+        q = prod * p**8  # zero
+        if q <= bound:
+            yield (i + 1, q, 0, (8,))
+        v = 0
+        while True:  # variables
+            q = prod * p ** (13 + v)
+            if q > bound:
+                break
+            yield (i + 1, q, 1 << v, (13 + v,))
+            v += 1
+
+    return sorted((pr, tk) for (_, pr, fv, tk) in gen_formula(0, 1) if fv == 1)
+
+
+@pytest.mark.parametrize("bound", [10**20, 10**24, 10**28, 10**32])
+def test_pruned_scan_matches_the_unpruned_scan(bound):
+    got = codec.unary_formulas_below(bound)
+    assert [(c, tuple(codec.formula_tokens(f))) for c, f in got] == _unpruned_unary_below(bound)
+
+
+def test_enumeration_large_counts():
+    # frozen counts; 1e28 and 1e32 are cross-checked by the unpruned scan
+    assert codec.count_unary_below(10**28) == 78
+    assert codec.count_unary_below(10**32) == 187
+    assert codec.count_unary_below(10**36) == 403
+
+
 def test_first_two_unary_formulas():
     entries = codec.unary_formulas_below(10**12)
     assert entries[0] == (51_018_336, F.Dem(F.Var(0)))
@@ -178,6 +269,36 @@ def test_index_of_inverts_formula_at(tmp_path):
     # the persisted table reloads to the same answers
     reloaded = codec.IndexTable(str(tmp_path / "index.txt"))
     assert reloaded.formula_at(7) == codec.formula_at(7, cache)
+
+
+def _write_table(path, version, body):
+    digest = hashlib.sha256(("%s\n%s" % (version, body)).encode()).hexdigest()
+    path.write_text("# sha256:%s\n%s\n" % (digest, body))
+
+
+def test_index_table_from_another_codec_version_is_ignored(tmp_path):
+    path = tmp_path / "index-table.txt"
+    body = "0 %x Dem(x0)" % codec.encode_formula(F.Dem(F.Var(0)))
+    _write_table(path, codec.CODEC_VERSION, body)
+    assert codec.IndexTable(str(path)).formula_at(0) == F.Dem(F.Var(0))
+    _write_table(path, "goedellab-codec/0 tokens 1 2 3", body)
+    table = codec.IndexTable(str(path))
+    assert table.formula_at(0) is None and table.contiguous == 0
+    # a rebuild replaces the foreign table and leaves no temporary file
+    codec.formula_at(1, table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["index-table.txt"]
+    assert codec.IndexTable(str(path)).contiguous == 2
+
+
+def test_index_table_record_skips_rewrite_without_new_entries(tmp_path, monkeypatch):
+    table = codec.IndexTable(str(tmp_path / "index-table.txt"))
+    entries = codec.unary_formulas_below(10**16)
+    table.record(entries)
+    reloaded = codec.IndexTable(str(tmp_path / "index-table.txt"))
+    monkeypatch.setattr(reloaded, "save", lambda: pytest.fail("rewrote an unchanged table"))
+    reloaded.record(entries)
+    reloaded.record_single(3, entries[3][0], entries[3][1])
+    assert reloaded.contiguous == 7
 
 
 def test_index_of_requires_unary():
@@ -203,6 +324,62 @@ def test_round_trip_compact_numeral_literal():
     assert codec.decode_formula(codec.encode_formula(f)) == f
     g = F.Eq(F.numeral(200), F.ZERO)  # short chains stay chains
     assert codec.decode_formula(codec.encode_formula(g)) == g
+
+
+def _trial_division_primes(count):
+    primes, n = [], 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def _product_in_order(runs):
+    tokens = [tok for tok, count in runs for _ in range(count)]
+    g = 1
+    for p, tok in zip(_trial_division_primes(len(tokens)), tokens):
+        g *= p**tok
+    return g
+
+
+def test_primes_match_trial_division():
+    primes = _trial_division_primes(3000)
+    assert primes[:len(PRIMES)] == PRIMES
+    assert [codec.nth_prime(i) for i in range(3000)] == primes
+
+
+def test_tree_materialization_matches_the_product_in_order():
+    rng = random.Random(31)
+    cases = [(), ((9, 1),), ((5, 1), (9, 700), (8, 1))]
+    for _ in range(40):
+        cases.append(tuple((rng.choice([1, 2, 4, 5, 8, 9, 13, 20]), rng.randrange(1, 60))
+                           for _ in range(rng.randrange(1, 12))))
+    for runs in cases:
+        expected = _product_in_order(runs)
+        assert codec.CodeRLE(runs).to_int() == expected
+        tokens = [tok for tok, count in runs for _ in range(count)]
+        assert codec.encode_tokens(tokens) == expected
+    factors = tuple((PRIMES[i], rng.randrange(1, 500)) for i in range(20))
+    expected = 1
+    for p, e in factors:
+        expected *= p**e
+    assert codec.ProofCode(factors).to_int() == expected
+    assert codec.ProofCode(()).to_int() == 1
+
+
+def test_decode_round_trips_long_runs_and_large_exponents():
+    # exponents past one batch power of their prime (2^15, 3^15, 5^10, ...)
+    # and long S runs
+    for f in (F.Eq(F.Var(40), F.Num(1400)), F.Dem(F.Sub(F.Var(40), F.Var(0))),
+              F.Eq(F.numeral(300), F.Var(97))):
+        tokens = codec.formula_tokens(f)
+        assert codec.decode_tokens(codec.encode_tokens(tokens)) == tokens
+        assert codec.decode_formula(codec.encode_formula(f)) == f
+    g = 2**53 * 3**200 * 5**1
+    assert codec.decode_tokens(g) == [53, 200, 1]
+    with pytest.raises(NotWellFormed):
+        codec.decode_tokens(2**58 * 5**3)  # exponent gap at 3
 
 
 def test_proof_code_round_trip():
