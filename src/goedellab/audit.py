@@ -711,7 +711,7 @@ def _parse_rule(text: str, known_steps: set[str], known_labels: set[str]) -> Rul
         return cls(parts[0], parts[1])
     if head == "inst":
         parts = rest.split()
-        if len(parts) != 3:
+        if len(parts) != 3 or not (parts[2] == "q" or parts[2].isdecimal()):
             raise ParseError("inst needs: inst REF VAR CONST")
         value = M.Q if parts[2] == "q" else M.Const(int(parts[2]))
         return Instantiate(parts[0], parts[1], value)

@@ -48,6 +48,11 @@ def parse_number(text: str) -> int:
         elif "e" in text.lower():
             base, _, exp = text.lower().partition("e")
             base, exp = int(base), int(exp)
+            # int() refuses decimal strings longer than this; the exponent
+            # form obeys the same limit before any power of ten is built
+            limit = sys.get_int_max_str_digits()
+            if limit and (len(str(base)) + exp if exp >= 0 else 1 - exp) > limit:
+                raise ValueError("more than %d digits" % limit)
             if exp >= 0:
                 n = base * 10**exp
             else:
@@ -262,7 +267,8 @@ def cmd_model_check(args) -> int:
     f = modal.parse_modal(args.formula)
     if args.world is not None and not 0 <= args.world < model.worlds:
         raise WorkbenchError("world %d out of range" % args.world)
-    forcing = [w for w in range(model.worlds) if model.forces(w, f)]
+    truth = model.truth_mask(f)
+    forcing = [w for w in range(model.worlds) if truth >> w & 1]
     if args.json:
         _emit_json(
             {

@@ -5,6 +5,10 @@ universal-instantiation schema, modus ponens, generalization, premises,
 and an evaluation oracle for closed term equations.  Schema instances
 are given explicitly in the justification, so checking is syntactic
 equality throughout.
+
+Premises are read as their universal closures, and generalization is
+unrestricted, as in Gödel's 1931 system: from a premise `x0 = 0`, GEN
+derives `forall x0. x0 = 0`.
 """
 
 from __future__ import annotations
@@ -184,7 +188,7 @@ def _parse_binding(text: str, schema: str) -> tuple[tuple[str, object], ...]:
             raise ParseError("binding entry %r lacks ':='" % part)
         name, value = (s.strip() for s in part.split(":=", 1))
         if name == "x":
-            if not value.startswith("x") or not value[1:].isdigit():
+            if not value.startswith("x") or not value[1:].isdecimal():
                 raise ParseError("binding x needs a variable, got %r" % value)
             entries[name] = int(value[1:])
         elif name == "t":
@@ -202,12 +206,17 @@ def _parse_justification(text: str) -> Justification:
         return Premise(text[len("PREMISE"):].strip())
     if text.startswith("MP"):
         parts = text.split()
-        if len(parts) != 3:
+        if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
             raise ParseError("MP cites two steps")
         return ModusPonens(int(parts[1]), int(parts[2]))
     if text.startswith("GEN"):
         parts = text.split()
-        if len(parts) != 3 or not parts[2].startswith("x"):
+        if not (
+            len(parts) == 3
+            and parts[1].isdecimal()
+            and parts[2].startswith("x")
+            and parts[2][1:].isdecimal()
+        ):
             raise ParseError("GEN cites a step and a variable")
         return Generalize(int(parts[1]), int(parts[2][1:]))
     for schema in ("P1", "P2", "P3", "INST"):
@@ -236,7 +245,7 @@ def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
         if "." not in line:
             raise ParseError("step line needs 'k. formula ; justification'")
         num_text, rest = line.split(".", 1)
-        if not num_text.strip().isdigit():
+        if not num_text.strip().isdecimal():
             raise ParseError("step line needs a leading number, got %r" % num_text)
         k = int(num_text)
         if k != len(steps) + 1:

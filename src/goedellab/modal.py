@@ -1,6 +1,6 @@
 """Decision procedures for the modal logics K, K4 and GL.
 
-Two independent engines are provided on purpose:
+Three independent engines are provided on purpose:
 
 * a direct Kripke-model checker (`KripkeModel.forces`) — the small
   trusted base;
@@ -173,12 +173,6 @@ class KripkeModel:
     relation: frozenset[tuple[int, int]]
     valuation: tuple[tuple[str, frozenset[int]], ...]  # sorted by atom
 
-    def extension(self, atom: str) -> frozenset[int]:
-        return dict(self.valuation).get(atom, frozenset())
-
-    def successors(self, w: int) -> list[int]:
-        return [v for (u, v) in self.relation if u == w]
-
     def is_transitive(self) -> bool:
         r = self.relation
         return all((a, d) in r for (a, b) in r for (c, d) in r if b == c)
@@ -197,16 +191,31 @@ class KripkeModel:
             return self.is_transitive() and self.is_irreflexive()
         raise WorkbenchError("unknown logic %r" % logic)
 
+    def truth_mask(self, f: ModalFormula) -> int:
+        """The worlds forcing f, as an int with bit u for world u.  Bottom-up
+        labeling: each subformula occurrence is labeled once."""
+        full = (1 << self.worlds) - 1
+        succ: dict[int, int] = {}
+        for a, b in self.relation:
+            succ[a] = succ.get(a, 0) | 1 << b
+        ext = {a: sum(1 << u for u in ws) for a, ws in self.valuation}
+
+        def label(g: ModalFormula) -> int:
+            if isinstance(g, Atom):
+                return ext.get(g.name, 0)
+            if isinstance(g, Neg):
+                return full ^ label(g.sub)
+            if isinstance(g, Imp):
+                return (full ^ label(g.left)) | label(g.right)
+            bad = full ^ label(g.sub)
+            return full ^ sum(1 << u for u, s in succ.items() if s & bad)
+
+        return label(f)
+
     def forces(self, w: int, f: ModalFormula) -> bool:
         if not 0 <= w < self.worlds:
             raise WorkbenchError("world %d out of range" % w)
-        if isinstance(f, Atom):
-            return w in self.extension(f.name)
-        if isinstance(f, Neg):
-            return not self.forces(w, f.sub)
-        if isinstance(f, Imp):
-            return (not self.forces(w, f.left)) or self.forces(w, f.right)
-        return all(self.forces(v, f.sub) for v in self.successors(w))
+        return bool(self.truth_mask(f) >> w & 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,25 +227,26 @@ class KripkeModel:
     @classmethod
     def from_json_dict(cls, d: dict) -> "KripkeModel":
         try:
-            worlds = int(d["worlds"])
-            relation = frozenset((int(a), int(b)) for a, b in d["relation"])
+            # JSON also yields floats and bools (True == 1); neither counts
+            worlds = d["worlds"]
+            if type(worlds) is not int or worlds < 1:
+                raise ValueError("worlds: %r is not a positive integer" % (worlds,))
+
+            def world(x) -> int:
+                if type(x) is not int or not 0 <= x < worlds:
+                    raise ValueError("%r is not a world of the model" % (x,))
+                return x
+
+            relation = frozenset((world(a), world(b)) for a, b in d["relation"])
             valuation = tuple(
                 sorted(
-                    (str(a), frozenset(int(w) for w in ws))
+                    (str(a), frozenset(world(w) for w in ws))
                     for a, ws in d.get("valuation", {}).items()
                 )
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise WorkbenchError("malformed model description: %s" % e)
-        m = cls(worlds, relation, valuation)
-        for a, b in relation:
-            if not (0 <= a < worlds and 0 <= b < worlds):
-                raise WorkbenchError("relation pair (%d,%d) out of range" % (a, b))
-        for a, ws in valuation:
-            for w in ws:
-                if not 0 <= w < worlds:
-                    raise WorkbenchError("valuation world %d out of range" % w)
-        return m
+        return cls(worlds, relation, valuation)
 
     @classmethod
     def load(cls, path: str) -> "KripkeModel":
@@ -270,14 +280,15 @@ def _gl_frames(max_n: int):
     the order; then P, S are exactly k's neighborhoods and the extension
     is again transitive, which makes the construction canonical."""
 
-    def exact(target: int, n: int, succ: list[int], pred: list[int]):
+    def exact(target: int, n: int, succ: list[int]):
         if n == target:
             yield n, tuple(succ)
             return
+        # P is down-closed iff no world outside P has a successor in P
         down_closed = [
             p
             for p in range(1 << n)
-            if all(pred[x] & ~p == 0 for x in range(n) if p >> x & 1)
+            if not any(succ[x] & p for x in range(n) if not p >> x & 1)
         ]
         up_closed = [
             s
@@ -290,60 +301,34 @@ def _gl_frames(max_n: int):
                     continue
                 if any(s & ~succ[x] for x in range(n) if p >> x & 1):
                     continue
-                new_succ = [
-                    succ[x] | (1 << n) if p >> x & 1 else succ[x] for x in range(n)
-                ]
-                new_pred = [
-                    pred[x] | (1 << n) if s >> x & 1 else pred[x] for x in range(n)
-                ]
-                new_succ.append(s)
-                new_pred.append(p)
-                yield from exact(target, n + 1, new_succ, new_pred)
+                new_succ = [succ[x] | (p >> x & 1) << n for x in range(n)] + [s]
+                yield from exact(target, n + 1, new_succ)
 
     for target in range(1, max_n + 1):
-        yield from exact(target, 0, [], [])
+        yield from exact(target, 0, [])
 
 
 def _k_frames(max_n: int, transitive: bool):
     for n in range(1, max_n + 1):
-        pairs = [(a, b) for a in range(n) for b in range(n)]
+        mask = (1 << n) - 1
         for bits in range(1 << (n * n)):
-            succ = [0] * n
-            for i, (a, b) in enumerate(pairs):
-                if bits >> i & 1:
-                    succ[a] |= 1 << b
-            if transitive:
-                ok = True
-                for a in range(n):
-                    m, acc = succ[a], succ[a]
-                    while m:
-                        b = (m & -m).bit_length() - 1
-                        m &= m - 1
-                        acc |= succ[b]
-                    if acc & ~succ[a]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            yield n, tuple(succ)
+            # bit a*n + b of `bits` is the pair (a, b)
+            succ = tuple(bits >> (a * n) & mask for a in range(n))
+            if transitive and any(
+                succ[b] & ~s for s in succ for b in range(n) if s >> b & 1
+            ):
+                continue
+            yield n, succ
 
 
 def _frames(logic: str, max_worlds: int | None):
+    cap = GL_MAX_WORLDS if logic == "GL" else K_MAX_WORLDS
+    bound = cap if max_worlds is None else max_worlds
+    if bound > cap:
+        raise ResourceBound("%s frame search capped at %d worlds" % (logic, cap))
     if logic == "GL":
-        bound = GL_MAX_WORLDS if max_worlds is None else max_worlds
-        if bound > GL_MAX_WORLDS:
-            raise ResourceBound(
-                "GL frame search capped at %d worlds" % GL_MAX_WORLDS
-            )
         return _gl_frames(bound)
-    if logic in ("K", "K4"):
-        bound = K_MAX_WORLDS if max_worlds is None else max_worlds
-        if bound > K_MAX_WORLDS:
-            raise ResourceBound(
-                "%s frame search capped at %d worlds" % (logic, K_MAX_WORLDS)
-            )
-        return _k_frames(bound, transitive=logic == "K4")
-    raise WorkbenchError("unknown logic %r" % logic)
+    return _k_frames(bound, transitive=logic == "K4")
 
 
 # --- bit-parallel valuation sweep --------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -52,6 +53,16 @@ def test_negative_number_arguments_are_exit_one(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "not a number" in err
+
+
+def test_exponent_form_obeys_the_digit_limit(capsys):
+    for bound in ("1e100000000", "1e-100000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--up-to", bound)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert "not a number" in err
+    assert cli.parse_number("1e4000") == 10**4000
 
 
 # --- encode / decode ---------------------------------------------------
@@ -207,6 +218,32 @@ def test_prove_check_missing_file(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_premises_are_read_as_universal_closures(tmp_path, capsys):
+    path = tmp_path / "gen.proof"
+    path.write_text("premise H : x0 = 0\n1. x0 = 0 ; PREMISE H\n2. forall x0. x0 = 0 ; GEN 1 x0\n")
+    code, out, _ = run(capsys, "prove", "check", str(path))
+    assert code == 0 and out == "valid (2 steps)\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("prove", "1. Dem(x0) ; MP a b\n"),
+        ("prove", "1. Dem(x0) ; GEN 1 xq\n"),
+        ("prove", "1. Dem(x0) ; INST[x := x\u00b2; A := Dem(x0); t := 0]\n"),
+        ("prove", "\u00b2. Dem(x0) ; MP 1 1\n"),
+        ("audit", "assume REFL : Dem[d*] -> d*\nstep 1 := assume REFL\nstep 2 := inst 1 n zz\n"),
+    ],
+)
+def test_malformed_step_numbers_are_parse_errors(tmp_path, capsys, command, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    action = "check" if command == "prove" else "run"
+    code, out, err = run(capsys, command, action, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("parse error") and "Traceback" not in err
+
+
 # --- audit -------------------------------------------------------------
 
 
@@ -293,6 +330,15 @@ def test_model_check_world_out_of_range_is_exit_one(tmp_path, capsys):
                                  "--world", world)
             assert code == 1 and out == ""
             assert "world %s out of range" % world in err
+
+
+@pytest.mark.parametrize("worlds", [2.7, -1, True])
+def test_model_world_count_must_be_a_positive_int(tmp_path, capsys, worlds):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": worlds, "relation": [], "valuation": {}}))
+    code, out, err = run(capsys, "model", "check", str(path), "p")
+    assert code == 1 and out == ""
+    assert "malformed model description" in err
 
 
 def test_model_find(capsys):

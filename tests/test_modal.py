@@ -1,4 +1,6 @@
 import json
+import random
+import time
 from collections import Counter
 
 import pytest
@@ -65,7 +67,152 @@ def test_model_json_round_trip_and_validation():
         Md.KripkeModel.from_json_dict({"relation": []})
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"worlds": 2.7, "relation": []},
+        {"worlds": -1, "relation": []},
+        {"worlds": 0, "relation": []},
+        {"worlds": True, "relation": []},
+        {"worlds": "2", "relation": []},
+        {"worlds": 2, "relation": [[0, True]]},
+        {"worlds": 2, "relation": [[0.0, 1]]},
+        {"worlds": 2, "relation": [], "valuation": {"p": [True]}},
+        {"worlds": 2, "relation": [], "valuation": {"p": [1.0]}},
+        {"worlds": 2, "relation": [], "valuation": [["p", [0]]]},
+    ],
+)
+def test_model_fields_must_be_real_ints(model):
+    with pytest.raises(WorkbenchError, match="malformed model description"):
+        Md.KripkeModel.from_json_dict(model)
+
+
+def _referee_forces(m: Md.KripkeModel, w: int, f) -> bool:
+    """The forcing clauses read literally, one world at a time."""
+    if isinstance(f, Md.Atom):
+        return w in dict(m.valuation).get(f.name, frozenset())
+    if isinstance(f, Md.Neg):
+        return not _referee_forces(m, w, f.sub)
+    if isinstance(f, Md.Imp):
+        return not _referee_forces(m, w, f.left) or _referee_forces(m, w, f.right)
+    return all(_referee_forces(m, v, f.sub) for (u, v) in m.relation if u == w)
+
+
+def _random_modal(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return Md.Atom(rng.choice("pqr"))  # r has no extension
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Md.Neg(_random_modal(rng, depth - 1))
+    if kind == 1:
+        return Md.Box(_random_modal(rng, depth - 1))
+    return Md.Imp(_random_modal(rng, depth - 1), _random_modal(rng, depth - 1))
+
+
+def test_forces_agrees_with_the_clauses_on_random_models():
+    rng = random.Random(4)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rel = [(a, b) for a in range(n) for b in range(n) if rng.random() < 0.35]
+        val = {a: {w for w in range(n) if rng.random() < 0.5} for a in "pq"}
+        m = Md.make_model(n, rel, val)
+        f = _random_modal(rng, 4)
+        for w in range(n):
+            assert m.forces(w, f) == _referee_forces(m, w, f), (m, w, f)
+
+
+def test_deep_boxes_are_checked_in_linear_time():
+    n = 8
+    succ = (1 << n) - 1
+    complete = [(a, b) for a in range(n) for b in range(n)]
+    f = p
+    for _ in range(10):
+        f = Md.Box(f)
+    for truth in (set(range(n)), set(range(n)) - {3}):
+        m = Md.make_model(n, complete, {"p": truth})
+        start = time.perf_counter()
+        forced = [m.forces(w, f) for w in range(n)]
+        assert time.perf_counter() - start < 0.1
+        rows = Md._sweep(f, (succ,) * n, {"p": 0})
+        v = sum(1 << w for w in truth)  # the sweep's row for this valuation
+        assert forced == [bool(rows[w] >> v & 1) for w in range(n)]
+        assert forced == [len(truth) == n] * n
+
+
 # --- frame enumeration -------------------------------------------------
+#
+# The generators as they were before they kept only successor masks,
+# kept as referees: the same frames must come out in the same order.
+
+
+def _referee_gl_frames(max_n: int):
+    def exact(target: int, n: int, succ: list[int], pred: list[int]):
+        if n == target:
+            yield n, tuple(succ)
+            return
+        down_closed = [
+            p
+            for p in range(1 << n)
+            if all(pred[x] & ~p == 0 for x in range(n) if p >> x & 1)
+        ]
+        up_closed = [
+            s
+            for s in range(1 << n)
+            if all(succ[x] & ~s == 0 for x in range(n) if s >> x & 1)
+        ]
+        for p in down_closed:
+            for s in up_closed:
+                if p & s:
+                    continue
+                if any(s & ~succ[x] for x in range(n) if p >> x & 1):
+                    continue
+                new_succ = [
+                    succ[x] | (1 << n) if p >> x & 1 else succ[x] for x in range(n)
+                ]
+                new_pred = [
+                    pred[x] | (1 << n) if s >> x & 1 else pred[x] for x in range(n)
+                ]
+                new_succ.append(s)
+                new_pred.append(p)
+                yield from exact(target, n + 1, new_succ, new_pred)
+
+    for target in range(1, max_n + 1):
+        yield from exact(target, 0, [], [])
+
+
+def _referee_k_frames(max_n: int, transitive: bool):
+    for n in range(1, max_n + 1):
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        for bits in range(1 << (n * n)):
+            succ = [0] * n
+            for i, (a, b) in enumerate(pairs):
+                if bits >> i & 1:
+                    succ[a] |= 1 << b
+            if transitive:
+                ok = True
+                for a in range(n):
+                    m, acc = succ[a], succ[a]
+                    while m:
+                        b = (m & -m).bit_length() - 1
+                        m &= m - 1
+                        acc |= succ[b]
+                    if acc & ~succ[a]:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+            yield n, tuple(succ)
+
+
+def test_gl_frames_match_the_referee():
+    assert list(Md._gl_frames(5)) == list(_referee_gl_frames(5))
+
+
+def test_k_frames_match_the_referee():
+    for transitive in (False, True):
+        got = list(Md._k_frames(3, transitive))
+        assert got == list(_referee_k_frames(3, transitive))
+
 
 
 def test_strict_poset_counts_are_exact():
