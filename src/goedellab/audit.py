@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from . import meta as M
 from .errors import ParseError, WorkbenchError
+from .syntax import natural
 
 # --- assumptions -------------------------------------------------------
 
@@ -38,113 +39,37 @@ BUILTIN_PROVENANCE = {
 }
 
 
-# --- rules -------------------------------------------------------------
+# --- script steps ------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class AssumptionRef:
-    label: str
-    template: M.Designator | None = None
-
-
-@dataclass(frozen=True)
-class UseAssumption:
-    label: str
-    template: M.Designator | None = None
-
-
-@dataclass(frozen=True)
-class Transpose:
-    ref: str
-
-
-@dataclass(frozen=True)
-class IffElimF:
-    ref: str
-
-
-@dataclass(frozen=True)
-class IffElimB:
-    ref: str
-
-
-@dataclass(frozen=True)
-class Syllogism:
-    first: str
-    second: str
-
-
-@dataclass(frozen=True)
-class IffIntro:
-    forward: str
-    backward: str
-
-
-@dataclass(frozen=True)
-class Instantiate:
-    ref: str
-    var: str
-    value: M.Const
-
-
-@dataclass(frozen=True)
-class RewriteE:
-    ref: str
-
-
-@dataclass(frozen=True)
-class NegPush:
-    ref: str
-
-
-@dataclass(frozen=True)
-class ModusPonens:
-    implication: str
-    antecedent: str
-
-
-@dataclass(frozen=True)
-class TautCons:
-    """Conclusion stated, checked as a tautological consequence of the
-    cited premises over their modal atoms (InE expanded definitionally)."""
-
-    conclusion: M.MetaFormula
-    premises: tuple[object, ...]  # step-id strings and AssumptionRefs
-
-
-@dataclass(frozen=True)
-class Suppose:
-    formula: M.MetaFormula
-
-
-@dataclass(frozen=True)
-class Reductio:
-    hypothesis: str
-    positive: str
-    negative: str
-
-
-RuleApp = (
-    UseAssumption
-    | Transpose
-    | IffElimF
-    | IffElimB
-    | Syllogism
-    | IffIntro
-    | Instantiate
-    | RewriteE
-    | NegPush
-    | ModusPonens
-    | TautCons
-    | Suppose
-    | Reductio
-)
+# script keyword -> rule name, for the rules citing one or two steps
+_ONE_REF = {
+    "transpose": "Transpose",
+    "ifff": "IffElimF",
+    "iffb": "IffElimB",
+    "rewriteE": "RewriteE",
+    "negpush": "NegPush",
+}
+_TWO_REFS = {"syll": "Syllogism", "iffi": "IffIntro", "mp": "ModusPonens"}
 
 
 @dataclass(frozen=True)
 class Step:
+    """One script step.  `rule` names the rule as the report prints it;
+    `args` holds its parsed operands:
+
+    UseAssumption  (label, template or None)
+    Transpose, IffElimF, IffElimB, RewriteE, NegPush  (ref,)
+    Syllogism, IffIntro, ModusPonens  (ref, ref)
+    Instantiate  (ref, var, Const)
+    TautCons  (conclusion, premises): a premise is a step id, or a
+              (label, template or None) pair citing an assumption
+    Suppose  (formula,)
+    Reductio  (hypothesis, positive, negative)
+    """
+
     id: str
-    rule: RuleApp
+    rule: str
+    args: tuple
     provenance: str = ""
 
 
@@ -174,7 +99,7 @@ class RuleError(WorkbenchError):
 class CheckedStep:
     id: str
     formula: M.MetaFormula | None
-    rule: RuleApp
+    rule: str
     ok: bool
     reason: str | None
     assumptions: frozenset[str]
@@ -217,7 +142,7 @@ class AuditReport:
                 {
                     "id": s.id,
                     "formula": M.print_meta(s.formula) if s.formula else None,
-                    "rule": type(s.rule).__name__,
+                    "rule": s.rule,
                     "valid": s.ok,
                     "reason": s.reason,
                     "assumptions": sorted(s.assumptions),
@@ -295,10 +220,11 @@ class _Engine:
         self.allowed = allowed  # None means every declared label
         self.checked: dict[str, CheckedStep] = {}
 
-    def _use_label(self, label: str) -> None:
-        self.script.assumption(label)  # raises on unknown
+    def _assumption(self, label: str, template: M.Designator | None):
+        assumption = self.script.assumption(label)  # raises on unknown
         if self.allowed is not None and label not in self.allowed:
             raise RuleError("assumption %s excluded from this run" % label)
+        return instantiate_assumption(assumption, template), frozenset([label]), frozenset()
 
     def _cited(self, ref: str) -> CheckedStep:
         if ref not in self.checked:
@@ -308,106 +234,72 @@ class _Engine:
             raise RuleError("cites invalid step %r" % ref)
         return s
 
-    def _premise_formula(self, ref) -> tuple[M.MetaFormula, frozenset, frozenset]:
-        if isinstance(ref, AssumptionRef):
-            self._use_label(ref.label)
-            phi = instantiate_assumption(self.script.assumption(ref.label), ref.template)
-            return phi, frozenset([ref.label]), frozenset()
-        s = self._cited(ref)
-        return s.formula, s.assumptions, s.hypotheses
-
     def run(self) -> list[CheckedStep]:
         out = []
         for step in self.script.steps:
             try:
                 formula, deps, hyps = self._apply(step)
-                cs = CheckedStep(
-                    step.id, formula, step.rule, True, None, deps, hyps, step.provenance
-                )
+                reason = None
             except RuleError as e:
-                cs = CheckedStep(
-                    step.id,
-                    None,
-                    step.rule,
-                    False,
-                    str(e),
-                    frozenset(),
-                    frozenset(),
-                    step.provenance,
-                )
+                reason = str(e)
             if step.id in self.checked:
-                cs = CheckedStep(
-                    step.id,
-                    None,
-                    step.rule,
-                    False,
-                    "duplicate step id",
-                    frozenset(),
-                    frozenset(),
-                    step.provenance,
-                )
+                reason = "duplicate step id"
+            if reason is not None:
+                formula, deps, hyps = None, frozenset(), frozenset()
+            cs = CheckedStep(
+                step.id, formula, step.rule, reason is None, reason, deps, hyps, step.provenance
+            )
             self.checked[step.id] = cs
             out.append(cs)
         return out
 
     def _apply(self, step: Step):
-        rule = step.rule
-        if isinstance(rule, UseAssumption):
-            self._use_label(rule.label)
-            phi = instantiate_assumption(self.script.assumption(rule.label), rule.template)
-            return phi, frozenset([rule.label]), frozenset()
+        rule, args = step.rule, step.args
+        if rule == "UseAssumption":
+            return self._assumption(*args)
 
-        if isinstance(rule, Suppose):
-            return M.normalize(rule.formula), frozenset(), frozenset([step.id])
+        if rule == "Suppose":
+            return M.normalize(args[0]), frozenset(), frozenset([step.id])
 
-        if isinstance(rule, (Transpose, IffElimF, IffElimB, RewriteE, NegPush)):
-            s = self._cited(rule.ref)
+        if rule in _ONE_REF.values():
+            s = self._cited(args[0])
             prefix, matrix = _strip_prefix(s.formula)
-            if isinstance(rule, Transpose):
+            if rule == "Transpose":
                 if isinstance(matrix, M.MIff):
                     matrix = M.MIff(M.neg(matrix.left), M.neg(matrix.right))
                 elif isinstance(matrix, M.MImplies):
                     matrix = M.MImplies(M.neg(matrix.right), M.neg(matrix.left))
                 else:
                     raise RuleError("transpose needs an implication or equivalence")
-            elif isinstance(rule, IffElimF):
+            elif rule in ("IffElimF", "IffElimB"):
                 if not isinstance(matrix, M.MIff):
                     raise RuleError("iff-elim needs an equivalence")
-                matrix = M.MImplies(matrix.left, matrix.right)
-            elif isinstance(rule, IffElimB):
-                if not isinstance(matrix, M.MIff):
-                    raise RuleError("iff-elim needs an equivalence")
-                matrix = M.MImplies(matrix.right, matrix.left)
-            elif isinstance(rule, RewriteE):
+                if rule == "IffElimF":
+                    matrix = M.MImplies(matrix.left, matrix.right)
+                else:
+                    matrix = M.MImplies(matrix.right, matrix.left)
+            elif rule == "RewriteE":
                 matrix = M.expand_ine(matrix)
-            else:  # NegPush: normalization is already canonical
-                pass
+            # NegPush: normalization is already canonical
             return M.normalize(_rewrap(prefix, matrix)), s.assumptions, s.hypotheses
 
-        if isinstance(rule, (Syllogism, IffIntro, ModusPonens)):
-            ids = (
-                (rule.first, rule.second)
-                if isinstance(rule, Syllogism)
-                else (rule.forward, rule.backward)
-                if isinstance(rule, IffIntro)
-                else (rule.implication, rule.antecedent)
-            )
-            s1, s2 = self._cited(ids[0]), self._cited(ids[1])
+        if rule in _TWO_REFS.values():
+            s1, s2 = self._cited(args[0]), self._cited(args[1])
             deps = s1.assumptions | s2.assumptions
             hyps = s1.hypotheses | s2.hypotheses
-            if isinstance(rule, ModusPonens):
+            if rule == "ModusPonens":
                 p1, m1 = _strip_prefix(s1.formula)
                 if p1:
                     raise RuleError("modus ponens applies to unquantified steps")
                 if not isinstance(m1, M.MImplies):
-                    raise RuleError("step %r is not an implication" % ids[0])
+                    raise RuleError("step %r is not an implication" % args[0])
                 if m1.left != s2.formula:
                     raise RuleError("antecedent mismatch")
                 return m1.right, deps, hyps
             prefix, m1, m2 = _common_prefix(s1.formula, s2.formula)
             if not isinstance(m1, M.MImplies) or not isinstance(m2, M.MImplies):
                 raise RuleError("both cited steps must be implications")
-            if isinstance(rule, Syllogism):
+            if rule == "Syllogism":
                 if m1.right != m2.left:
                     raise RuleError("middle terms do not match")
                 return _rewrap(prefix, M.MImplies(m1.left, m2.right)), deps, hyps
@@ -415,49 +307,51 @@ class _Engine:
                 raise RuleError("implications are not mutually converse")
             return _rewrap(prefix, M.MIff(m1.left, m1.right)), deps, hyps
 
-        if isinstance(rule, Instantiate):
-            s = self._cited(rule.ref)
-            if not isinstance(s.formula, M.ForAllIndex) or s.formula.var != rule.var:
+        if rule == "Instantiate":
+            ref, var, value = args
+            s = self._cited(ref)
+            if not isinstance(s.formula, M.ForAllIndex) or s.formula.var != var:
                 raise RuleError(
-                    "step %r is not universally quantified over %r" % (rule.ref, rule.var)
+                    "step %r is not universally quantified over %r" % (ref, var)
                 )
-            body = M.subst_index(s.formula.body, rule.var, rule.value)
+            body = M.subst_index(s.formula.body, var, value)
             return M.normalize(body), s.assumptions, s.hypotheses
 
-        if isinstance(rule, TautCons):
+        if rule == "TautCons":
+            conclusion, premises = args
             formulas, deps, hyps = [], frozenset(), frozenset()
-            for ref in rule.premises:
-                phi, d, h = self._premise_formula(ref)
+            for ref in premises:
+                if isinstance(ref, str):
+                    s = self._cited(ref)
+                    phi, d, h = s.formula, s.assumptions, s.hypotheses
+                else:
+                    phi, d, h = self._assumption(*ref)
                 formulas.append(phi)
                 deps |= d
                 hyps |= h
-            conclusion = M.normalize(rule.conclusion)
+            conclusion = M.normalize(conclusion)
             if not M.tautological_consequence(formulas, conclusion):
                 raise RuleError("stated conclusion is not a tautological consequence")
             return conclusion, deps, hyps
 
-        if isinstance(rule, Reductio):
-            hyp = self._cited(rule.hypothesis)
-            if not isinstance(hyp.rule, Suppose):
-                raise RuleError("%r is not a supposition" % rule.hypothesis)
-            pos = self._cited(rule.positive)
-            neg_ = self._cited(rule.negative)
+        if rule == "Reductio":
+            hyp_id, pos_id, neg_id = args
+            hyp = self._cited(hyp_id)
+            if hyp.rule != "Suppose":
+                raise RuleError("%r is not a supposition" % hyp_id)
+            pos, neg_ = self._cited(pos_id), self._cited(neg_id)
             if M.neg(pos.formula) != neg_.formula and M.neg(neg_.formula) != pos.formula:
                 raise RuleError("cited steps are not contradictory")
-            if rule.hypothesis not in (pos.hypotheses | neg_.hypotheses):
+            if hyp_id not in (pos.hypotheses | neg_.hypotheses):
                 raise RuleError("contradiction does not depend on the supposition")
-            hyps = (pos.hypotheses | neg_.hypotheses) - {rule.hypothesis}
+            hyps = (pos.hypotheses | neg_.hypotheses) - {hyp_id}
             deps = pos.assumptions | neg_.assumptions
             return M.neg(hyp.formula), deps, hyps
 
-        raise RuleError("unknown rule %r" % type(rule).__name__)
+        raise RuleError("unknown rule %r" % rule)
 
 
 # --- contradiction detection and classification ------------------------
-
-
-def _matrix(phi: M.MetaFormula) -> M.MetaFormula:
-    return _strip_prefix(phi)[1]
 
 
 def _find_contradictions(steps: list[CheckedStep]) -> list[Finding]:
@@ -467,7 +361,7 @@ def _find_contradictions(steps: list[CheckedStep]) -> list[Finding]:
     for s in steps:
         if not s.ok or s.hypotheses:
             continue
-        m = _matrix(s.formula)
+        m = _strip_prefix(s.formula)[1]
         if isinstance(m, M.MIff):
             left, right = m.left, m.right
             if M.neg(left) == right or M.neg(right) == left:
@@ -514,6 +408,7 @@ def _find_contradictions(steps: list[CheckedStep]) -> list[Finding]:
 
 
 def _ground_theory(steps: list[CheckedStep]) -> list[M.MetaFormula]:
+    """The formulas of the valid, hypothesis-free ground steps."""
     return [
         s.formula
         for s in steps
@@ -521,27 +416,17 @@ def _ground_theory(steps: list[CheckedStep]) -> list[M.MetaFormula]:
     ]
 
 
-def _ground_designators(steps: list[CheckedStep]) -> list[M.Designator]:
+def _ground_designators(theory: list[M.MetaFormula]) -> list[M.Designator]:
     seen: dict[str, M.Designator] = {}
 
-    def visit(phi: M.MetaFormula) -> None:
-        if isinstance(phi, (M.Assert, M.DemOf)):
-            d = M.normalize_desig(M.expand_desig(phi.desig))
-            while isinstance(d, M.NegD):
-                d = d.sub
-            if not M.desig_metavars(d) and not isinstance(d, M.DVar):
-                seen.setdefault(M.print_desig(d), d)
-        elif isinstance(phi, M.MNot):
-            visit(phi.sub)
-        elif isinstance(phi, (M.MImplies, M.MIff)):
-            visit(phi.left)
-            visit(phi.right)
-        elif isinstance(phi, M.ForAllIndex):
-            visit(phi.body)
+    def visit(d: M.Designator) -> M.Designator:
+        expanded = M.expand_desig(d)
+        if not M.desig_metavars(expanded):
+            seen.setdefault(M.print_desig(expanded), expanded)
+        return d
 
-    for s in steps:
-        if s.ok and not s.hypotheses and M.is_ground(s.formula):
-            visit(s.formula)
+    for phi in theory:
+        M.map_atoms(phi, visit, None)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -578,28 +463,15 @@ def check_script(
     findings = _find_contradictions(steps)
     theory = _ground_theory(steps)
     classification = {
-        M.print_desig(d): classify(d, theory) for d in _ground_designators(steps)
+        M.print_desig(d): classify(d, theory) for d in _ground_designators(theory)
     }
-    consumed: frozenset[str] = frozenset()
-    for s in steps:
-        if s.ok:
-            consumed |= s.assumptions
     return AuditReport(
         steps=steps,
         contradictions=findings,
         classification=classification,
-        consumed=consumed,
+        consumed=frozenset().union(*(s.assumptions for s in steps if s.ok)),
         assumption_labels=script.labels(),
     )
-
-
-def _has_contradiction(report: AuditReport, labels: set[str]) -> bool:
-    for f in report.contradictions:
-        if not f.requires_consistency:
-            return True
-        if "CONS" in labels:
-            return True
-    return False
 
 
 def minimal_inconsistent_subsets(script: DerivationScript) -> list[list[str]]:
@@ -614,8 +486,8 @@ def minimal_inconsistent_subsets(script: DerivationScript) -> list[list[str]]:
             s = frozenset(combo)
             if any(m <= s for m in inconsistent):
                 continue  # a subset already derives the contradiction
-            report = check_script(script, allowed=set(s))
-            if _has_contradiction(report, set(s)):
+            findings = _find_contradictions(_Engine(script, s).run())
+            if any(not f.requires_consistency or "CONS" in s for f in findings):
                 inconsistent.append(s)
     return sorted([sorted(s) for s in inconsistent])
 
@@ -633,16 +505,23 @@ def minimal_inconsistent_subsets(script: DerivationScript) -> list[list[str]]:
 #   an optional trailing `! note` records step provenance
 
 
-def _parse_premise_ref(text: str, known_steps: set[str], known_labels: set[str]):
+def _assumption_ref(text: str) -> tuple[str, M.Designator | None]:
+    """`LABEL` or `LABEL[designator]`, as (label, template or None)."""
     text = text.strip()
     if "[" in text and text.endswith("]"):
         label, inner = text[:-1].split("[", 1)
-        return AssumptionRef(label.strip(), M.parse_desig(inner))
-    if text in known_steps:
-        return text
-    if text in known_labels:
-        return AssumptionRef(text)
-    raise ParseError("unknown premise reference %r" % text)
+        return label.strip(), M.parse_desig(inner)
+    return text, None
+
+
+def _premise_ref(text: str, known_steps: set[str], known_labels: set[str]):
+    """A step id, or a (label, template) pair citing an assumption."""
+    label, template = _assumption_ref(text)
+    if template is None and label in known_steps:
+        return label
+    if template is None and label not in known_labels:
+        raise ParseError("unknown premise reference %r" % label)
+    return label, template
 
 
 def parse_script(text: str) -> DerivationScript:
@@ -679,53 +558,43 @@ def parse_script(text: str) -> DerivationScript:
         provenance = ""
         if "!" in rule_text:
             rule_text, provenance = (s.strip() for s in rule_text.rsplit("!", 1))
-        rule = _parse_rule(rule_text, known_steps, known_labels)
-        steps.append(Step(step_id, rule, provenance))
+        rule, args = _parse_rule(rule_text, known_steps, known_labels)
+        steps.append(Step(step_id, rule, args, provenance))
         known_steps.add(step_id)
     return DerivationScript(tuple(assumptions), tuple(steps))
 
 
-def _parse_rule(text: str, known_steps: set[str], known_labels: set[str]) -> RuleApp:
+def _parse_rule(
+    text: str, known_steps: set[str], known_labels: set[str]
+) -> tuple[str, tuple]:
+    """The rule name and operands of a step's rule text."""
     head, _, rest = text.partition(" ")
     rest = rest.strip()
     if head == "assume":
-        if "[" in rest and rest.endswith("]"):
-            label, inner = rest[:-1].split("[", 1)
-            return UseAssumption(label.strip(), M.parse_desig(inner))
-        return UseAssumption(rest)
-    if head == "transpose":
-        return Transpose(rest)
-    if head == "ifff":
-        return IffElimF(rest)
-    if head == "iffb":
-        return IffElimB(rest)
-    if head == "rewriteE":
-        return RewriteE(rest)
-    if head == "negpush":
-        return NegPush(rest)
-    if head in ("syll", "iffi", "mp"):
+        return "UseAssumption", _assumption_ref(rest)
+    if head in _ONE_REF:
+        return _ONE_REF[head], (rest,)
+    if head in _TWO_REFS:
         parts = rest.split()
         if len(parts) != 2:
             raise ParseError("%s cites two steps" % head)
-        cls = {"syll": Syllogism, "iffi": IffIntro, "mp": ModusPonens}[head]
-        return cls(parts[0], parts[1])
+        return _TWO_REFS[head], tuple(parts)
     if head == "inst":
         parts = rest.split()
         if len(parts) != 3 or not (parts[2] == "q" or parts[2].isdecimal()):
             raise ParseError("inst needs: inst REF VAR CONST")
-        value = M.Q if parts[2] == "q" else M.Const(int(parts[2]))
-        return Instantiate(parts[0], parts[1], value)
+        value = M.Q if parts[2] == "q" else M.Const(natural(parts[2]))
+        return "Instantiate", (parts[0], parts[1], value)
     if head == "suppose":
-        return Suppose(M.parse_meta(rest))
+        return "Suppose", (M.parse_meta(rest),)
     if head == "derive":
         if " from " not in rest:
             raise ParseError("derive needs: derive FORMULA from REF, ...")
         formula_text, refs_text = rest.rsplit(" from ", 1)
         refs = tuple(
-            _parse_premise_ref(r, known_steps, known_labels)
-            for r in refs_text.split(",")
+            _premise_ref(r, known_steps, known_labels) for r in refs_text.split(",")
         )
-        return TautCons(M.parse_meta(formula_text), refs)
+        return "TautCons", (M.parse_meta(formula_text), refs)
     if head == "reductio":
         if " by " not in rest:
             raise ParseError("reductio needs: reductio H by R1, R2")
@@ -733,7 +602,7 @@ def _parse_rule(text: str, known_steps: set[str], known_labels: set[str]) -> Rul
         refs = [r.strip() for r in refs_text.split(",")]
         if len(refs) != 2:
             raise ParseError("reductio cites two contradictory steps")
-        return Reductio(hyp.strip(), refs[0], refs[1])
+        return "Reductio", (hyp.strip(), refs[0], refs[1])
     raise ParseError("unknown rule %r" % head)
 
 

@@ -139,9 +139,10 @@ def cmd_subnum(args) -> int:
 
 
 def cmd_diagnum(args) -> int:
-    code = codec.diag_num(parse_number(args.g))
+    g = parse_number(args.g)
+    code = codec.diag_num(g)
     if args.json:
-        _emit_json({"schema": "code/1", "g_hex": "%x" % parse_number(args.g), "code_hex": "%x" % code})
+        _emit_json({"schema": "code/1", "g_hex": "%x" % g, "code_hex": "%x" % code})
     else:
         print(format_number(code))
     return 0

@@ -550,8 +550,6 @@ class IndexTable:
         self.path = path
         self.entries: dict[int, tuple[int, str]] = {}
         self.by_code: dict[int, int] = {}
-        # indices 0..contiguous-1 are known to be the full ascending prefix
-        self.contiguous = 0
         if path and os.path.exists(path):
             self._load()
 
@@ -578,13 +576,14 @@ class IndexTable:
             idx, code = int(idx_s), int(code_hex, 16)
             self.entries[idx] = (code, text)
             self.by_code[code] = idx
-        self._recompute_contiguous()
 
-    def _recompute_contiguous(self) -> None:
+    @property
+    def contiguous(self) -> int:
+        """How many indices from 0 on the table holds without a gap."""
         n = 0
         while n in self.entries:
             n += 1
-        self.contiguous = n
+        return n
 
     def save(self) -> None:
         """Write the table to a temporary file beside it, then rename it
@@ -610,11 +609,7 @@ class IndexTable:
         return None
 
     def index_of(self, code: int) -> int | None:
-        if code in self.by_code:
-            return self.by_code[code]
-        # every cached code in the contiguous prefix exceeding this code
-        # proves absence only within the prefix; stay conservative
-        return None
+        return self.by_code.get(code)
 
     def _add(self, idx: int, code: int, f: F.Formula) -> bool:
         """Store one entry; False when the table already has it."""
@@ -627,12 +622,10 @@ class IndexTable:
     def record(self, entries: list[tuple[int, F.Formula]]) -> None:
         added = [self._add(idx, code, f) for idx, (code, f) in enumerate(entries)]
         if any(added):
-            self._recompute_contiguous()
             self.save()
 
     def record_single(self, idx: int, code: int, f: F.Formula) -> None:
         if self._add(idx, code, f):
-            self._recompute_contiguous()
             self.save()
 
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import NotClosed, ParseError
-from .syntax import Cursor, tokenize
+from .syntax import Cursor, natural, tokenize
 
 # --- terms -------------------------------------------------------------
 
@@ -291,7 +291,7 @@ class _Parser(Cursor):
                 raise ParseError("expected a variable after %r" % tok, pos)
             self.expect(".")
             body = self.formula()
-            index = int(var_tok[1:])
+            index = natural(var_tok[1:], pos)
             if tok == "forall":
                 return ForAll(index, body)
             return Not(ForAll(index, Not(body)))
@@ -321,10 +321,10 @@ class _Parser(Cursor):
         if tok == "0":
             return ZERO
         if tok.isdigit():
-            n = int(tok)
+            n = natural(tok, pos)
             return numeral(n) if n <= NUMERAL_CHAIN_LIMIT else Num(n)
         if tok.startswith("x") and tok[1:].isdigit():
-            return Var(int(tok[1:]))
+            return Var(natural(tok[1:], pos))
         if tok == "S":
             self.expect("(")
             t = self.term()

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from . import codec
 from . import formulas as F
 from .errors import NotClosed, ParseError, ResourceBound
+from .syntax import natural
 
 # eval_term refuses to enumerate past this index
 MAX_EVAL_INDEX = 10_000
@@ -190,7 +191,7 @@ def _parse_binding(text: str, schema: str) -> tuple[tuple[str, object], ...]:
         if name == "x":
             if not value.startswith("x") or not value[1:].isdecimal():
                 raise ParseError("binding x needs a variable, got %r" % value)
-            entries[name] = int(value[1:])
+            entries[name] = natural(value[1:])
         elif name == "t":
             entries[name] = F.parse_term(value)
         else:
@@ -208,7 +209,7 @@ def _parse_justification(text: str) -> Justification:
         parts = text.split()
         if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
             raise ParseError("MP cites two steps")
-        return ModusPonens(int(parts[1]), int(parts[2]))
+        return ModusPonens(natural(parts[1]), natural(parts[2]))
     if text.startswith("GEN"):
         parts = text.split()
         if not (
@@ -218,7 +219,7 @@ def _parse_justification(text: str) -> Justification:
             and parts[2][1:].isdecimal()
         ):
             raise ParseError("GEN cites a step and a variable")
-        return Generalize(int(parts[1]), int(parts[2][1:]))
+        return Generalize(natural(parts[1]), natural(parts[2][1:]))
     for schema in ("P1", "P2", "P3", "INST"):
         if text.startswith(schema + "["):
             if not text.endswith("]"):
@@ -247,7 +248,7 @@ def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
         num_text, rest = line.split(".", 1)
         if not num_text.strip().isdecimal():
             raise ParseError("step line needs a leading number, got %r" % num_text)
-        k = int(num_text)
+        k = natural(num_text.strip())
         if k != len(steps) + 1:
             raise ParseError("step numbered %d, expected %d" % (k, len(steps) + 1))
         if ";" not in rest:

@@ -21,7 +21,7 @@ from functools import lru_cache, reduce
 from operator import and_
 
 from .errors import ParseError, ResourceBound
-from .syntax import Cursor, tokenize
+from .syntax import Cursor, natural, tokenize
 
 # --- index terms -------------------------------------------------------
 
@@ -350,7 +350,7 @@ class _MetaParser(Cursor):
         if tok == "q":
             return Q
         if tok.isdigit():
-            return Const(int(tok))
+            return Const(natural(tok, pos))
         if re.fullmatch(r"[a-z][A-Za-z0-9_]*", tok):
             return MetaVar(tok)
         raise ParseError("expected an index term, found %r" % tok, pos)

@@ -34,6 +34,8 @@ LOGICS = ("K", "K4", "GL")
 GL_MAX_WORLDS = 6
 K_MAX_WORLDS = 4
 MAX_SEARCH_BITS = 22  # atoms * worlds valuation-space bound
+# model files: labeling a sparse W-world chain takes about W**2 / 16 bytes
+MAX_MODEL_WORLDS = 10_000
 
 
 # --- syntax ------------------------------------------------------------
@@ -231,6 +233,10 @@ class KripkeModel:
             worlds = d["worlds"]
             if type(worlds) is not int or worlds < 1:
                 raise ValueError("worlds: %r is not a positive integer" % (worlds,))
+            if worlds > MAX_MODEL_WORLDS:
+                raise ResourceBound(
+                    "model of %d worlds exceeds the bound of %d" % (worlds, MAX_MODEL_WORLDS)
+                )
 
             def world(x) -> int:
                 if type(x) is not int or not 0 <= x < worlds:

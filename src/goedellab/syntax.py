@@ -1,10 +1,13 @@
 """Lexer and token cursor shared by the three concrete syntaxes: object
 formulas (`formulas`), meta schemas (`meta`) and modal formulas
-(`modal`).  Each parser supplies its token pattern and grammar rules."""
+(`modal`).  Each parser supplies its token pattern and grammar rules.
+`natural` converts every decimal literal of the text formats, proof
+files and audit scripts included."""
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable
 
 from .errors import ParseError
@@ -26,6 +29,15 @@ def tokenize(pattern: re.Pattern, text: str):
         yield m.group(), pos
         pos = _SPACE.match(text, m.end()).end()
     yield END, len(text)
+
+
+def natural(digits: str, pos: int | None = None) -> int:
+    """The value of a decimal numeral.  One longer than int() converts
+    (`sys.get_int_max_str_digits()`) is a parse error, not a ValueError."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise ParseError("numeral of %d digits exceeds the limit of %d" % (len(digits), limit), pos)
+    return int(digits)
 
 
 class Cursor:

@@ -249,3 +249,201 @@ def test_report_json_is_versioned_and_serializable(canonical):
     assert len(d["steps"]) == 11
     assert d["minimal_inconsistent_subsets"] == []
     json.dumps(d)  # must not raise
+
+
+# --- every script rule: one accepted and one rejected step -------------
+
+RULE_ASSUMPTIONS = """\
+assume DEF_E : all n. InE(n) <-> ~Dem[App(n,n)]
+assume REFL  : Dem[d*] -> d*
+"""
+
+# (JSON rule name, steps, allowed labels, reason of the last step or None)
+RULE_CASES = [
+    ("UseAssumption", "step 1 := assume DEF_E", None, None),
+    ("UseAssumption", "step 1 := assume REFL [App(q,q)]", None, None),
+    (
+        "UseAssumption",
+        "step 1 := assume REFL",
+        None,
+        "assumption REFL is a designator schema; a [template] is required",
+    ),
+    ("UseAssumption", "step 1 := assume DEF_E [App(q,q)]", None,
+     "assumption DEF_E takes no template"),
+    ("UseAssumption", "step 1 := assume NOPE", None, "unknown assumption label 'NOPE'"),
+    ("UseAssumption", "step 1 := assume DEF_E", {"REFL"},
+     "assumption DEF_E excluded from this run"),
+    ("Transpose", "step 1 := assume DEF_E\nstep 2 := transpose 1", None, None),
+    ("Transpose", "step 1 := suppose Dem[App(q,q)]\nstep 2 := transpose 1", None,
+     "transpose needs an implication or equivalence"),
+    ("IffElimF", "step 1 := assume DEF_E\nstep 2 := ifff 1", None, None),
+    ("IffElimF", "step 1 := suppose Dem[App(q,q)]\nstep 2 := ifff 1", None,
+     "iff-elim needs an equivalence"),
+    ("IffElimB", "step 1 := assume DEF_E\nstep 2 := iffb 1", None, None),
+    ("IffElimB", "step 1 := assume REFL [App(q,q)]\nstep 2 := iffb 1", None,
+     "iff-elim needs an equivalence"),
+    (
+        "Syllogism",
+        "step 1 := suppose Dem[App(q,q)] -> Dem[App(1,1)]\n"
+        "step 2 := suppose Dem[App(1,1)] -> Dem[App(2,2)]\n"
+        "step 3 := syll 1 2",
+        None,
+        None,
+    ),
+    (
+        "Syllogism",
+        "step 1 := suppose Dem[App(q,q)] -> Dem[App(1,1)]\n"
+        "step 2 := suppose Dem[App(2,2)] -> Dem[App(3,3)]\n"
+        "step 3 := syll 1 2",
+        None,
+        "middle terms do not match",
+    ),
+    (
+        "Syllogism",
+        "step 1 := assume DEF_E\nstep 2 := assume REFL [App(q,q)]\nstep 3 := syll 1 2",
+        None,
+        "quantifier prefixes differ: ['n'] vs []",
+    ),
+    (
+        "Syllogism",
+        "step 1 := assume DEF_E\nstep 2 := ifff 1\nstep 3 := syll 1 2",
+        None,
+        "both cited steps must be implications",
+    ),
+    (
+        "IffIntro",
+        "step 1 := suppose Dem[App(1,1)] -> Dem[App(2,2)]\n"
+        "step 2 := suppose Dem[App(2,2)] -> Dem[App(1,1)]\n"
+        "step 3 := iffi 1 2",
+        None,
+        None,
+    ),
+    (
+        "IffIntro",
+        "step 1 := suppose Dem[App(1,1)] -> Dem[App(2,2)]\n"
+        "step 2 := suppose Dem[App(1,1)] -> Dem[App(2,2)]\n"
+        "step 3 := iffi 1 2",
+        None,
+        "implications are not mutually converse",
+    ),
+    ("Instantiate", "step 1 := assume DEF_E\nstep 2 := inst 1 n q", None, None),
+    ("Instantiate", "step 1 := assume DEF_E\nstep 2 := inst 1 n 7", None, None),
+    ("Instantiate", "step 1 := assume DEF_E\nstep 2 := inst 1 m q", None,
+     "step '1' is not universally quantified over 'm'"),
+    ("RewriteE", "step 1 := assume DEF_E\nstep 2 := rewriteE 1", None, None),
+    ("RewriteE", "step 1 := assume DEF_E\nstep 2 := rewriteE 9", None,
+     "reference to unknown or later step '9'"),
+    ("NegPush", "step 1 := assume DEF_E\nstep 2 := negpush 1", None, None),
+    ("NegPush", "step 1 := assume REFL\nstep 2 := negpush 1", None,
+     "cites invalid step '1'"),
+    (
+        "ModusPonens",
+        "step 1 := assume REFL [App(q,q)]\nstep 2 := suppose Dem[App(q,q)]\nstep 3 := mp 1 2",
+        None,
+        None,
+    ),
+    (
+        "ModusPonens",
+        "step 1 := assume REFL [App(q,q)]\nstep 2 := suppose Dem[~App(q,q)]\nstep 3 := mp 1 2",
+        None,
+        "antecedent mismatch",
+    ),
+    ("ModusPonens", "step 1 := assume DEF_E\nstep 2 := mp 1 1", None,
+     "modus ponens applies to unquantified steps"),
+    (
+        "ModusPonens",
+        "step 1 := suppose Dem[App(q,q)]\nstep 2 := mp 1 1",
+        None,
+        "step '1' is not an implication",
+    ),
+    (
+        "TautCons",
+        "step 1 := suppose Dem[App(q,q)]\n"
+        "step 2 := derive App(q,q) from 1, REFL[InE(q)], DEF_E",
+        None,
+        None,
+    ),
+    (
+        "TautCons",
+        "step 1 := suppose Dem[App(q,q)]\nstep 2 := derive ~App(q,q) from 1, REFL[InE(q)]",
+        None,
+        "stated conclusion is not a tautological consequence",
+    ),
+    ("TautCons", "step 1 := derive App(q,q) from REFL", None,
+     "assumption REFL is a designator schema; a [template] is required"),
+    ("TautCons", "step 1 := derive App(q,q) from DEF_E[InE(q)]", None,
+     "assumption DEF_E takes no template"),
+    ("TautCons", "step 1 := derive App(q,q) from REFL[InE(q)]", {"DEF_E"},
+     "assumption REFL excluded from this run"),
+    ("Suppose", "step 1 := suppose Dem[App(q,q)]", None, None),
+    ("Suppose", "step 1 := suppose Dem[App(q,q)]\nstep 1 := suppose Dem[App(q,q)]", None,
+     "duplicate step id"),
+    (
+        "Reductio",
+        "step h := suppose Dem[App(q,q)]\nstep n := suppose ~Dem[App(q,q)]\n"
+        "step r := reductio h by h, n",
+        None,
+        None,
+    ),
+    (
+        "Reductio",
+        "step 1 := assume DEF_E\nstep 2 := suppose Dem[App(q,q)]\n"
+        "step 3 := suppose ~Dem[App(q,q)]\nstep 4 := reductio 1 by 2, 3",
+        None,
+        "'1' is not a supposition",
+    ),
+    (
+        "Reductio",
+        "step h := suppose Dem[App(q,q)]\nstep n := suppose Dem[App(1,1)]\n"
+        "step r := reductio h by h, n",
+        None,
+        "cited steps are not contradictory",
+    ),
+    (
+        "Reductio",
+        "step h := suppose Dem[App(1,1)]\nstep 2 := suppose Dem[App(q,q)]\n"
+        "step 3 := suppose ~Dem[App(q,q)]\nstep r := reductio h by 2, 3",
+        None,
+        "contradiction does not depend on the supposition",
+    ),
+]
+
+
+def _json_steps(steps, allowed=None):
+    script = audit.parse_script(RULE_ASSUMPTIONS + steps + "\n")
+    return audit.check_script(script, allowed=allowed).to_json_dict()["steps"]
+
+
+@pytest.mark.parametrize(
+    "rule, steps, allowed, reason",
+    RULE_CASES,
+    ids=["%s-%d" % (case[0], i) for i, case in enumerate(RULE_CASES)],
+)
+def test_rule_table(rule, steps, allowed, reason):
+    last = _json_steps(steps, allowed)[-1]
+    assert (last["rule"], last["valid"], last["reason"]) == (rule, reason is None, reason)
+    assert (last["formula"] is None) == (reason is not None)
+
+
+def test_rule_table_accepts_and_rejects_every_rule():
+    names = {
+        "UseAssumption", "Transpose", "IffElimF", "IffElimB", "Syllogism",
+        "IffIntro", "Instantiate", "RewriteE", "NegPush", "ModusPonens",
+        "TautCons", "Suppose", "Reductio",
+    }
+    accepted = {rule for rule, _, _, reason in RULE_CASES if reason is None}
+    rejected = {rule for rule, _, _, reason in RULE_CASES if reason is not None}
+    assert accepted == rejected == names
+
+
+def test_forward_reference_and_duplicate_ids_in_json():
+    steps = _json_steps(
+        "step 1 := transpose 2\nstep 2 := assume DEF_E\n"
+        "step 2 := ifff 1\nstep 3 := iffb 2"
+    )
+    assert [(s["id"], s["rule"], s["valid"], s["reason"]) for s in steps] == [
+        ("1", "Transpose", False, "reference to unknown or later step '2'"),
+        ("2", "UseAssumption", True, None),
+        ("2", "IffElimF", False, "duplicate step id"),
+        ("3", "IffElimB", False, "cites invalid step '2'"),
+    ]

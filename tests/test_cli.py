@@ -385,3 +385,68 @@ def test_usage_error_is_exit_two(capsys):
 def test_formula_parse_error_is_exit_one(capsys):
     code, _, err = run(capsys, "encode", "Dem(")
     assert code == 1 and err.startswith("parse error:")
+
+
+# --- decimal literals longer than int() converts -----------------------
+
+HUGE = "9" * 5000  # sys.get_int_max_str_digits() is 4300 by default
+
+
+@pytest.mark.parametrize(
+    "formula", ["x%s = 0" % HUGE, "S(%s) = 0" % HUGE], ids=["variable", "numeral"]
+)
+def test_oversized_literals_in_encode_are_parse_errors(capsys, formula):
+    code, out, err = run(capsys, "encode", formula)
+    assert code == 1 and out == ""
+    assert err.startswith("parse error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "%s. Dem(x0) ; MP 1 1\n" % HUGE,
+        "1. Dem(x0) ; MP %s 1\n" % HUGE,
+        "1. Dem(x0) ; INST[x := x%s; A := Dem(x0); t := 0]\n" % HUGE,
+    ],
+    ids=["step-number", "mp-reference", "inst-variable"],
+)
+def test_oversized_literals_in_proof_files_are_parse_errors(tmp_path, capsys, text):
+    path = tmp_path / "input.proof"
+    path.write_text(text)
+    code, out, err = run(capsys, "prove", "check", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("parse error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "assume A : Dem[App(%s,1)]\nstep 1 := assume A\n" % HUGE,
+        "assume D : all n. InE(n) <-> ~Dem[App(n,n)]\n"
+        "step 1 := assume D\nstep 2 := inst 1 n %s\n" % HUGE,
+    ],
+    ids=["designator-index", "inst-constant"],
+)
+def test_oversized_literals_in_audit_scripts_are_parse_errors(tmp_path, capsys, text):
+    path = tmp_path / "input.audit"
+    path.write_text(text)
+    code, out, err = run(capsys, "audit", "run", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("parse error") and "Traceback" not in err
+
+
+# --- model-file world bound --------------------------------------------
+
+
+def test_model_world_count_is_bounded(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": 10_001, "relation": [], "valuation": {}}))
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, *flags, "model", "check", str(path), "p")
+        assert code == 3 and out == ""
+        assert err.startswith("resource bound")
+    path.write_text(json.dumps({"worlds": 10_000, "relation": [], "valuation": {}}))
+    code, out, _ = run(capsys, "model", "check", str(path), "p")
+    assert code == 0 and out == "forced at worlds: (none)\n"
+    code, out, _ = run(capsys, "model", "check", str(path), "~p", "--world", "9999")
+    assert code == 0 and out == "true\n"
