@@ -14,6 +14,7 @@ assumption audit meaningful.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 from . import meta as M
@@ -50,6 +51,10 @@ _ONE_REF = {
     "negpush": "NegPush",
 }
 _TWO_REFS = {"syll": "Syllogism", "iffi": "IffIntro", "mp": "ModusPonens"}
+
+# a comma between `derive` premises, not one inside a template such as
+# REFL[App(q,q)]: no `]` follows it before the next `[`
+_PREMISE_SEP = re.compile(r",(?![^\[]*\])")
 
 
 @dataclass(frozen=True)
@@ -573,6 +578,8 @@ def _parse_rule(
     if head == "assume":
         return "UseAssumption", _assumption_ref(rest)
     if head in _ONE_REF:
+        if len(rest.split()) != 1:
+            raise ParseError("%s cites one step" % head)
         return _ONE_REF[head], (rest,)
     if head in _TWO_REFS:
         parts = rest.split()
@@ -592,7 +599,7 @@ def _parse_rule(
             raise ParseError("derive needs: derive FORMULA from REF, ...")
         formula_text, refs_text = rest.rsplit(" from ", 1)
         refs = tuple(
-            _premise_ref(r, known_steps, known_labels) for r in refs_text.split(",")
+            _premise_ref(r, known_steps, known_labels) for r in _PREMISE_SEP.split(refs_text)
         )
         return "TautCons", (M.parse_meta(formula_text), refs)
     if head == "reductio":

@@ -71,8 +71,6 @@ def term_tokens(t: F.Term, out: list[int]) -> None:
         t = stack.pop()
         if isinstance(t, F.Var):
             out.append(VAR_BASE + t.index)
-        elif isinstance(t, F.Zero):
-            out.append(ZERO)
         elif isinstance(t, F.Num):
             if t.value > MAX_TOKENS:
                 raise ResourceBound(
@@ -81,12 +79,8 @@ def term_tokens(t: F.Term, out: list[int]) -> None:
             out.extend([S] * t.value)
             out.append(ZERO)
         elif isinstance(t, F.Succ):
-            n = 0
-            while isinstance(t, F.Succ):
-                n += 1
-                t = t.arg
-            out.extend([S] * n)
-            stack.append(t)
+            out.append(S)
+            stack.append(t.arg)
         elif isinstance(t, F.Diag):
             out.append(DIAG)
             stack.append(t.arg)
@@ -168,10 +162,8 @@ def tokens_to_formula(tokens: list[int]) -> F.Formula:
                 n += 1
                 pos += 1
             inner = term()
-            # canonical form: long successor chains over zero collapse to
-            # the compact literal, mirroring the parser's convention
-            if inner == F.ZERO and n > F.NUMERAL_CHAIN_LIMIT:
-                return F.Num(n)
+            if isinstance(inner, F.Num):
+                return F.Num(inner.value + n)
             for _ in range(n):
                 inner = F.Succ(inner)
             return inner
@@ -350,7 +342,7 @@ def _substitute_x0_numeral(psi: F.Formula, m: int) -> CodeRLE:
         # psi also binds x0 somewhere, which needs scope-aware substitution
         if m > MAX_TOKENS:
             raise ResourceBound("numeral of %d too large for symbolic route" % m)
-        return CodeRLE.from_tokens(formula_tokens(F.substitute(psi, 0, F.numeral(m))))
+        return CodeRLE.from_tokens(formula_tokens(F.substitute(psi, 0, F.Num(m))))
     runs: list[tuple[int, int]] = []
 
     def push(tok: int, count: int = 1) -> None:

@@ -49,7 +49,7 @@ def diagonalize(
     if F.free_vars(psi) != {0}:
         raise NotUnary("diagonalization needs free variable set exactly {x0}")
     q = codec.index_of(psi, cache)
-    sentence = F.substitute(psi, 0, F.numeral(q))
+    sentence = F.substitute(psi, 0, F.Num(q))
     # route 1: symbolic substitute-then-encode
     sentence_code = codec.encode_formula(sentence)
     # route 2: numeric path through the enumeration

@@ -23,13 +23,26 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Zero:
-    pass
+class Num:
+    """The numeral S^value(0), the one representation of a closed numeral."""
+
+    value: int
 
 
 @dataclass(frozen=True)
 class Succ:
+    """S(t) of a term that is not a numeral: S of Num(n) is Num(n + 1)."""
+
     arg: "Term"
+
+    def __new__(cls, arg):
+        if isinstance(arg, Num):
+            return Num(arg.value + 1)
+        return super().__new__(cls)
+
+    def __getnewargs__(self):
+        # copy and pickle call __new__ with these
+        return (self.arg,)
 
 
 @dataclass(frozen=True)
@@ -43,51 +56,12 @@ class Diag:
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Num:
-    """Compact numeral literal, printing/encoding-equivalent to S^value(0).
+Term = Var | Num | Succ | Sub | Diag
 
-    Only produced for large parsed decimal literals; small numerals stay
-    explicit Succ chains.  Structural equality does not identify Num(n)
-    with the corresponding chain, so a single representation should be
-    used consistently within any one comparison.
-    """
+ZERO = Num(0)
 
-    value: int
-
-
-Term = Var | Zero | Succ | Sub | Diag | Num
-
-ZERO = Zero()
-
-# Decimal literals up to this bound parse as explicit Succ chains.
+# Numerals up to this value print as S(...(0)) chains, larger ones in decimal.
 NUMERAL_CHAIN_LIMIT = 1000
-
-
-def numeral(n: int) -> Term:
-    """S applied n times to 0; large values use the compact literal, the
-    same convention as the parser and the decoder."""
-    if n > NUMERAL_CHAIN_LIMIT:
-        return Num(n)
-    t: Term = ZERO
-    for _ in range(n):
-        t = Succ(t)
-    return t
-
-
-def numeral_value(t: Term):
-    """The natural a closed successor/zero/Num term denotes, else None."""
-    n = 0
-    while True:
-        if isinstance(t, Succ):
-            n += 1
-            t = t.arg
-        elif isinstance(t, Num):
-            return n + t.value
-        elif isinstance(t, Zero):
-            return n
-        else:
-            return None
 
 
 # --- formulas ----------------------------------------------------------
@@ -127,7 +101,7 @@ Formula = Not | Implies | ForAll | Eq | Dem
 def term_free_vars(t: Term) -> set[int]:
     if isinstance(t, Var):
         return {t.index}
-    if isinstance(t, (Zero, Num)):
+    if isinstance(t, Num):
         return set()
     if isinstance(t, (Succ, Diag)):
         return term_free_vars(t.arg)
@@ -149,7 +123,7 @@ def free_vars(f: Formula) -> set[int]:
 def _subst_term(t: Term, var: int, repl: Term) -> Term:
     if isinstance(t, Var):
         return repl if t.index == var else t
-    if isinstance(t, (Zero, Num)):
+    if isinstance(t, Num):
         return t
     if isinstance(t, Succ):
         return Succ(_subst_term(t.arg, var, repl))
@@ -185,12 +159,12 @@ def substitute(f: Formula, var: int, t: Term) -> Formula:
 def print_term(t: Term) -> str:
     if isinstance(t, Var):
         return "x%d" % t.index
-    if isinstance(t, Zero):
-        return "0"
     if isinstance(t, Num):
-        return str(t.value)
+        if t.value > NUMERAL_CHAIN_LIMIT:
+            return str(t.value)
+        return "S(" * t.value + "0" + ")" * t.value
     if isinstance(t, Succ):
-        # iterative: numerals can be hundreds of S deep
+        # iterative: S chains over a variable or sub/diag can be deep
         depth = 0
         while isinstance(t, Succ):
             depth += 1
@@ -318,18 +292,23 @@ class _Parser(Cursor):
 
     def term(self) -> Term:
         tok, pos = self.next()
-        if tok == "0":
-            return ZERO
         if tok.isdigit():
-            n = natural(tok, pos)
-            return numeral(n) if n <= NUMERAL_CHAIN_LIMIT else Num(n)
+            return Num(natural(tok, pos))
         if tok.startswith("x") and tok[1:].isdigit():
             return Var(natural(tok[1:], pos))
         if tok == "S":
+            # iterative: a printed numeral is an S chain up to 1000 deep
+            depth = 1
             self.expect("(")
+            while self.peek() == "S":
+                self.next()
+                self.expect("(")
+                depth += 1
             t = self.term()
-            self.expect(")")
-            return Succ(t)
+            for _ in range(depth):
+                self.expect(")")
+                t = Succ(t)
+            return t
         if tok == "diag":
             self.expect("(")
             t = self.term()

@@ -80,16 +80,10 @@ def eval_term(t: F.Term) -> int:
     """Arithmetic meaning of a closed term; sub/diag via the codec."""
     if isinstance(t, F.Var):
         raise NotClosed("cannot evaluate open term x%d" % t.index)
-    if isinstance(t, F.Zero):
-        return 0
     if isinstance(t, F.Num):
         return t.value
     if isinstance(t, F.Succ):
-        n = 0
-        while isinstance(t, F.Succ):
-            n += 1
-            t = t.arg
-        return n + eval_term(t)
+        return 1 + eval_term(t.arg)
     if isinstance(t, F.Diag):
         return codec.diag_num(eval_term(t.arg))
     n = eval_term(t.left)

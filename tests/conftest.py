@@ -6,8 +6,8 @@ from goedellab import formulas as F
 def random_term(
     rng: random.Random, depth: int, max_var: int = 3, allow_num: bool = True
 ) -> F.Term:
-    """Random canonical term: compact numeral literals never sit under a
-    successor, matching the printer/decoder convention."""
+    """Random term.  With allow_num, numeral literals above the chain
+    limit may appear, also under S, which folds S(Num(n)) to Num(n + 1)."""
     if depth <= 0:
         leaves = [F.ZERO, F.Var(rng.randrange(max_var))]
         if allow_num:
@@ -15,7 +15,7 @@ def random_term(
         return rng.choice(leaves)
     kind = rng.randrange(5)
     if kind == 0:
-        return F.Succ(random_term(rng, depth - 1, max_var, allow_num=False))
+        return F.Succ(random_term(rng, depth - 1, max_var, allow_num))
     if kind == 1:
         return F.Sub(
             random_term(rng, depth - 1, max_var, allow_num),

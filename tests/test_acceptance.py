@@ -76,7 +76,7 @@ def test_criterion_4_diagonal_fixed_point(capsys):
         assert cert.fixed_point_checked
         # route one: substitute and encode directly
         direct = codec.encode_formula(
-            F.substitute(cert.psi, 0, F.numeral(cert.q))
+            F.substitute(cert.psi, 0, F.Num(cert.q))
         )
         # route two: arithmetized substitution on the enumeration index
         assert cert.sentence_code == codec.sub_num(cert.q, cert.q) == direct

@@ -406,6 +406,13 @@ RULE_CASES = [
         None,
         "contradiction does not depend on the supposition",
     ),
+    # a template with a comma cited as a `derive` premise
+    (
+        "TautCons",
+        "step 1 := suppose Dem[App(q,q)]\nstep 2 := derive App(q,q) from 1, REFL[App(q,q)]",
+        None,
+        None,
+    ),
 ]
 
 
@@ -423,6 +430,22 @@ def test_rule_table(rule, steps, allowed, reason):
     last = _json_steps(steps, allowed)[-1]
     assert (last["rule"], last["valid"], last["reason"]) == (rule, reason is None, reason)
     assert (last["formula"] is None) == (reason is not None)
+
+
+# rule text of step 2 (after `step 1 := assume DEF_E`) that does not parse
+RULE_PARSE_ERRORS = [
+    ("transpose 1 2", "transpose cites one step"),
+    ("negpush", "negpush cites one step"),
+    ("syll 1", "syll cites two steps"),
+    ("derive App(q,q) from 1, NOWHERE", "unknown premise reference 'NOWHERE'"),
+]
+
+
+@pytest.mark.parametrize("rule_text, message", RULE_PARSE_ERRORS)
+def test_rule_table_parse_errors(rule_text, message):
+    with pytest.raises(ParseError) as err:
+        audit.parse_script(RULE_ASSUMPTIONS + "step 1 := assume DEF_E\nstep 2 := " + rule_text)
+    assert str(err.value) == message
 
 
 def test_rule_table_accepts_and_rejects_every_rule():

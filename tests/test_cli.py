@@ -225,6 +225,24 @@ def test_premises_are_read_as_universal_closures(tmp_path, capsys):
     assert code == 0 and out == "valid (2 steps)\n"
 
 
+@pytest.mark.parametrize("n", [330, 1000])
+def test_generalizing_a_numeral_premise_is_valid(tmp_path, capsys, n):
+    path = tmp_path / "gen.proof"
+    path.write_text(
+        "premise H : x0 = %d\n1. x0 = %d ; PREMISE H\n2. forall x0. x0 = %d ; GEN 1 x0\n"
+        % (n, n, n)
+    )
+    code, out, _ = run(capsys, "prove", "check", str(path))
+    assert (code, out) == (0, "valid (2 steps)\n")
+
+
+def test_successor_of_a_numeral_matches_the_next_numeral_in_proofs(tmp_path, capsys):
+    path = tmp_path / "succ.proof"
+    path.write_text("premise H : x0 = S(1500)\n1. x0 = 1501 ; PREMISE H\n")
+    code, out, _ = run(capsys, "prove", "check", str(path))
+    assert (code, out) == (0, "valid (1 steps)\n")
+
+
 @pytest.mark.parametrize(
     "command, text",
     [

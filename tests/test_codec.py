@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_formula
 from goedellab import codec
@@ -319,11 +322,68 @@ def test_round_trip_seeded_sample():
 
 
 def test_round_trip_compact_numeral_literal():
-    # the compact literal is the canonical decoding of a long S-chain
+    # an S-run over 0 decodes to one numeral, long or short
     f = F.Eq(F.Num(1500), F.Var(0))
     assert codec.decode_formula(codec.encode_formula(f)) == f
-    g = F.Eq(F.numeral(200), F.ZERO)  # short chains stay chains
+    g = F.Eq(F.Num(200), F.ZERO)
     assert codec.decode_formula(codec.encode_formula(g)) == g
+
+
+def test_decoded_numeral_prints_as_parsed():
+    cases = [F.parse_formula("S(1000) = 0"), F.parse_formula("S(1500) = 0"),
+             F.substitute(F.parse_formula("Dem(S(x0))"), 0, F.Num(1234))]
+    for f in cases:
+        g = codec.decode_formula(codec.encode_formula(f))
+        assert F.print_formula(g) == F.print_formula(f)
+    assert [F.print_formula(f) for f in cases] == ["1001 = 0", "1501 = 0", "Dem(1235)"]
+    decoded = codec.decode_formula(codec.encode_formula(F.parse_formula("1000 = 0")))
+    assert hash(decoded) == hash(F.Eq(F.Num(1000), F.ZERO))
+    assert decoded == F.Eq(F.Num(1000), F.ZERO)
+
+
+def _successors_over_numerals(node):
+    found, stack = 0, [node]
+    while stack:
+        x = stack.pop()
+        found += isinstance(x, F.Succ) and isinstance(x.arg, F.Num)
+        stack.extend(v for v in vars(x).values() if dataclasses.is_dataclass(v))
+    return found
+
+
+@st.composite
+def _numeral_terms(draw, depth=3):
+    if depth == 0:
+        return draw(st.one_of(st.integers(0, 40).map(F.Num), st.integers(0, 2).map(F.Var)))
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return F.Succ(draw(_numeral_terms(depth - 1)))
+    if kind == 1:
+        return F.Sub(draw(_numeral_terms(depth - 1)), draw(_numeral_terms(depth - 1)))
+    if kind == 2:
+        return F.Diag(draw(_numeral_terms(depth - 1)))
+    return draw(_numeral_terms(0))
+
+
+@st.composite
+def _numeral_formulas(draw, depth=2):
+    kind = draw(st.integers(0, 3 if depth else 1))
+    if kind == 0:
+        return F.Eq(draw(_numeral_terms()), draw(_numeral_terms()))
+    if kind == 1:
+        return F.Dem(draw(_numeral_terms()))
+    if kind == 2:
+        return F.Not(draw(_numeral_formulas(depth - 1)))
+    return F.ForAll(draw(st.integers(0, 2)), draw(_numeral_formulas(depth - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_numeral_formulas(), st.integers(0, 2), st.integers(0, 40))
+def test_no_successor_wraps_a_numeral(f, var, value):
+    parsed = F.parse_formula(F.print_formula(f))
+    decoded = codec.decode_formula(codec.encode_formula(f))
+    assert parsed == decoded == f
+    for g in (f, parsed, decoded, F.substitute(f, var, F.Num(value))):
+        assert _successors_over_numerals(g) == 0
 
 
 def _trial_division_primes(count):
@@ -372,7 +432,7 @@ def test_decode_round_trips_long_runs_and_large_exponents():
     # exponents past one batch power of their prime (2^15, 3^15, 5^10, ...)
     # and long S runs
     for f in (F.Eq(F.Var(40), F.Num(1400)), F.Dem(F.Sub(F.Var(40), F.Var(0))),
-              F.Eq(F.numeral(300), F.Var(97))):
+              F.Eq(F.Num(300), F.Var(97))):
         tokens = codec.formula_tokens(f)
         assert codec.decode_tokens(codec.encode_tokens(tokens)) == tokens
         assert codec.decode_formula(codec.encode_formula(f)) == f
@@ -423,5 +483,5 @@ def test_sub_num_on_rebinding_formula_falls_back_symbolically(monkeypatch):
     f = F.parse_formula("(forall x0. Dem(x0)) -> Dem(x0)")
     assert F.free_vars(f) == {0}
     monkeypatch.setattr(codec, "formula_at", lambda n, cache=None: f)
-    direct = codec.encode_formula(F.substitute(f, 0, F.numeral(5)))
+    direct = codec.encode_formula(F.substitute(f, 0, F.Num(5)))
     assert codec.sub_num(0, 5) == direct

@@ -23,7 +23,7 @@ def test_goedel_sentence_certificate():
     assert cert.q == 169
     assert cert.fixed_point_checked
     assert cert.psi == diagonal.e_membership_formula()
-    assert cert.sentence == F.substitute(cert.psi, 0, F.numeral(169))
+    assert cert.sentence == F.substitute(cert.psi, 0, F.Num(169))
     # both routes already agreed inside diagonalize; pin them again here
     assert cert.sentence_code == codec.encode_formula(cert.sentence)
     assert cert.sentence_code == codec.sub_num(cert.q, cert.q)

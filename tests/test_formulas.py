@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -36,24 +38,46 @@ def test_print_parenthesizes_quantifier_on_the_left_of_arrow():
 
 
 def test_numerals():
-    assert F.numeral(0) == F.ZERO
-    assert F.numeral(3) == F.Succ(F.Succ(F.Succ(F.ZERO)))
-    assert F.numeral_value(F.numeral(169)) == 169
-    # past the chain limit the compact literal is used
+    assert F.Num(0) == F.ZERO
+    assert F.Num(3) == F.Succ(F.Succ(F.Succ(F.ZERO)))
+    assert F.Num(169).value == 169
     big = F.parse_term("S(" * 1 + "0" + ")" * 1)
-    assert F.numeral_value(big) == 1
+    assert big.value == 1
+
+
+def test_successor_of_a_numeral_is_the_next_numeral():
+    assert F.Succ(F.ZERO) == F.Num(1)
+    assert F.Succ(F.Num(1500)) == F.Num(1501)
+    assert F.parse_term("S(1500)") == F.Num(1501)
+    assert F.print_term(F.parse_term("S(1000)")) == "1001"
+    assert F.print_term(F.parse_term("S(999)")) == "S(" * 1000 + "0" + ")" * 1000
+    assert isinstance(F.Succ(F.Var(0)), F.Succ)
+    assert F.substitute(F.parse_formula("Dem(S(x0))"), 0, F.Num(1234)) == F.Dem(F.Num(1235))
+
+
+def test_terms_copy_and_pickle():
+    f = F.parse_formula("Dem(S(sub(x0, S(2)))) -> S(x1) = 5")
+    assert copy.copy(f) == copy.deepcopy(f) == pickle.loads(pickle.dumps(f)) == f
+
+
+def test_numerals_compare_hash_print_and_parse_without_recursion():
+    assert F.parse_term("1000") == F.parse_term("1000") == F.Num(1000)
+    for n in list(range(0, F.NUMERAL_CHAIN_LIMIT, 37)) + [999, 1000, 1001, 10**30]:
+        t = F.Num(n)
+        assert t == F.Num(n) and hash(t) == hash(F.Num(n))
+        assert F.parse_term(F.print_term(t)) == t
 
 
 def test_parse_large_decimal_literal_is_compact():
     t = F.parse_term("7091786130187500000")
     assert isinstance(t, F.Num)
-    assert F.numeral_value(t) == 7091786130187500000
+    assert t.value == 7091786130187500000
 
 
 def test_free_vars_and_substitute():
     f = F.parse_formula("forall x1. x0 = x1")
     assert F.free_vars(f) == {0}
-    g = F.substitute(f, 0, F.numeral(2))
+    g = F.substitute(f, 0, F.Num(2))
     assert F.print_formula(g) == "forall x1. S(S(0)) = x1"
     with pytest.raises(NotClosed):
         F.substitute(f, 0, F.Var(2))

@@ -97,11 +97,11 @@ def test_modus_ponens_is_strictly_backward():
 def test_eval_fact_checks_true_equations_only():
     # sub(0, S(S(0))) evaluated independently: Dem S S 0 -> 2^5 3^9 5^9 7^8
     expected = 2**5 * 3**9 * 5**9 * 7**8
-    good = F.Eq(F.Sub(F.ZERO, F.numeral(2)), F.Num(expected))
+    good = F.Eq(F.Sub(F.ZERO, F.Num(2)), F.Num(expected))
     assert kernel.check_proof(
         kernel.ProofObject(((good, kernel.EvalFact()),))
     ) == kernel.VALID
-    bad = F.Eq(F.Sub(F.ZERO, F.numeral(2)), F.Num(expected + 1))
+    bad = F.Eq(F.Sub(F.ZERO, F.Num(2)), F.Num(expected + 1))
     verdict = kernel.check_proof(kernel.ProofObject(((bad, kernel.EvalFact()),)))
     assert not verdict.ok and "false" in verdict.reason
 
