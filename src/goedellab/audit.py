@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import meta as M
 from .errors import ParseError, WorkbenchError
-from .syntax import natural
+from .syntax import is_natural, natural
 
 # --- assumptions -------------------------------------------------------
 
@@ -588,7 +588,7 @@ def _parse_rule(
         return _TWO_REFS[head], tuple(parts)
     if head == "inst":
         parts = rest.split()
-        if len(parts) != 3 or not (parts[2] == "q" or parts[2].isdecimal()):
+        if len(parts) != 3 or not (parts[2] == "q" or is_natural(parts[2])):
             raise ParseError("inst needs: inst REF VAR CONST")
         value = M.Q if parts[2] == "q" else M.Const(natural(parts[2]))
         return "Instantiate", (parts[0], parts[1], value)

@@ -8,6 +8,9 @@ byte-identical bytes.  `--json` switches to machine output with a
 versioned `schema` field; all big numbers appear there as hex strings.
 In text mode, numbers of 64 bits or more print in a length-prefixed hex
 form `hex<digit-count>:<hex-digits>`.
+
+Each handler imports the subsystems it runs, so a process loads only the
+modules its command needs; a usage error loads none of them.
 """
 
 from __future__ import annotations
@@ -15,15 +18,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import audit, codec, diagonal, kernel, modal
-from . import formulas as F
-from . import meta as M
 from .errors import NotWellFormed, ParseError, ResourceBound, WorkbenchError
+
+if TYPE_CHECKING:
+    from . import audit, codec
+
+# modal.LOGICS, spelled out so that parsing --logic does not import modal
+LOGICS = ("K", "K4", "GL")
 
 # --- number formatting -------------------------------------------------
 
 _HEX_THRESHOLD = 1 << 64
+_NON_ASCII = "digits must be ASCII"
 
 
 def format_number(n: int) -> str:
@@ -35,9 +43,12 @@ def format_number(n: int) -> str:
 
 def parse_number(text: str) -> int:
     """Decimal (with optional exponent, exactly), 0x hex, or the
-    length-prefixed hex form emitted by this tool.  Naturals only."""
+    length-prefixed hex form emitted by this tool.  Naturals only, in
+    ASCII digits."""
     text = text.strip().replace("_", "")
     try:
+        if not text.isascii():
+            raise ValueError(_NON_ASCII)
         if text.startswith("hex"):
             length, _, digits = text[3:].partition(":")
             n = int(digits, 16)
@@ -68,6 +79,18 @@ def parse_number(text: str) -> int:
         raise WorkbenchError("not a number: %r (%s)" % (text, e))
 
 
+def int_option(text: str) -> int:
+    """argparse type of --world and --max-worlds.  Non-ASCII digits, which
+    int() reads, are a domain error (exit 1) like in parse_number; other
+    malformed values stay usage errors (exit 2) with type=int's message."""
+    if not text.isascii():
+        raise WorkbenchError("not a number: %r (%s)" % (text, _NON_ASCII))
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
 def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     sys.stdout.write("\n")
@@ -77,11 +100,15 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cache(args) -> codec.IndexTable | None:
+    from . import codec
+
     path = codec.default_cache_path(args.cache_dir)
     return codec.IndexTable(path) if path else None
 
 
 def cmd_encode(args) -> int:
+    from . import codec, formulas as F
+
     f = F.parse_formula(args.formula)
     code = codec.encode_formula(f)
     if args.json:
@@ -94,6 +121,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from . import codec, formulas as F
+
     code = parse_number(args.number)
     f = codec.decode_formula(code)
     if args.json:
@@ -106,6 +135,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import codec, formulas as F
+
     bound = parse_number(args.up_to)
     entries = codec.unary_formulas_below(bound)
     cache = _cache(args)
@@ -129,6 +160,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_subnum(args) -> int:
+    from . import codec
+
     n, m = parse_number(args.n), parse_number(args.m)
     code = codec.sub_num(n, m, _cache(args))
     if args.json:
@@ -139,6 +172,8 @@ def cmd_subnum(args) -> int:
 
 
 def cmd_diagnum(args) -> int:
+    from . import codec
+
     g = parse_number(args.g)
     code = codec.diag_num(g)
     if args.json:
@@ -149,6 +184,8 @@ def cmd_diagnum(args) -> int:
 
 
 def cmd_diagonalize(args) -> int:
+    from . import diagonal, formulas as F
+
     psi = (
         F.parse_formula(args.template)
         if args.template
@@ -164,6 +201,8 @@ def cmd_diagonalize(args) -> int:
 
 
 def cmd_prove_check(args) -> int:
+    from . import formulas as F, kernel
+
     with open(args.file) as fh:
         proof, premises = kernel.parse_proof_file(fh.read())
     verdict = kernel.check_proof(proof, premises)
@@ -187,6 +226,8 @@ def cmd_prove_check(args) -> int:
 
 
 def _print_report(report: audit.AuditReport) -> None:
+    from . import meta as M
+
     for s in report.steps:
         status = "ok " if s.ok else "BAD"
         formula = M.print_meta(s.formula) if s.formula else "-"
@@ -217,20 +258,28 @@ def _report_result(args, report: audit.AuditReport) -> int:
 
 
 def cmd_audit_run(args) -> int:
+    from . import audit
+
     with open(args.file) as fh:
         script = audit.parse_script(fh.read())
     return _report_result(args, audit.check_script(script))
 
 
 def cmd_audit_canonical(args) -> int:
+    from . import audit
+
     return _report_result(args, audit.check_script(audit.canonical_antinomy_script()))
 
 
 def cmd_audit_goedel(args) -> int:
+    from . import audit
+
     return _report_result(args, audit.goedel_replay(extended=args.extended))
 
 
 def cmd_audit_compare(args) -> int:
+    from . import audit
+
     result = audit.compare_modes()
     if args.json:
         _emit_json(result)
@@ -245,6 +294,8 @@ def cmd_audit_compare(args) -> int:
 
 
 def cmd_audit_cores(args) -> int:
+    from . import audit
+
     if args.file:
         with open(args.file) as fh:
             script = audit.parse_script(fh.read())
@@ -264,6 +315,8 @@ def cmd_audit_cores(args) -> int:
 
 
 def cmd_model_check(args) -> int:
+    from . import modal
+
     model = modal.KripkeModel.load(args.file)
     f = modal.parse_modal(args.formula)
     if args.world is not None and not 0 <= args.world < model.worlds:
@@ -288,6 +341,8 @@ def cmd_model_check(args) -> int:
 
 
 def cmd_model_find(args) -> int:
+    from . import modal
+
     f = modal.parse_modal(args.formula)
     witness = modal.find_model(f, args.logic, args.max_worlds)
     if args.json:
@@ -306,6 +361,8 @@ def cmd_model_find(args) -> int:
 
 
 def cmd_model_valid(args) -> int:
+    from . import modal
+
     f = modal.parse_modal(args.formula)
     valid = modal.is_valid(f, args.logic)
     counter = None
@@ -401,16 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
     mc = msub.add_parser("check", help="evaluate a formula in a model file")
     mc.add_argument("file")
     mc.add_argument("formula")
-    mc.add_argument("--world", type=int, default=None)
+    mc.add_argument("--world", type=int_option, default=None)
     mc.set_defaults(func=cmd_model_check)
     mf = msub.add_parser("find", help="search for a finite model")
     mf.add_argument("formula")
-    mf.add_argument("--logic", choices=modal.LOGICS, default="GL")
-    mf.add_argument("--max-worlds", type=int, default=None)
+    mf.add_argument("--logic", choices=LOGICS, default="GL")
+    mf.add_argument("--max-worlds", type=int_option, default=None)
     mf.set_defaults(func=cmd_model_find)
     mv = msub.add_parser("valid", help="tableau validity with countermodel")
     mv.add_argument("formula")
-    mv.add_argument("--logic", choices=modal.LOGICS, default="GL")
+    mv.add_argument("--logic", choices=LOGICS, default="GL")
     mv.set_defaults(func=cmd_model_valid)
 
     return parser
@@ -418,8 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: int_option raises WorkbenchError while parsing
+        args = parser.parse_args(argv)
         return args.func(args)
     except NotWellFormed as e:
         print("not-well-formed: %s" % e, file=sys.stderr)

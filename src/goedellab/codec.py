@@ -9,7 +9,6 @@ orders them by ascending code.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import os
@@ -26,6 +25,12 @@ RESERVED = {10, 11, 12}
 
 # Materialization guard for codes built from substituted numerals.
 MAX_TOKENS = 200_000
+
+# Decoding divides the whole remainder once per prime, so its cost grows
+# with the square of the bit length: `x0 = 4000` (489k bits) takes about
+# 1.4-1.9 s, `x0 = 10000` (1.36M bits) 12.4 s.  Longer codes are refused
+# before the first division.
+MAX_DECODE_BITS = 500_000
 
 # Folded into the index table's checksum: a table written under another
 # token table fails the check and is rebuilt.
@@ -225,6 +230,11 @@ _DIGIT_BITS = 30
 def decode_tokens(g: int) -> list[int]:
     if g < 1:
         raise NotWellFormed("Goedel numbers are naturals >= 1")
+    if g.bit_length() > MAX_DECODE_BITS:
+        raise ResourceBound(
+            "code of %d bits exceeds the decode bound of %d bits"
+            % (g.bit_length(), MAX_DECODE_BITS)
+        )
     tokens = []
     i = 0
     while g > 1:
@@ -552,6 +562,8 @@ class IndexTable:
 
     @staticmethod
     def _digest(body: str) -> str:
+        import hashlib  # only the index table needs it; keeps it off CLI start-up
+
         return hashlib.sha256(("%s\n%s" % (CODEC_VERSION, body)).encode()).hexdigest()
 
     def _load(self) -> None:

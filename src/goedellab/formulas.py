@@ -205,7 +205,7 @@ def print_formula(f: Formula) -> str:
 
 # --- parser ------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"<->|->|[~&|().,=]|x\d+|\d+|[A-Za-z_]+")
+_TOKEN_RE = re.compile(r"<->|->|[~&|().,=]|x[0-9]+|[0-9]+|[A-Za-z_]+")
 _WORD_RE = re.compile(r"[A-Za-z_]+")
 
 _KEYWORDS = {"forall", "exists", "Dem", "sub", "diag", "S"}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import codec
 from . import formulas as F
 from .errors import NotClosed, ParseError, ResourceBound
-from .syntax import natural
+from .syntax import is_natural, natural
 
 # eval_term refuses to enumerate past this index
 MAX_EVAL_INDEX = 10_000
@@ -183,7 +183,7 @@ def _parse_binding(text: str, schema: str) -> tuple[tuple[str, object], ...]:
             raise ParseError("binding entry %r lacks ':='" % part)
         name, value = (s.strip() for s in part.split(":=", 1))
         if name == "x":
-            if not value.startswith("x") or not value[1:].isdecimal():
+            if not value.startswith("x") or not is_natural(value[1:]):
                 raise ParseError("binding x needs a variable, got %r" % value)
             entries[name] = natural(value[1:])
         elif name == "t":
@@ -201,16 +201,16 @@ def _parse_justification(text: str) -> Justification:
         return Premise(text[len("PREMISE"):].strip())
     if text.startswith("MP"):
         parts = text.split()
-        if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
+        if len(parts) != 3 or not (is_natural(parts[1]) and is_natural(parts[2])):
             raise ParseError("MP cites two steps")
         return ModusPonens(natural(parts[1]), natural(parts[2]))
     if text.startswith("GEN"):
         parts = text.split()
         if not (
             len(parts) == 3
-            and parts[1].isdecimal()
+            and is_natural(parts[1])
             and parts[2].startswith("x")
-            and parts[2][1:].isdecimal()
+            and is_natural(parts[2][1:])
         ):
             raise ParseError("GEN cites a step and a variable")
         return Generalize(natural(parts[1]), natural(parts[2][1:]))
@@ -240,7 +240,7 @@ def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
         if "." not in line:
             raise ParseError("step line needs 'k. formula ; justification'")
         num_text, rest = line.split(".", 1)
-        if not num_text.strip().isdecimal():
+        if not is_natural(num_text.strip()):
             raise ParseError("step line needs a leading number, got %r" % num_text)
         k = natural(num_text.strip())
         if k != len(steps) + 1:

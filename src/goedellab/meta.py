@@ -282,7 +282,7 @@ def print_meta(phi: MetaFormula) -> str:
 
 # --- parsing -----------------------------------------------------------
 
-_META_TOKEN_RE = re.compile(r"<->|->|[~().,\[\]]|\d+|[A-Za-z_][A-Za-z0-9_]*\*?")
+_META_TOKEN_RE = re.compile(r"<->|->|[~().,\[\]]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*\*?")
 
 
 class _MetaParser(Cursor):

@@ -2,7 +2,8 @@
 formulas (`formulas`), meta schemas (`meta`) and modal formulas
 (`modal`).  Each parser supplies its token pattern and grammar rules.
 `natural` converts every decimal literal of the text formats, proof
-files and audit scripts included."""
+files and audit scripts included; `is_natural` is its rule for what a
+decimal literal is."""
 
 from __future__ import annotations
 
@@ -31,9 +32,18 @@ def tokenize(pattern: re.Pattern, text: str):
     yield END, len(text)
 
 
+def is_natural(text: str) -> bool:
+    """Whether text is a decimal numeral: ASCII digits only.  int() and
+    str.isdecimal() also take other scripts' digits, such as Arabic-Indic."""
+    return text.isascii() and text.isdecimal()
+
+
 def natural(digits: str, pos: int | None = None) -> int:
-    """The value of a decimal numeral.  One longer than int() converts
-    (`sys.get_int_max_str_digits()`) is a parse error, not a ValueError."""
+    """The value of a decimal numeral.  Anything but ASCII digits, or more
+    of them than int() converts (`sys.get_int_max_str_digits()`), is a
+    parse error, not a ValueError."""
+    if not is_natural(digits):
+        raise ParseError("not a decimal numeral: %r" % digits, pos)
     limit = sys.get_int_max_str_digits()
     if limit and len(digits) > limit:
         raise ParseError("numeral of %d digits exceeds the limit of %d" % (len(digits), limit), pos)

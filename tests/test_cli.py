@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -251,6 +254,13 @@ def test_successor_of_a_numeral_matches_the_next_numeral_in_proofs(tmp_path, cap
         ("prove", "1. Dem(x0) ; INST[x := x\u00b2; A := Dem(x0); t := 0]\n"),
         ("prove", "\u00b2. Dem(x0) ; MP 1 1\n"),
         ("audit", "assume REFL : Dem[d*] -> d*\nstep 1 := assume REFL\nstep 2 := inst 1 n zz\n"),
+        # Arabic-Indic digits, which int() and str.isdecimal() accept
+        ("prove", "\u0661. Dem(x0) ; EVAL\n"),
+        ("prove", "1. Dem(x0) ; MP \u0661 1\n"),
+        ("prove", "1. Dem(x0) ; GEN 1 x\u0661\n"),
+        ("prove", "1. Dem(x0) ; INST[x := x\u0661; A := Dem(x0); t := 0]\n"),
+        ("audit", "assume REFL : Dem[d*] -> d*\nstep 1 := assume REFL\nstep 2 := inst 1 n \u0661\n"),
+        ("audit", "assume A : Dem[App(\u0661,1)]\nstep 1 := assume A\n"),
     ],
 )
 def test_malformed_step_numbers_are_parse_errors(tmp_path, capsys, command, text):
@@ -468,3 +478,136 @@ def test_model_world_count_is_bounded(tmp_path, capsys):
     assert code == 0 and out == "forced at worlds: (none)\n"
     code, out, _ = run(capsys, "model", "check", str(path), "~p", "--world", "9999")
     assert code == 0 and out == "true\n"
+
+
+# --- numerals are ASCII digits -------------------------------------------
+
+ARABIC_12 = "\u0661\u0662"  # Arabic-Indic one and two: int("\u0661\u0662") == 12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "x0 = " + ARABIC_12],
+        ["encode", "x%s = 0" % ARABIC_12],
+        ["decode", ARABIC_12],
+        ["subnum", ARABIC_12[0], ARABIC_12[1]],
+        ["diagnum", "hex2:" + ARABIC_12],
+        ["enumerate", "--up-to", ARABIC_12 + "e3"],
+        ["model", "find", "p", "--max-worlds", ARABIC_12[1]],
+    ],
+    ids=["encode-numeral", "encode-variable", "decode", "subnum", "diagnum", "enumerate",
+         "max-worlds"],
+)
+def test_non_ascii_digits_are_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(("parse error", "error: not a number")) and "Traceback" not in err
+
+
+def test_non_ascii_world_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": 3, "relation": [], "valuation": {}}))
+    code, out, err = run(capsys, "model", "check", str(path), "p", "--world", "\u0661")
+    assert code == 1 and out == ""
+    assert err == "error: not a number: '\u0661' (digits must be ASCII)\n"
+    with pytest.raises(SystemExit) as exc:  # other malformed values stay usage errors
+        cli.main(["model", "check", str(path), "p", "--world", "one"])
+    assert exc.value.code == 2
+    assert "argument --world: invalid int value: 'one'" in capsys.readouterr().err
+
+
+# --- decode bound ----------------------------------------------------------
+
+
+def test_decode_just_under_the_bit_bound_finishes(capsys):
+    f = F.Eq(F.Var(0), F.Num(4080))
+    g = codec.encode_formula(f)
+    assert codec.MAX_DECODE_BITS - 1000 < g.bit_length() <= codec.MAX_DECODE_BITS
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "decode", "%#x" % g)
+    assert time.perf_counter() - start < 15
+    assert (code, out) == (0, "x0 = 4080\n")
+
+
+def test_decode_over_the_bit_bound_is_exit_three(capsys, monkeypatch):
+    g = codec.encode_formula(F.Eq(F.Var(0), F.Num(4081)))
+    assert codec.MAX_DECODE_BITS < g.bit_length()
+    monkeypatch.setattr(codec, "nth_prime", lambda i: pytest.fail("divided past the bound"))
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, *flags, "decode", "%#x" % g)
+        assert code == 3 and out == ""
+        assert err == "resource bound: code of %d bits exceeds the decode bound of %d bits\n" % (
+            g.bit_length(), codec.MAX_DECODE_BITS)
+
+
+# --- start-up: each command imports only the modules it runs -----------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# runs cli.main in a fresh interpreter, then prints the goedellab modules
+# it imported as the last line of stdout
+_PROBE = """
+import json, sys
+from goedellab.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+loaded = sorted(m[len("goedellab."):] for m in sys.modules if m.startswith("goedellab."))
+print(json.dumps([code, loaded, "hashlib" in sys.modules]))
+"""
+
+
+def _fresh(argv, code=_PROBE):
+    env = {k: v for k, v in os.environ.items() if k != "GOEDEL_CACHE_DIR"}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, modules",
+    [
+        (["encode", "0 = 0"], 0, {"cli", "errors", "syntax", "formulas", "codec"}),
+        (["--json", "diagonalize"], 0, {"cli", "errors", "syntax", "formulas", "codec",
+                                        "diagonal"}),
+        (["prove", "check", "{proof}"], 0, {"cli", "errors", "syntax", "formulas", "codec",
+                                            "kernel"}),
+        (["audit", "goedel"], 0, {"cli", "errors", "syntax", "meta", "audit"}),
+        (["model", "find", "p"], 0, {"cli", "errors", "syntax", "meta", "modal"}),
+        (["no-such-command"], 2, {"cli", "errors"}),
+    ],
+    ids=["encode", "diagonalize", "prove-check", "audit-goedel", "model-find", "usage-error"],
+)
+def test_command_imports_only_its_subsystems(tmp_path, argv, exit_code, modules):
+    proof = tmp_path / "identity.proof"
+    proof.write_text(PROOF_TEXT)
+    out = _fresh([a.replace("{proof}", str(proof)) for a in argv])
+    assert json.loads(out.splitlines()[-1]) == [exit_code, sorted(modules), False]
+
+
+def test_package_imports_subsystems_on_first_access():
+    out = _fresh([], code=(
+        "import sys, goedellab\n"
+        "assert 'goedellab.modal' not in sys.modules\n"
+        "print(goedellab.modal.LOGICS, goedellab.modal is sys.modules['goedellab.modal'])\n"
+        "try:\n"
+        "    goedellab.nope\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+    ))
+    assert out == "('K', 'K4', 'GL') True\nmodule 'goedellab' has no attribute 'nope'\n"
+
+
+def test_logic_choices_match_the_modal_module(capsys):
+    from goedellab import modal
+
+    assert cli.LOGICS == modal.LOGICS
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["model", "find", "p", "--logic", "S5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --logic: invalid choice: 'S5' (choose from 'K', 'K4', 'GL')\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_formula
 from goedellab import formulas as F
 from goedellab.errors import NotClosed, ParseError
+from goedellab.syntax import natural
 
 
 def test_parse_core_connectives():
@@ -95,6 +96,16 @@ def test_parse_errors_carry_position():
         F.parse_formula("0 = 0 extra")
     with pytest.raises(ParseError):
         F.parse_formula("forall 0. 0 = 0")
+
+
+def test_decimal_literals_are_ascii_digits_only():
+    assert natural("0012") == 12
+    # Arabic-Indic, fullwidth and superscript digits; int() reads the first two
+    for text in ("\u0661\u0662", "\uff11", "\u00b2", "", "+1"):
+        with pytest.raises(ParseError, match="not a decimal numeral"):
+            natural(text)
+    with pytest.raises(ParseError, match="unexpected character"):
+        F.parse_formula("x0 = \u0661\u0662")
 
 
 def test_round_trip_seeded_sample():
