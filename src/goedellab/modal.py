@@ -4,10 +4,12 @@ Three independent engines are provided on purpose:
 
 * a direct Kripke-model checker (`KripkeModel.forces`) — the small
   trusted base;
-* an exhaustive finite-model search (`find_model`) whose frames are
-  enumerated constructively (GL frames are exactly the finite strict
-  partial orders) and whose valuation sweep runs over all valuations at
-  once, one bit per valuation in a Python int;
+* an exhaustive finite-model search (`find_model`) that sweeps one frame
+  per isomorphism class (a generated table) to find the least size with
+  a model, then the labeled frames of that size, which are enumerated
+  constructively (GL frames are exactly the finite strict partial
+  orders); its valuation sweep runs over all valuations at once, one bit
+  per valuation in a Python int;
 * a tableau satisfiability procedure (`is_satisfiable` / `is_valid`)
   that decides the logics outright.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 
 from .errors import ParseError, ResourceBound, WorkbenchError
@@ -278,13 +280,14 @@ def make_model(
 # Frames are kept as succ-bitmask tuples: succ[w] has bit v set iff wRv.
 
 
-def _gl_frames(max_n: int):
-    """All strict partial orders on {0..n-1}, sizes ascending, each
-    exactly once.  Element k joins an existing order with a predecessor
-    set P (closed under earlier predecessors) and a successor set S
-    (closed under earlier successors) such that P x S already lies in
-    the order; then P, S are exactly k's neighborhoods and the extension
-    is again transitive, which makes the construction canonical."""
+def _gl_frames(max_n: int, start: int = 1):
+    """All strict partial orders on {0..n-1} for n from start to max_n,
+    sizes ascending, each exactly once.  Element k joins an existing
+    order with a predecessor set P (closed under earlier predecessors) and
+    a successor set S (closed under earlier successors) such that P x S
+    already lies in the order; then P, S are exactly k's neighborhoods and
+    the extension is again transitive, which makes the construction
+    canonical."""
 
     def exact(target: int, n: int, succ: list[int]):
         if n == target:
@@ -310,12 +313,12 @@ def _gl_frames(max_n: int):
                 new_succ = [succ[x] | (p >> x & 1) << n for x in range(n)] + [s]
                 yield from exact(target, n + 1, new_succ)
 
-    for target in range(1, max_n + 1):
+    for target in range(start, max_n + 1):
         yield from exact(target, 0, [])
 
 
-def _k_frames(max_n: int, transitive: bool):
-    for n in range(1, max_n + 1):
+def _k_frames(max_n: int, transitive: bool, start: int = 1):
+    for n in range(start, max_n + 1):
         mask = (1 << n) - 1
         for bits in range(1 << (n * n)):
             # bit a*n + b of `bits` is the pair (a, b)
@@ -327,14 +330,23 @@ def _k_frames(max_n: int, transitive: bool):
             yield n, succ
 
 
-def _frames(logic: str, max_worlds: int | None):
-    cap = GL_MAX_WORLDS if logic == "GL" else K_MAX_WORLDS
-    bound = cap if max_worlds is None else max_worlds
-    if bound > cap:
-        raise ResourceBound("%s frame search capped at %d worlds" % (logic, cap))
+def _frames(logic: str, start: int, max_n: int):
+    """The labeled frames of the logic on start..max_n worlds."""
     if logic == "GL":
-        return _gl_frames(bound)
-    return _k_frames(bound, transitive=logic == "K4")
+        return _gl_frames(max_n, start)
+    return _k_frames(max_n, logic == "K4", start)
+
+
+@cache
+def _class_frames(logic: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """One frame of n worlds per isomorphism class, for n from 1 to the
+    logic's cap.  The table is decoded one size at a time on first use,
+    so importing this module does not load it."""
+    from ._frame_classes import FRAMES
+
+    text, width, mask = FRAMES[logic][n - 1], -(-n * n // 4), (1 << n) - 1
+    codes = (int(text[i : i + width], 16) for i in range(0, len(text), width))
+    return tuple(tuple(c >> (a * n) & mask for a in range(n)) for c in codes)
 
 
 # --- bit-parallel valuation sweep --------------------------------------
@@ -416,38 +428,60 @@ def find_model(
 ) -> ModelWitness | None:
     """Exhaustive search for a pointed model of f within the logic's
     world bound.  None means no model exists within that bound (and, if
-    the formula is propositionally unsatisfiable, no model at all)."""
+    the formula is propositionally unsatisfiable, no model at all).
+
+    Whether some world of a frame forces f under some valuation does not
+    depend on how the worlds are labeled.  So at each size, ascending,
+    one frame per isomorphism class is swept first, and the labeled
+    frames are searched in order only at the first size where a class
+    has a model.  Every smaller labeled frame is in a class that missed,
+    so the witness is the first one a labeled search from one world
+    would find."""
     if logic not in LOGICS:
         raise WorkbenchError("unknown logic %r" % logic)
+    if max_worlds is not None and max_worlds < 1:
+        raise WorkbenchError("the search bound must be at least 1 world, not %d" % max_worlds)
     if not _prop_satisfiable(f):
         return None
+    cap = GL_MAX_WORLDS if logic == "GL" else K_MAX_WORLDS
+    bound = cap if max_worlds is None else max_worlds
+    if bound > cap:
+        raise ResourceBound("%s frame search capped at %d worlds" % (logic, cap))
     atom_names = sorted(atoms_of(f))
     atom_order = {a: i for i, a in enumerate(atom_names)}
-    for n, succ in _frames(logic, max_worlds):
+    for n in range(1, bound + 1):
         if n * len(atom_names) > MAX_SEARCH_BITS:
             raise ResourceBound(
                 "%d atoms on %d worlds exceed the valuation sweep bound"
                 % (len(atom_names), n)
             )
-        forced = _sweep(f, succ, atom_order)
-        hit = reduce(or_, forced)
-        if hit:
-            # the lowest valuation row, then the highest world forcing f in it
-            v = (hit & -hit).bit_length() - 1
-            world = max(w for w in range(n) if forced[w] >> v & 1)
-            valuation = {
-                a: {w for w in range(n) if (v >> (i * n + w)) & 1}
-                for a, i in atom_order.items()
-            }
-            relation = {
-                (w, u) for w in range(n) for u in range(n) if succ[w] >> u & 1
-            }
-            model = make_model(n, relation, valuation)
-            if not (model.frame_ok(logic) and model.forces(world, f)):
-                raise AssertionError(
-                    "search produced a bad witness (frame/forcing re-check failed)"
-                )
-            return ModelWitness(model, world)
+        # a one-world frame is its own class, so one world needs no table
+        if n > 1 and not any(
+            reduce(or_, _sweep(f, succ, atom_order)) for succ in _class_frames(logic, n)
+        ):
+            continue
+        for _, succ in _frames(logic, n, n):
+            forced = _sweep(f, succ, atom_order)
+            hit = reduce(or_, forced)
+            if hit:
+                # the lowest valuation row, then the highest world forcing f in it
+                v = (hit & -hit).bit_length() - 1
+                world = max(w for w in range(n) if forced[w] >> v & 1)
+                valuation = {
+                    a: {w for w in range(n) if (v >> (i * n + w)) & 1}
+                    for a, i in atom_order.items()
+                }
+                relation = {
+                    (w, u) for w in range(n) for u in range(n) if succ[w] >> u & 1
+                }
+                model = make_model(n, relation, valuation)
+                if not (model.frame_ok(logic) and model.forces(world, f)):
+                    raise AssertionError(
+                        "search produced a bad witness (frame/forcing re-check failed)"
+                    )
+                return ModelWitness(model, world)
+        if n > 1:
+            raise AssertionError("a %d-world frame class has a model, but no labeled frame" % n)
     return None
 
 

@@ -401,6 +401,14 @@ def test_model_find_resource_bound(capsys):
     assert code == 3 and err.startswith("resource bound:")
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_model_find_bound_below_one_is_exit_one(capsys, json_flag, bound):
+    code, out, err = run(capsys, *json_flag, "model", "find", "p", "--max-worlds", bound)
+    assert code == 1 and out == ""
+    assert err == "error: the search bound must be at least 1 world, not %s\n" % bound
+
+
 # --- usage and parse errors --------------------------------------------
 
 

@@ -2,10 +2,14 @@ import json
 import random
 import time
 from collections import Counter
+from functools import reduce
+from itertools import permutations
+from operator import or_
 
 import pytest
 
 from goedellab import modal as Md
+from goedellab._frame_classes import FRAMES
 from goedellab.errors import ParseError, ResourceBound, WorkbenchError
 
 p, r = Md.Atom("p"), Md.Atom("r")
@@ -231,6 +235,74 @@ def test_k4_frames_are_the_transitive_ones():
     assert len(frames) == 171
 
 
+# --- the frame-class table --------------------------------------------
+#
+# Brute-force canonical forms, the referee of the shipped table: the
+# canonical code of a frame is the least code over all n! relabelings,
+# where bit a * n + b of a code is set iff world a sees world b.
+
+CLASS_COUNTS = {
+    "GL": [1, 2, 5, 16, 63, 318],  # OEIS A000112
+    "K": [2, 10, 104, 3044],  # OEIS A000595
+    "K4": [2, 8, 39, 242],
+}
+
+
+def _code(succ) -> int:
+    return sum(s << (a * len(succ)) for a, s in enumerate(succ))
+
+
+def _orbit(succ) -> set[int]:
+    """The codes of every relabeling of the frame."""
+    n = len(succ)
+    pairs = [(a, b) for a in range(n) for b in range(n) if succ[a] >> b & 1]
+    return {sum(1 << (pi[a] * n + pi[b]) for a, b in pairs) for pi in permutations(range(n))}
+
+
+def _class_table(logic: str):
+    return [Md._class_frames(logic, n) for n in range(1, len(CLASS_COUNTS[logic]) + 1)]
+
+
+def test_class_counts_per_size_are_pinned():
+    caps = {"K": Md.K_MAX_WORLDS, "K4": Md.K_MAX_WORLDS, "GL": Md.GL_MAX_WORLDS}
+    assert {logic: len(sizes) for logic, sizes in FRAMES.items()} == caps
+    for logic in Md.LOGICS:
+        assert [len(frames) for frames in _class_table(logic)] == CLASS_COUNTS[logic]
+
+
+def test_class_table_entries_are_frames_of_their_logic():
+    for logic in Md.LOGICS:
+        for n, frames in enumerate(_class_table(logic), 1):
+            for succ in frames:
+                relation = [(a, b) for a in range(n) for b in range(n) if succ[a] >> b & 1]
+                assert Md.make_model(n, relation, {}).frame_ok(logic), (logic, succ)
+
+
+def test_class_table_entries_are_pairwise_non_isomorphic():
+    # each entry is the least code of its class and the entries of a size
+    # are distinct, so no two entries share a class; with the pinned counts
+    # this proves GL on 6 and K on 4 worlds complete without sweeping their
+    # 130,023 and 65,536 labeled frames
+    for logic in Md.LOGICS:
+        for frames in _class_table(logic):
+            codes = [_code(succ) for succ in frames]
+            assert codes == sorted(set(codes))
+            assert all(min(_orbit(succ)) == c for succ, c in zip(frames, codes))
+
+
+@pytest.mark.parametrize("logic, max_n", [("GL", 5), ("K", 3), ("K4", 4)])
+def test_class_table_is_regenerated_from_the_labeled_frames(logic, max_n):
+    canonical: dict[tuple[int, int], int] = {}
+    for n, succ in Md._frames(logic, 1, max_n):
+        if (n, _code(succ)) not in canonical:
+            codes = _orbit(succ)
+            canonical.update(((n, c), min(codes)) for c in codes)
+    for n in range(1, max_n + 1):
+        # every labeled frame maps to exactly one entry, and every entry is hit
+        reps = {rep for (size, _), rep in canonical.items() if size == n}
+        assert sorted(reps) == [_code(succ) for succ in Md._class_frames(logic, n)]
+
+
 # --- search and tableau ------------------------------------------------
 
 
@@ -298,6 +370,133 @@ def test_tableau_and_bounded_search_never_disagree_on_the_corpus():
         # satisfiable formulas must be witnessed within the caps
         if Md.is_satisfiable(f, "GL"):
             assert Md.find_model(f, "GL", max_worlds=4) is not None, text
+
+
+def _referee_find_model(f, logic: str, max_worlds=None):
+    """find_model before the class pass: the labeled frames in order from
+    one world; the first frame with a model gives the witness."""
+    if not Md._prop_satisfiable(f):
+        return None
+    cap = Md.GL_MAX_WORLDS if logic == "GL" else Md.K_MAX_WORLDS
+    bound = cap if max_worlds is None else max_worlds
+    if bound > cap:
+        raise ResourceBound("%s frame search capped at %d worlds" % (logic, cap))
+    frames = Md._gl_frames(bound) if logic == "GL" else Md._k_frames(bound, logic == "K4")
+    atom_names = sorted(Md.atoms_of(f))
+    atom_order = {a: i for i, a in enumerate(atom_names)}
+    for n, succ in frames:
+        if n * len(atom_names) > Md.MAX_SEARCH_BITS:
+            raise ResourceBound(
+                "%d atoms on %d worlds exceed the valuation sweep bound"
+                % (len(atom_names), n)
+            )
+        forced = Md._sweep(f, succ, atom_order)
+        hit = reduce(or_, forced)
+        if hit:
+            v = (hit & -hit).bit_length() - 1
+            world = max(w for w in range(n) if forced[w] >> v & 1)
+            valuation = {
+                a: {w for w in range(n) if (v >> (i * n + w)) & 1}
+                for a, i in atom_order.items()
+            }
+            relation = {
+                (w, u) for w in range(n) for u in range(n) if succ[w] >> u & 1
+            }
+            return Md.ModelWitness(Md.make_model(n, relation, valuation), world)
+    return None
+
+
+def _search_result(f, logic, max_worlds, search):
+    try:
+        witness = search(f, logic, max_worlds)
+    except ResourceBound as e:
+        return ("ResourceBound", str(e))  # the message names the size
+    return None if witness is None else witness.to_json_dict()
+
+
+def _random_demands(rng, atoms):
+    """A conjunction of random formulas with diamonds: several demands at
+    once need larger frames than one random formula does."""
+    def one(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return Md.Atom(rng.choice(atoms))
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Md.Neg(one(depth - 1))
+        if kind == 1:
+            return Md.Box(one(depth - 1))
+        if kind == 2:
+            return Md.Dia(one(depth - 1))
+        return Md.Imp(one(depth - 1), one(depth - 1))
+
+    f = one(rng.randint(1, 4))
+    for _ in range(rng.randrange(4)):
+        f = Md.And(f, one(rng.randint(2, 4)))
+    return f
+
+
+def test_witnesses_match_the_labeled_search():
+    rng = random.Random(8)
+    sizes = Counter()
+    for _ in range(600):
+        logic = rng.choice(Md.LOGICS)
+        cap = Md.GL_MAX_WORLDS if logic == "GL" else Md.K_MAX_WORLDS
+        bound = rng.randint(1, cap)
+        f = _random_demands(rng, "pqr"[: rng.randint(1, 3)])
+        got = _search_result(f, logic, bound, Md.find_model)
+        if got is None and (logic, bound) in (("GL", 6), ("K", 4)) and not Md.is_satisfiable(f, logic):
+            # the referee would sweep all 134,496 or 66,066 labeled frames;
+            # the tableau confirms that there is no model at all
+            sizes["none"] += 1
+            continue
+        assert got == _search_result(f, logic, bound, _referee_find_model), (logic, bound, f)
+        sizes[got["worlds"] if got else "none"] += 1
+    # the sample reaches past one world and covers empty searches
+    # the sample reaches past one world and covers empty searches
+    assert sizes[2] + sizes[3] >= 50 and sizes["none"] >= 50, sizes
+
+
+@pytest.mark.parametrize(
+    "text, logic, max_worlds",
+    [
+        ("p", "GL", 7),  # over the cap
+        ("p", "K", 5),
+        ("[]p & <>~p & q & r & s & t & u", "GL", None),  # 6 atoms trip at 4 worlds
+        ("[]p & <>~p & q & r & s & t & u & v & w", "K", None),  # 8 atoms trip at 3
+        ("<>p & <>q & <>r & <>s & <>t", "K4", 4),  # 5 atoms: 4 worlds fit, 20 bits
+        (" & ".join("<>p%d" % i for i in range(23)), "K", 1),  # trips at 1 world
+    ],
+)
+def test_resource_bounds_match_the_labeled_search(text, logic, max_worlds):
+    f = Md.parse_modal(text)
+    got = _search_result(f, logic, max_worlds, Md.find_model)
+    assert got == _search_result(f, logic, max_worlds, _referee_find_model)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_a_search_bound_below_one_is_an_error(bound):
+    with pytest.raises(WorkbenchError, match="at least 1 world"):
+        Md.find_model(p, "GL", bound)
+    with pytest.raises(WorkbenchError, match="at least 1 world"):
+        Md.find_model(Md.parse_modal("p & ~p"), "K", bound)
+
+
+def test_models_of_the_corpus_match_the_labeled_search():
+    for text in Md.CORPUS:
+        f = Md.parse_modal(text)
+        for logic, bound in (("K", 3), ("K4", 3), ("GL", 4)):
+            assert _search_result(f, logic, bound, Md.find_model) == _search_result(
+                f, logic, bound, _referee_find_model
+            ), (text, logic)
+
+
+def test_unsatisfiable_searches_are_fast():
+    for text in ("[]p & <>~p", "[](p -> q) & []p & <>~q"):
+        f = Md.parse_modal(text)
+        for logic in Md.LOGICS:
+            start = time.perf_counter()
+            assert Md.find_model(f, logic) is None
+            assert time.perf_counter() - start < 2.0, (text, logic)
 
 
 def test_corpus_is_large_enough():
