@@ -77,19 +77,24 @@ VALID = Verdict(True)
 
 
 def eval_term(t: F.Term) -> int:
-    """Arithmetic meaning of a closed term; sub/diag via the codec."""
+    """Arithmetic meaning of a closed term; sub/diag via the codec.
+
+    A run of successors is counted in a loop, so its depth costs no
+    recursion."""
+    succs = 0
+    while isinstance(t, F.Succ):
+        succs += 1
+        t = t.arg
     if isinstance(t, F.Var):
         raise NotClosed("cannot evaluate open term x%d" % t.index)
     if isinstance(t, F.Num):
-        return t.value
-    if isinstance(t, F.Succ):
-        return 1 + eval_term(t.arg)
+        return succs + t.value
     if isinstance(t, F.Diag):
-        return codec.diag_num(eval_term(t.arg))
+        return succs + codec.diag_num(eval_term(t.arg))
     n = eval_term(t.left)
     if n > MAX_EVAL_INDEX:
         raise ResourceBound("refusing to enumerate to index %d" % n)
-    return codec.sub_num(n, eval_term(t.right))
+    return succs + codec.sub_num(n, eval_term(t.right))
 
 
 def _schema_formula(schema: str, b: dict) -> F.Formula:

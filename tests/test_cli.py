@@ -246,6 +246,23 @@ def test_successor_of_a_numeral_matches_the_next_numeral_in_proofs(tmp_path, cap
     assert (code, out) == (0, "valid (1 steps)\n")
 
 
+def test_eval_of_a_deep_successor_chain_over_sub(tmp_path, capsys):
+    # 1500 S over a term that is no numeral stays a chain of Succ nodes
+    def chain(n):
+        return "S(" * n + "sub(0,0)" + ")" * n
+
+    path = tmp_path / "deep.proof"
+    path.write_text("1. %s = %s ; EVAL\n" % (chain(1500), chain(1500)))
+    code, out, _ = run(capsys, "prove", "check", str(path))
+    assert (code, out) == (0, "valid (1 steps)\n")
+    path.write_text("1. %s = %s ; EVAL\n" % (chain(1500), chain(1499)))
+    code, out, _ = run(capsys, "prove", "check", str(path))
+    value = codec.sub_num(0, 0)
+    assert code == 1
+    assert out.startswith("invalid at step 1")
+    assert "equation is false: %d != %d" % (value + 1500, value + 1499) in out
+
+
 @pytest.mark.parametrize(
     "command, text",
     [

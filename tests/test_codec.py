@@ -442,6 +442,159 @@ def test_decode_round_trips_long_runs_and_large_exponents():
         codec.decode_tokens(2**58 * 5**3)  # exponent gap at 3
 
 
+# --- the block decoder against the prime-by-prime loop -----------------
+
+
+def _referee_decode_tokens(g):
+    """The decoder before runs were read in blocks: one prime at a time."""
+    if g < 1:
+        raise NotWellFormed("Goedel numbers are naturals >= 1")
+    if g.bit_length() > codec.MAX_DECODE_BITS:
+        raise ResourceBound(
+            "code of %d bits exceeds the decode bound of %d bits"
+            % (g.bit_length(), codec.MAX_DECODE_BITS)
+        )
+    tokens = []
+    i = 0
+    while g > 1:
+        p = codec.nth_prime(i)
+        k = max(1, 30 // p.bit_length())
+        pk = p**k
+        e = 0
+        q, r = divmod(g, pk)
+        while not r:
+            g, e = q, e + k
+            q, r = divmod(g, pk)
+        j = 0
+        while r % p == 0:
+            r //= p
+            j += 1
+        if j:
+            g //= p**j
+            e += j
+        if e == 0:
+            raise NotWellFormed(
+                "exponent gap at prime %d (not a contiguous token string)" % p
+            )
+        tokens.append(e)
+        i += 1
+    return tokens
+
+
+def _outcome(decode, g):
+    try:
+        return decode(g)
+    except (NotWellFormed, ResourceBound) as e:
+        return type(e), str(e)
+
+
+def _assert_decoders_agree(g):
+    assert _outcome(codec.decode_tokens, g) == _outcome(_referee_decode_tokens, g)
+
+
+# Before its first guess the decoder reads two equal tokens alone, then
+# guesses blocks of 1, 2, 4, ... primes: a run of 2^j + 1 ends exactly at
+# the edge of the j-th block.
+_BLOCK_EDGES = [2**j + 1 for j in range(1, 10)]
+
+
+def _decode_cases(rng):
+    """Token lists (0 is a gap) and extra factors of the kinds that steer
+    the block decoder: runs ending near a block edge, alternating pairs,
+    repeated huge exponents, gaps and off-by-one exponents inside runs."""
+    def token():
+        return rng.choice([1, 2, 3, 4, 5, 8, 9, 13, 14, 20])
+
+    head = [token() for _ in range(rng.randrange(3))]
+    tail = [token() for _ in range(rng.randrange(3))]
+    kind = rng.randrange(5)
+    if kind == 0:
+        length = rng.choice(_BLOCK_EDGES) + rng.choice([-1, 0, 1])
+        tokens = head + [rng.choice([8, 9, 13])] * length + tail
+    elif kind == 1:
+        tokens = head
+        for _ in range(rng.randrange(1, 30)):
+            tokens += [rng.choice([8, 9])] * 2
+        tokens += tail
+    elif kind == 2:
+        tokens = [4] + [rng.choice([300, 2000, 5000])] * rng.randrange(2, 6)
+    else:
+        t = rng.choice([2, 9, 13])
+        length = rng.randrange(2, 300)
+        tokens = head + [t] * length + tail
+        if kind == 3:
+            # the run broken inside by a gap, a higher or a lower exponent
+            tokens[len(head) + rng.randrange(length)] = rng.choice([0, t - 1, t + 1])
+    extra = 1
+    if kind == 4 or rng.random() < 0.2:
+        # a factor past the last token: a later prime, a large prime, a
+        # random cofactor
+        extra = rng.choice([codec.nth_prime(len(tokens) + rng.randrange(3)),
+                            2**61 - 1, rng.getrandbits(64) | 1])
+    return tokens, extra
+
+
+def test_block_decoder_matches_the_prime_by_prime_loop_on_seeded_codes():
+    rng = random.Random(9)
+    for _ in range(250):
+        tokens, extra = _decode_cases(rng)
+        g = codec.encode_tokens(tokens) * extra
+        _assert_decoders_agree(g)
+        if extra == 1 and 0 not in tokens:
+            assert codec.decode_tokens(g) == tokens
+    for length in _BLOCK_EDGES:
+        for n in (length - 1, length, length + 1):
+            for after in ([], [8], [8, 13], [10]):
+                _assert_decoders_agree(codec.encode_tokens([5, 6] + [9] * n + after))
+    # `x60000 = x60000`
+    _assert_decoders_agree(codec.encode_formula(F.Eq(F.Var(60000), F.Var(60000))))
+    for bits in (1, 2, 8, 30, 64, 200, 2000):
+        for _ in range(20):
+            _assert_decoders_agree(rng.getrandbits(bits))
+    for g in (-1, 0, 1, 2**codec.MAX_DECODE_BITS):
+        _assert_decoders_agree(g)
+
+
+@st.composite
+def _run_codes(draw):
+    run = st.one_of(st.tuples(st.sampled_from([0, 1, 2, 8, 9, 13]), st.integers(1, 70)),
+                    st.tuples(st.just(1000), st.integers(1, 3)))
+    runs = draw(st.lists(run, min_size=1, max_size=6))
+    tokens = [tok for tok, count in runs for _ in range(count)]
+    if draw(st.booleans()):
+        # one exponent off by one, a gap where it drops to 0
+        at = draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = max(0, tokens[at] + draw(st.sampled_from([-1, 1])))
+    extra = draw(st.sampled_from([1, 1, 2, 2**61 - 1, codec.nth_prime(len(tokens))]))
+    return codec.encode_tokens(tokens) * extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_run_codes(), st.integers(-2, 2**300)))
+def test_block_decoder_matches_the_prime_by_prime_loop(g):
+    _assert_decoders_agree(g)
+
+
+def test_a_long_run_is_decoded_in_blocks(monkeypatch):
+    # prime by prime, `x0 = 2000` takes 2,003 steps, one per token; in
+    # blocks it takes a handful of single primes and one guess per block
+    f = F.Eq(F.Var(0), F.Num(2000))
+    g = codec.encode_formula(f)
+    calls = []
+
+    def counted(helper):
+        def call(*args):
+            calls.append(helper.__name__)
+            return helper(*args)
+        return call
+
+    monkeypatch.setattr(codec, "_strip_prime", counted(codec._strip_prime))
+    monkeypatch.setattr(codec, "_product", counted(codec._product))
+    assert codec.decode_formula(g) == f
+    assert 0 < calls.count("_strip_prime") <= 100
+    assert 0 < calls.count("_product") <= 100
+
+
 def test_proof_code_round_trip():
     steps = [F.Eq(F.ZERO, F.ZERO), F.Dem(F.Var(0)), F.Not(F.Dem(F.ZERO))]
     pc = codec.encode_proof(steps)
