@@ -202,9 +202,9 @@ def cmd_diagonalize(args) -> int:
 
 def cmd_prove_check(args) -> int:
     from . import formulas as F, kernel
+    from .syntax import read_text
 
-    with open(args.file) as fh:
-        proof, premises = kernel.parse_proof_file(fh.read())
+    proof, premises = kernel.parse_proof_file(read_text(args.file))
     verdict = kernel.check_proof(proof, premises)
     if args.json:
         _emit_json(
@@ -259,9 +259,9 @@ def _report_result(args, report: audit.AuditReport) -> int:
 
 def cmd_audit_run(args) -> int:
     from . import audit
+    from .syntax import read_text
 
-    with open(args.file) as fh:
-        script = audit.parse_script(fh.read())
+    script = audit.parse_script(read_text(args.file))
     return _report_result(args, audit.check_script(script))
 
 
@@ -295,10 +295,10 @@ def cmd_audit_compare(args) -> int:
 
 def cmd_audit_cores(args) -> int:
     from . import audit
+    from .syntax import read_text
 
     if args.file:
-        with open(args.file) as fh:
-            script = audit.parse_script(fh.read())
+        script = audit.parse_script(read_text(args.file))
     else:
         script = audit.canonical_antinomy_script()
     cores = audit.minimal_inconsistent_subsets(script)

@@ -387,11 +387,11 @@ class CodeRLE:
     def token_count(self) -> int:
         return sum(c for (_, c) in self.runs)
 
-    def to_int(self, max_tokens: int = MAX_TOKENS) -> int:
+    def to_int(self) -> int:
         n = self.token_count()
-        if n > max_tokens:
+        if n > MAX_TOKENS:
             raise ResourceBound(
-                "code has %d tokens; raise max_tokens to materialize" % n
+                "code has %d tokens, over the bound of %d to materialize" % (n, MAX_TOKENS)
             )
         return _runs_code(self.runs)
 

@@ -222,42 +222,10 @@ _TERM_START = {"0", "S", "sub", "diag"}
 
 
 class _Parser(Cursor):
-    # formula := iff
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.peek() == "<->":
-            self.next()
-            right = self.formula()
-            # (A -> B) & (B -> A)
-            return Not(Implies(Implies(left, right), Not(Implies(right, left))))
-        return left
+    neg, imp = Not, Implies
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.next()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek() == "|":
-            self.next()
-            left = Implies(Not(left), self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek() == "&":
-            self.next()
-            left = Not(Implies(left, Not(self.unary())))
-        return left
-
-    def unary(self) -> Formula:
+    def atom(self) -> Formula:
         tok = self.peek()
-        if tok == "~":
-            self.next()
-            return Not(self.unary())
         if tok in ("forall", "exists"):
             self.next()
             var_tok, pos = self.next()
@@ -269,21 +237,12 @@ class _Parser(Cursor):
             if tok == "forall":
                 return ForAll(index, body)
             return Not(ForAll(index, Not(body)))
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
         if tok == "Dem":
             self.next()
             self.expect("(")
             t = self.term()
             self.expect(")")
             return Dem(t)
-        if tok == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
         if tok in _TERM_START or tok.startswith("x") or tok.isdigit():
             left = self.term()
             self.expect("=")

