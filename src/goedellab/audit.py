@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import meta as M
 from .errors import ParseError, WorkbenchError
-from .syntax import is_natural, natural
+from .syntax import is_natural, natural, walk
 
 # --- assumptions -------------------------------------------------------
 
@@ -423,15 +423,12 @@ def _ground_theory(steps: list[CheckedStep]) -> list[M.MetaFormula]:
 
 def _ground_designators(theory: list[M.MetaFormula]) -> list[M.Designator]:
     seen: dict[str, M.Designator] = {}
-
-    def visit(d: M.Designator) -> M.Designator:
-        expanded = M.expand_desig(d)
-        if not M.desig_metavars(expanded):
-            seen.setdefault(M.print_desig(expanded), expanded)
-        return d
-
     for phi in theory:
-        M.map_atoms(phi, visit, None)
+        for d in walk(phi):
+            if isinstance(d, (M.App, M.InE)):
+                expanded = M.expand_desig(d)
+                if not M.desig_metavars(expanded):
+                    seen.setdefault(M.print_desig(expanded), expanded)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import formulas as F
 from .errors import NotUnary, NotWellFormed, ResourceBound
+from .syntax import walk
 
 # --- token table -------------------------------------------------------
 
@@ -73,54 +74,27 @@ def nth_prime(i: int) -> int:
 # --- tokenization ------------------------------------------------------
 
 
-def term_tokens(t: F.Term, out: list[int]) -> None:
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, F.Var):
-            out.append(VAR_BASE + t.index)
-        elif isinstance(t, F.Num):
-            if t.value > MAX_TOKENS:
-                raise ResourceBound(
-                    "numeral literal %d too large to tokenize" % t.value
-                )
-            out.extend([S] * t.value)
-            out.append(ZERO)
-        elif isinstance(t, F.Succ):
-            out.append(S)
-            stack.append(t.arg)
-        elif isinstance(t, F.Diag):
-            out.append(DIAG)
-            stack.append(t.arg)
-        else:
-            out.append(SUB)
-            stack.append(t.right)
-            stack.append(t.left)
+# the token of every node type but the leaves Var and Num
+_TOKEN = {F.Not: NOT, F.Implies: IMP, F.ForAll: ALL, F.Eq: EQ, F.Dem: DEM,
+          F.Sub: SUB, F.Diag: DIAG, F.Succ: S}
 
 
 def formula_tokens(f: F.Formula) -> list[int]:
+    """The Polish token string of f: one token per node in walk order, a
+    numeral spelled out as S...S0 and a quantifier followed by its variable."""
     out: list[int] = []
-    stack: list = [f]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, F.Not):
-            out.append(NOT)
-            stack.append(x.sub)
-        elif isinstance(x, F.Implies):
-            out.append(IMP)
-            stack.append(x.right)
-            stack.append(x.left)
-        elif isinstance(x, F.ForAll):
-            out.append(ALL)
-            out.append(VAR_BASE + x.var)
-            stack.append(x.body)
-        elif isinstance(x, F.Eq):
-            out.append(EQ)
-            term_tokens(x.left, out)
-            term_tokens(x.right, out)
+    for x in walk(f):
+        if isinstance(x, F.Var):
+            out.append(VAR_BASE + x.index)
+        elif isinstance(x, F.Num):
+            if x.value > MAX_TOKENS:
+                raise ResourceBound("numeral literal %d too large to tokenize" % x.value)
+            out += [S] * x.value
+            out.append(ZERO)
         else:
-            out.append(DEM)
-            term_tokens(x.arg, out)
+            out.append(_TOKEN[type(x)])
+            if isinstance(x, F.ForAll):
+                out.append(VAR_BASE + x.var)
     return out
 
 

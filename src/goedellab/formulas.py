@@ -9,51 +9,42 @@ syntax and are expanded while parsing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import NotClosed, ParseError
-from .syntax import Cursor, natural, tokenize
+from .syntax import Cursor, Node, natural, tokenize, walk
 
 # --- terms -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(Node):
+    __slots__ = _fields = ("index",)
+    _data = ("index",)
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Node):
     """The numeral S^value(0), the one representation of a closed numeral."""
 
-    value: int
+    __slots__ = _fields = ("value",)
+    _data = ("value",)
 
 
-@dataclass(frozen=True)
-class Succ:
+class Succ(Node):
     """S(t) of a term that is not a numeral: S of Num(n) is Num(n + 1)."""
 
-    arg: "Term"
+    __slots__ = _fields = ("arg",)
 
     def __new__(cls, arg):
         if isinstance(arg, Num):
             return Num(arg.value + 1)
         return super().__new__(cls)
 
-    def __getnewargs__(self):
-        # copy and pickle call __new__ with these
-        return (self.arg,)
+
+class Sub(Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Term"
-    right: "Term"
-
-
-@dataclass(frozen=True)
-class Diag:
-    arg: "Term"
+class Diag(Node):
+    __slots__ = _fields = ("arg",)
 
 
 Term = Var | Num | Succ | Sub | Diag
@@ -67,45 +58,32 @@ NUMERAL_CHAIN_LIMIT = 1000
 # --- formulas ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Not:
-    sub: "Formula"
+class Not(Node):
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class ForAll:
-    var: int
-    body: "Formula"
+class ForAll(Node):
+    __slots__ = _fields = ("var", "body")
+    _data = ("var",)
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
+class Eq(Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Dem:
-    arg: Term
+class Dem(Node):
+    __slots__ = _fields = ("arg",)
 
 
 Formula = Not | Implies | ForAll | Eq | Dem
 
 
 def term_free_vars(t: Term) -> set[int]:
-    if isinstance(t, Var):
-        return {t.index}
-    if isinstance(t, Num):
-        return set()
-    if isinstance(t, (Succ, Diag)):
-        return term_free_vars(t.arg)
-    return term_free_vars(t.left) | term_free_vars(t.right)
+    return {v.index for v in walk(t) if isinstance(v, Var)}
 
 
 def free_vars(f: Formula) -> set[int]:

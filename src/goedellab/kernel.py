@@ -202,15 +202,16 @@ def _parse_justification(text: str) -> Justification:
     text = text.strip()
     if text == "EVAL":
         return EvalFact()
-    if text.startswith("PREMISE"):
+    parts = text.split()
+    # a keyword is the whole first word: PREMISEH or MPX is no justification
+    keyword = parts[0] if parts else ""
+    if keyword == "PREMISE":
         return Premise(text[len("PREMISE"):].strip())
-    if text.startswith("MP"):
-        parts = text.split()
+    if keyword == "MP":
         if len(parts) != 3 or not (is_natural(parts[1]) and is_natural(parts[2])):
             raise ParseError("MP cites two steps")
         return ModusPonens(natural(parts[1]), natural(parts[2]))
-    if text.startswith("GEN"):
-        parts = text.split()
+    if keyword == "GEN":
         if not (
             len(parts) == 3
             and is_natural(parts[1])

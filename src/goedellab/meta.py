@@ -16,24 +16,23 @@ canonical.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_
 
 from .errors import ParseError, ResourceBound
-from .syntax import Cursor, natural, tokenize
+from .syntax import Cursor, Node, natural, tokenize, truth_columns, walk
 
 # --- index terms -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetaVar:
-    name: str
+class MetaVar(Node):
+    __slots__ = _fields = ("name",)
+    _data = ("name",)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int | str  # a natural, or the symbolic index "q"
+class Const(Node):
+    __slots__ = _fields = ("value",)  # a natural, or the symbolic index "q"
+    _data = ("value",)
 
 
 IndexTerm = MetaVar | Const
@@ -43,27 +42,23 @@ Q = Const("q")
 # --- designators -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class App:
-    func: IndexTerm
-    arg: IndexTerm
+class App(Node):
+    __slots__ = _fields = ("func", "arg")
 
 
-@dataclass(frozen=True)
-class InE:
-    arg: IndexTerm
+class InE(Node):
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
-class NegD:
-    sub: "Designator"
+class NegD(Node):
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
-class DVar:
+class DVar(Node):
     """Designator hole in a schema (written d*)."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+    _data = ("name",)
 
 
 Designator = App | InE | NegD | DVar
@@ -71,37 +66,29 @@ Designator = App | InE | NegD | DVar
 # --- meta formulas -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assert:
-    desig: Designator
+class Assert(Node):
+    __slots__ = _fields = ("desig",)
 
 
-@dataclass(frozen=True)
-class DemOf:
-    desig: Designator
+class DemOf(Node):
+    __slots__ = _fields = ("desig",)
 
 
-@dataclass(frozen=True)
-class MNot:
-    sub: "MetaFormula"
+class MNot(Node):
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
-class MImplies:
-    left: "MetaFormula"
-    right: "MetaFormula"
+class MImplies(Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class MIff:
-    left: "MetaFormula"
-    right: "MetaFormula"
+class MIff(Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class ForAllIndex:
-    var: str
-    body: "MetaFormula"
+class ForAllIndex(Node):
+    __slots__ = _fields = ("var", "body")
+    _data = ("var",)
 
 
 MetaFormula = Assert | DemOf | MNot | MImplies | MIff | ForAllIndex
@@ -145,13 +132,7 @@ def neg(phi: MetaFormula) -> MetaFormula:
 
 
 def desig_metavars(d: Designator) -> set[str]:
-    if isinstance(d, App):
-        return {t.name for t in (d.func, d.arg) if isinstance(t, MetaVar)}
-    if isinstance(d, InE):
-        return {d.arg.name} if isinstance(d.arg, MetaVar) else set()
-    if isinstance(d, NegD):
-        return desig_metavars(d.sub)
-    return set()
+    return {t.name for t in walk(d) if isinstance(t, MetaVar)}
 
 
 def free_metavars(phi: MetaFormula) -> set[str]:
@@ -165,19 +146,7 @@ def free_metavars(phi: MetaFormula) -> set[str]:
 
 
 def has_dvar(x) -> bool:
-    if isinstance(x, (Assert, DemOf)):
-        return has_dvar(x.desig)
-    if isinstance(x, MNot):
-        return has_dvar(x.sub)
-    if isinstance(x, (MImplies, MIff)):
-        return has_dvar(x.left) or has_dvar(x.right)
-    if isinstance(x, ForAllIndex):
-        return has_dvar(x.body)
-    if isinstance(x, NegD):
-        return has_dvar(x.sub)
-    if isinstance(x, DVar):
-        return True
-    return False
+    return any(isinstance(d, DVar) for d in walk(x))
 
 
 def is_ground(phi: MetaFormula) -> bool:
@@ -341,20 +310,6 @@ def parse_desig(text: str) -> Designator:
 MAX_ATOMS = 14
 
 
-@lru_cache(maxsize=32)
-def truth_columns(k: int) -> tuple[int, tuple[int, ...]]:
-    """The truth table of k variables as bit columns: (full, cols), where
-    full has one bit per row (2**k rows) and bit r of cols[i] is bit i of
-    r, the value of variable i in row r."""
-    full = (1 << (1 << k)) - 1
-    cols = []
-    for i in range(k):
-        half = 1 << i
-        # the pattern 0^half 1^half, repeated over all rows
-        cols.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
-    return full, tuple(cols)
-
-
 def _prepare(formulas: list[MetaFormula]) -> list[MetaFormula]:
     """Strip quantifier prefixes and canonicalize for atom identity.
 
@@ -372,21 +327,8 @@ def _prepare(formulas: list[MetaFormula]) -> list[MetaFormula]:
 def _truth_rows(formulas: list[MetaFormula]) -> tuple[int, list[int]]:
     """(full, one int per formula whose bit r says it holds in row r of
     the truth table over the formulas' atoms)."""
-    keys: set[str] = set()
-
-    def atoms(phi: MetaFormula) -> None:
-        if isinstance(phi, (Assert, DemOf)):
-            keys.add(print_meta(phi))
-        elif isinstance(phi, MNot):
-            atoms(phi.sub)
-        elif isinstance(phi, (MImplies, MIff)):
-            atoms(phi.left)
-            atoms(phi.right)
-        else:
-            atoms(phi.body)
-
-    for phi in formulas:
-        atoms(phi)
+    keys = {print_meta(a) for phi in formulas for a in walk(phi)
+            if isinstance(a, (Assert, DemOf))}
     if len(keys) > MAX_ATOMS:
         raise ResourceBound("%d modal atoms exceed the truth-table bound" % len(keys))
     full, cols = truth_columns(len(keys))

@@ -27,8 +27,7 @@ from functools import cache, reduce
 from operator import or_
 
 from .errors import ParseError, ResourceBound, WorkbenchError
-from .meta import truth_columns
-from .syntax import Cursor, read_text, tokenize
+from .syntax import Cursor, Node, read_text, tokenize, truth_columns, walk
 
 LOGICS = ("K", "K4", "GL")
 
@@ -43,25 +42,21 @@ MAX_MODEL_WORLDS = 10_000
 # --- syntax ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(Node):
+    __slots__ = _fields = ("name",)
+    _data = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    sub: "ModalFormula"
+class Neg(Node):
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "ModalFormula"
-    right: "ModalFormula"
+class Imp(Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Box:
-    sub: "ModalFormula"
+class Box(Node):
+    __slots__ = _fields = ("sub",)
 
 
 ModalFormula = Atom | Neg | Imp | Box
@@ -76,11 +71,7 @@ def And(a: ModalFormula, b: ModalFormula) -> ModalFormula:
 
 
 def atoms_of(f: ModalFormula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.name}
-    if isinstance(f, (Neg, Box)):
-        return atoms_of(f.sub)
-    return atoms_of(f.left) | atoms_of(f.right)
+    return {g.name for g in walk(f) if isinstance(g, Atom)}
 
 
 def modal_depth(f: ModalFormula) -> int:
@@ -523,13 +514,7 @@ def is_satisfiable(f: ModalFormula, logic: str = "GL") -> bool:
 
 
 def _box_subformulas(f: ModalFormula) -> set[ModalFormula]:
-    if isinstance(f, Atom):
-        return set()
-    if isinstance(f, Neg):
-        return _box_subformulas(f.sub)
-    if isinstance(f, Box):
-        return {f} | _box_subformulas(f.sub)
-    return _box_subformulas(f.left) | _box_subformulas(f.right)
+    return {g for g in walk(f) if isinstance(g, Box)}
 
 
 def is_valid(f: ModalFormula, logic: str = "GL") -> bool:

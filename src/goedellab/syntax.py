@@ -1,18 +1,133 @@
-"""Lexer, token cursor and connective rules shared by the three concrete
-syntaxes: object formulas (`formulas`), meta schemas (`meta`) and modal
-formulas (`modal`).  Each parser supplies its token pattern, its AST
-constructors and the rules of its own operands.
+"""AST node base, lexer, token cursor and connective rules shared by the
+three concrete syntaxes: object formulas (`formulas`), meta schemas
+(`meta`) and modal formulas (`modal`).  Each parser supplies its token
+pattern, its AST constructors and the rules of its own operands.
 `natural` converts every decimal literal of the text formats, proof
 files and audit scripts included; `is_natural` is its rule for what a
-decimal literal is.  `read_text` reads every input file."""
+decimal literal is.  `read_text` reads every input file, and
+`truth_columns` is the truth table that the modal and meta engines sweep."""
 
 from __future__ import annotations
 
 import re
 import sys
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import ParseError, WorkbenchError
+
+
+class Node:
+    """Base of the AST classes of the three syntaxes.  A subclass names its
+    fields once, `__slots__ = _fields = (...)`, and gets a constructor that
+    takes them in order; `_data` names the fields that hold plain values
+    (ints and strings), and every other field holds a node.  Nodes are
+    immutable by contract: the hash is computed once, on first use, and
+    cached.
+
+    Hash, equality and repr behave as a frozen dataclass's (the hash of a
+    node is the hash of the tuple of its field values), but each walks an
+    explicit stack, so no depth of nesting exceeds the recursion limit."""
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...]
+    _data: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # the constructor and `_values` (the tuple of field values) read and
+        # write each slot by name, as fast as hand-written ones; a loop over
+        # setattr would build a node three times as slowly
+        fields = cls._fields
+        namespace: dict = {}
+        exec("def __init__(self, %s):\n%s    self._hash = None\n"
+             "def _values(self):\n    return (%s,)\n"
+             % (", ".join(fields), "".join("    self.%s = %s\n" % (f, f) for f in fields),
+                ", ".join("self." + f for f in fields)), namespace)
+        cls.__init__, cls._values = namespace["__init__"], namespace["_values"]
+        # the node fields, last first: the order in which `walk` stacks them
+        cls._children = tuple(f for f in reversed(fields) if f not in cls._data)
+
+    def __hash__(self) -> int:
+        # post-order: a node is hashed once all its children are
+        stack = [self]
+        while self._hash is None:
+            node = stack[-1]
+            todo = [getattr(node, f) for f in node._children if getattr(node, f)._hash is None]
+            if todo:
+                stack += todo
+            else:
+                node._hash = hash(node._values())
+                stack.pop()
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        # pairs of nodes of one type still to compare, pushed side by side
+        stack = [self, other]
+        while stack:
+            b, a = stack.pop(), stack.pop()
+            if a._hash is not None and b._hash is not None and a._hash != b._hash:
+                return False
+            for f in a._data:
+                if getattr(a, f) != getattr(b, f):
+                    return False
+            for f in a._children:
+                x, y = getattr(a, f), getattr(b, f)
+                if x is not y:
+                    if type(x) is not type(y):
+                        return False
+                    stack += (x, y)
+        return True
+
+    def __repr__(self) -> str:
+        # the stack holds nodes still to print and text ready to emit
+        parts, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if not isinstance(x, Node):
+                parts.append(x)
+                continue
+            stack.append(")")
+            for i in reversed(range(len(x._fields))):
+                v = getattr(x, x._fields[i])
+                stack += (v if isinstance(v, Node) else repr(v), ", " * (i > 0) + x._fields[i] + "=")
+            stack.append(type(x).__qualname__ + "(")
+        return "".join(parts)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so copy and pickle never carry the
+        # cached hash: a str's hash differs between processes (PYTHONHASHSEED)
+        return type(self), self._values()
+
+
+def walk(node: Node):
+    """Yield node and every node below it in pre-order: each node before its
+    children, and the children left to right.  A node reached twice through
+    sharing is yielded twice."""
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        yield x
+        for f in x._children:
+            stack.append(getattr(x, f))
+
+
+@lru_cache(maxsize=32)
+def truth_columns(k: int) -> tuple[int, tuple[int, ...]]:
+    """The truth table of k variables as bit columns: (full, cols), where
+    full has one bit per row (2**k rows) and bit r of cols[i] is bit i of
+    r, the value of variable i in row r."""
+    full = (1 << (1 << k)) - 1
+    cols = []
+    for i in range(k):
+        half = 1 << i
+        # the pattern 0^half 1^half, repeated over all rows
+        cols.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+    return full, tuple(cols)
+
 
 END = "<end>"
 

@@ -1,6 +1,8 @@
 import random
 
 from goedellab import formulas as F
+from goedellab import meta as M
+from goedellab import modal as Md
 
 
 def random_term(
@@ -59,3 +61,48 @@ def random_formula(
             random_term(rng, depth - 1, max_var, allow_num),
         )
     return F.Dem(random_term(rng, depth - 1, max_var, allow_num))
+
+
+def random_modal(rng: random.Random, depth: int) -> Md.ModalFormula:
+    kind = rng.randrange(4 if depth > 0 else 1)
+    if kind == 0:
+        return Md.Atom(rng.choice("pq"))
+    if kind == 1:
+        return Md.Neg(random_modal(rng, depth - 1))
+    if kind == 2:
+        return Md.Box(random_modal(rng, depth - 1))
+    return Md.Imp(random_modal(rng, depth - 1), random_modal(rng, depth - 1))
+
+
+def random_iterm(rng: random.Random) -> M.IndexTerm:
+    return rng.choice([M.Q, M.Const(rng.randrange(2)), M.MetaVar(rng.choice("nm"))])
+
+
+def random_desig(rng: random.Random, depth: int) -> M.Designator:
+    kind = rng.randrange(4 if depth > 0 else 3)
+    if kind == 0:
+        return M.App(random_iterm(rng), random_iterm(rng))
+    if kind == 1:
+        return M.InE(random_iterm(rng))
+    if kind == 2:
+        return M.DVar(rng.choice(["d*", "e*"]))
+    return M.NegD(random_desig(rng, depth - 1))
+
+
+def random_meta(rng: random.Random, depth: int) -> M.MetaFormula:
+    """Random meta formula.  print_meta writes ~Assert(d) and Assert(~d)
+    alike, so a negated assertion is built as the latter, the form
+    `normalize` picks."""
+    kind = rng.randrange(6 if depth > 0 else 2)
+    if kind == 0:
+        return M.Assert(random_desig(rng, depth))
+    if kind == 1:
+        return M.DemOf(random_desig(rng, depth))
+    if kind == 2:
+        sub = random_meta(rng, depth - 1)
+        return M.Assert(M.NegD(sub.desig)) if isinstance(sub, M.Assert) else M.MNot(sub)
+    if kind == 3:
+        return M.MImplies(random_meta(rng, depth - 1), random_meta(rng, depth - 1))
+    if kind == 4:
+        return M.MIff(random_meta(rng, depth - 1), random_meta(rng, depth - 1))
+    return M.ForAllIndex(rng.choice("nm"), random_meta(rng, depth - 1))

@@ -263,6 +263,47 @@ def test_eval_of_a_deep_successor_chain_over_sub(tmp_path, capsys):
     assert "equation is false: %d != %d" % (value + 1500, value + 1499) in out
 
 
+def test_premise_over_a_deep_successor_chain(tmp_path, capsys):
+    # 2000 S over a variable stay a chain of Succ nodes, compared with the premise
+    chain = "S(" * 2000 + "x1" + ")" * 2000
+    path = tmp_path / "deep.proof"
+    path.write_text("premise H : x0 = %s\n1. x0 = %s ; PREMISE H\n" % (chain, chain))
+    code, out, _ = run(capsys, "prove", "check", str(path))
+    assert (code, out) == (0, "valid (1 steps)\n")
+
+
+_KEYWORD_PROOFS = {
+    "PREMISE": "premise H : x0 = 0\n1. x0 = 0 ; %s\n",
+    "MP": "premise H : x0 = 0\n1. x0 = 0 ; PREMISE H\n"
+          "2. (x0 = 0 -> (Dem(x0) -> x0 = 0)) ; P1[A := x0 = 0; B := Dem(x0)]\n"
+          "3. (Dem(x0) -> x0 = 0) ; %s\n",
+    "GEN": "premise H : x0 = 0\n1. x0 = 0 ; PREMISE H\n2. forall x0. x0 = 0 ; %s\n",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, justification, verdict",
+    [
+        ("PREMISE", "PREMISE H", "valid (1 steps)\n"),
+        ("PREMISE", "PREMISEH", None),
+        ("MP", "MP 2 1", "valid (3 steps)\n"),
+        ("MP", "MPX 2 1", None),
+        ("GEN", "GEN 1 x0", "valid (2 steps)\n"),
+        ("GEN", "GENERALIZE 1 x0", None),
+    ],
+)
+def test_a_justification_keyword_is_the_whole_first_word(tmp_path, capsys, kind, justification,
+                                                          verdict):
+    path = tmp_path / "keyword.proof"
+    path.write_text(_KEYWORD_PROOFS[kind] % justification)
+    code, out, err = run(capsys, "prove", "check", str(path))
+    if verdict is not None:
+        assert (code, out) == (0, verdict)
+    else:
+        assert (code, out) == (1, "")
+        assert err == "parse error: unrecognized justification %r\n" % justification
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -424,6 +465,12 @@ def test_model_valid(capsys):
     payload = json.loads(out)
     assert payload["valid"] is False
     assert payload["countermodel"]["worlds"] <= 2
+
+
+def test_model_valid_of_a_deep_box_chain(capsys):
+    # the tableau keeps each formula in a frozenset, so it hashes all 400 levels
+    code, out, _ = run(capsys, "model", "valid", "[]" * 400 + "p")
+    assert code == 0 and out.splitlines()[0] == "invalid in GL"
 
 
 def test_model_find_resource_bound(capsys):
@@ -617,10 +664,12 @@ def _fresh(argv, code=_PROBE):
         (["prove", "check", "{proof}"], 0, {"cli", "errors", "syntax", "formulas", "codec",
                                             "kernel"}),
         (["audit", "goedel"], 0, {"cli", "errors", "syntax", "meta", "audit"}),
-        (["model", "find", "p"], 0, {"cli", "errors", "syntax", "meta", "modal"}),
+        (["model", "find", "p"], 0, {"cli", "errors", "syntax", "modal"}),
+        (["model", "valid", "[]p -> [][]p"], 0, {"cli", "errors", "syntax", "modal"}),
         (["no-such-command"], 2, {"cli", "errors"}),
     ],
-    ids=["encode", "diagonalize", "prove-check", "audit-goedel", "model-find", "usage-error"],
+    ids=["encode", "diagonalize", "prove-check", "audit-goedel", "model-find", "model-valid",
+         "usage-error"],
 )
 def test_command_imports_only_its_subsystems(tmp_path, argv, exit_code, modules):
     proof = tmp_path / "identity.proof"

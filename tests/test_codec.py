@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -10,6 +9,7 @@ from conftest import random_formula
 from goedellab import codec
 from goedellab import formulas as F
 from goedellab.errors import NotUnary, NotWellFormed, ResourceBound
+from goedellab.syntax import walk
 
 # first primes, stated independently of the library's sieve
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -342,12 +342,7 @@ def test_decoded_numeral_prints_as_parsed():
 
 
 def _successors_over_numerals(node):
-    found, stack = 0, [node]
-    while stack:
-        x = stack.pop()
-        found += isinstance(x, F.Succ) and isinstance(x.arg, F.Num)
-        stack.extend(v for v in vars(x).values() if dataclasses.is_dataclass(v))
-    return found
+    return sum(isinstance(x, F.Succ) and isinstance(x.arg, F.Num) for x in walk(node))
 
 
 @st.composite

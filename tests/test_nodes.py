@@ -1,0 +1,125 @@
+"""The AST node base shared by the three syntaxes (`syntax.Node`): hash,
+equality and repr as a frozen dataclass's, without recursion, and copies
+and pickles that never carry a cached hash."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_formula, random_meta, random_modal
+from goedellab import formulas as F
+from goedellab import meta as M
+from goedellab import modal as Md
+from goedellab.syntax import Node, walk
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+DEPTH = 5000
+
+SYNTAXES = {
+    "formula": (random_formula, F.print_formula),
+    "meta": (random_meta, M.print_meta),
+    "modal": (random_modal, Md.print_modal),
+}
+
+
+def _shadow(x):
+    """x as nested tuples of its field values: a frozen dataclass hashes to
+    the hash of this tuple."""
+    return tuple(_shadow(v) if isinstance(v, Node) else v for v in x._values())
+
+
+def _object_chain(bottom: int) -> F.Formula:
+    t = F.Var(1)
+    for _ in range(DEPTH):
+        t = F.Succ(t)
+    f = F.Eq(t, F.Var(bottom))
+    for _ in range(DEPTH):
+        f = F.Not(f)
+    return f
+
+
+def _meta_chain(bottom: str) -> M.MetaFormula:
+    d = M.DVar(bottom + "*")
+    for _ in range(DEPTH):
+        d = M.NegD(d)
+    phi = M.Assert(d)
+    for _ in range(DEPTH):
+        phi = M.MNot(phi)
+    return phi
+
+
+def _modal_chain(bottom: str) -> Md.ModalFormula:
+    f = Md.Atom(bottom)
+    for _ in range(DEPTH):
+        f = Md.Neg(Md.Box(f))
+    return f
+
+
+def test_deep_chains_hash_compare_and_print():
+    for build, bottoms, head in [
+        (_object_chain, (0, 2), "Not(sub=Not(sub="),
+        (_meta_chain, ("d", "e"), "MNot(sub=MNot(sub="),
+        (_modal_chain, ("p", "q"), "Neg(sub=Box(sub=Neg("),
+    ]:
+        a, b, other = build(bottoms[0]), build(bottoms[0]), build(bottoms[1])
+        assert a == b and a != other
+        assert hash(a) == hash(b)
+        # and again with every hash cached
+        assert a == b and a != other and hash(a) != hash(other)
+        text = repr(a)
+        assert text.startswith(head) and text == repr(b) != repr(other)
+
+
+def test_repr_keeps_the_dataclass_format():
+    f = F.Not(F.Eq(F.Succ(F.Var(0)), F.Num(3)))
+    assert repr(f) == "Not(sub=Eq(left=Succ(arg=Var(index=0)), right=Num(value=3)))"
+    assert repr(M.ForAllIndex("n", M.Assert(M.App(M.Q, M.MetaVar("n"))))) == (
+        "ForAllIndex(var='n', body=Assert(desig=App(func=Const(value='q'), "
+        "arg=MetaVar(name='n'))))")
+
+
+def test_walk_is_pre_order_left_to_right():
+    f = F.parse_formula("forall x1. (Dem(sub(x0, x1)) -> ~x0 = S(x2))")
+    assert [type(x).__name__ for x in walk(f)] == [
+        "ForAll", "Implies", "Dem", "Sub", "Var", "Var", "Not", "Eq", "Var", "Succ", "Var"]
+    assert [x.index for x in walk(f) if isinstance(x, F.Var)] == [0, 1, 0, 2]
+    p = Md.Atom("p")
+    assert [x for x in walk(Md.Imp(p, p)) if isinstance(x, Md.Atom)] == [p, p]
+
+
+_ast = st.tuples(st.sampled_from(sorted(SYNTAXES)), st.integers(0, 3),
+                 st.randoms(use_true_random=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ast, st.integers(0, 3), st.randoms(use_true_random=False))
+def test_nodes_hash_compare_and_copy_as_values(drawn, depth2, rng2):
+    syntax, depth, rng = drawn
+    build, show = SYNTAXES[syntax]
+    x, y = build(rng, depth), build(rng2, depth2)
+    for node in walk(x):
+        assert hash(node) == hash(_shadow(node))
+    assert (x == y) == (show(x) == show(y))
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert twin == x and hash(twin) == hash(x) and show(twin) == show(x)
+
+
+def test_a_pickled_node_does_not_carry_its_hash():
+    atom = Md.Atom("p")
+    hash(atom)
+    data = pickle.dumps(atom).hex()
+    code = ("import pickle, sys\n"
+            "atom = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+            "print(hash(atom) == hash(('p',)), atom == __import__('goedellab.modal').modal.Atom('p'))\n")
+    # at least one of the two seeds differs from this process's
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        out = subprocess.run([sys.executable, "-c", code, data], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.stdout == "True True\n", out.stderr
