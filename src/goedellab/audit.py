@@ -359,13 +359,17 @@ class _Engine:
 # --- contradiction detection and classification ------------------------
 
 
-def _find_contradictions(steps: list[CheckedStep]) -> list[Finding]:
+def _facts(steps: list[CheckedStep]) -> list[tuple[CheckedStep, bool]]:
+    """The valid, hypothesis-free steps, each with whether its formula is
+    ground."""
+    return [(s, M.is_ground(s.formula)) for s in steps if s.ok and not s.hypotheses]
+
+
+def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]:
     findings: list[Finding] = []
     # printed canonical formula -> (step id, formula)
     ground_seen: dict[str, tuple[str, M.MetaFormula]] = {}
-    for s in steps:
-        if not s.ok or s.hypotheses:
-            continue
+    for s, ground in facts:
         m = _strip_prefix(s.formula)[1]
         if isinstance(m, M.MIff):
             left, right = m.left, m.right
@@ -393,7 +397,7 @@ def _find_contradictions(steps: list[CheckedStep]) -> list[Finding]:
                             False,
                         )
                     )
-        if M.is_ground(s.formula):
+        if ground:
             canon = M.normalize(M.expand_ine(s.formula))
             key = M.print_meta(canon)
             neg_key = M.print_meta(M.neg(M.expand_ine(s.formula)))
@@ -410,15 +414,6 @@ def _find_contradictions(steps: list[CheckedStep]) -> list[Finding]:
                 )
             ground_seen.setdefault(key, (s.id, canon))
     return findings
-
-
-def _ground_theory(steps: list[CheckedStep]) -> list[M.MetaFormula]:
-    """The formulas of the valid, hypothesis-free ground steps."""
-    return [
-        s.formula
-        for s in steps
-        if s.ok and not s.hypotheses and M.is_ground(s.formula)
-    ]
 
 
 def _ground_designators(theory: list[M.MetaFormula]) -> list[M.Designator]:
@@ -462,8 +457,10 @@ def check_script(
     script: DerivationScript, allowed: set[str] | None = None
 ) -> AuditReport:
     steps = _Engine(script, allowed).run()
-    findings = _find_contradictions(steps)
-    theory = _ground_theory(steps)
+    facts = _facts(steps)
+    findings = _find_contradictions(facts)
+    # the formulas of the valid, hypothesis-free ground steps
+    theory = [s.formula for s, ground in facts if ground]
     classification = {
         M.print_desig(d): classify(d, theory) for d in _ground_designators(theory)
     }
@@ -488,7 +485,7 @@ def minimal_inconsistent_subsets(script: DerivationScript) -> list[list[str]]:
             s = frozenset(combo)
             if any(m <= s for m in inconsistent):
                 continue  # a subset already derives the contradiction
-            findings = _find_contradictions(_Engine(script, s).run())
+            findings = _find_contradictions(_facts(_Engine(script, s).run()))
             if any(not f.requires_consistency or "CONS" in s for f in findings):
                 inconsistent.append(s)
     return sorted([sorted(s) for s in inconsistent])

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import NotClosed, ParseError
-from .syntax import Cursor, Node, natural, tokenize, walk
+from .errors import NotClosed
+from .syntax import Cursor, Node, walk
 
 # --- terms -------------------------------------------------------------
 
@@ -183,35 +183,41 @@ def print_formula(f: Formula) -> str:
 
 # --- parser ------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"<->|->|[~&|().,=]|x[0-9]+|[0-9]+|[A-Za-z_]+")
 _WORD_RE = re.compile(r"[A-Za-z_]+")
 
 _KEYWORDS = {"forall", "exists", "Dem", "sub", "diag", "S"}
 
-
-def _tokens(text: str):
-    for tok, pos in tokenize(_TOKEN_RE, text):
-        if tok not in _KEYWORDS and _WORD_RE.fullmatch(tok):
-            raise ParseError("unknown identifier %r" % tok, pos)
-        yield tok, pos
-
-
-_TERM_START = {"0", "S", "sub", "diag"}
+# the first character of a term's first token: a numeral, a variable, S, sub
+# or diag (no other token starts with s or d)
+_TERM_START = "0123456789xSsd"
 
 
 class _Parser(Cursor):
+    # a run of `S(` is one token: the successors of a printed numeral, which
+    # is an S chain up to 1000 deep
+    lexeme = r"(?:S\s*\(\s*)+|<->|->|[~&|().,=]|x[0-9]+|[0-9]+|[A-Za-z_]+"
     neg, imp = Not, Implies
+
+    def fault(self, tok: str) -> str | None:
+        if tok not in _KEYWORDS and _WORD_RE.fullmatch(tok):
+            return "unknown identifier %r" % tok
+        return None
+
+    def shown(self, tok: str) -> str:
+        # a run of `S(` is named by its first S
+        return "S" if tok[0] == "S" else tok
 
     def atom(self) -> Formula:
         tok = self.peek()
         if tok in ("forall", "exists"):
             self.next()
-            var_tok, pos = self.next()
+            at = self.i
+            var_tok = self.next()
             if not var_tok.startswith("x") or not var_tok[1:].isdigit():
-                raise ParseError("expected a variable after %r" % tok, pos)
+                self.fail("expected a variable after %r" % tok, at)
             self.expect(".")
             body = self.formula()
-            index = natural(var_tok[1:], pos)
+            index = self.number(var_tok[1:], at)
             if tok == "forall":
                 return ForAll(index, body)
             return Not(ForAll(index, Not(body)))
@@ -221,31 +227,33 @@ class _Parser(Cursor):
             t = self.term()
             self.expect(")")
             return Dem(t)
-        if tok in _TERM_START or tok.startswith("x") or tok.isdigit():
+        if tok[0] in _TERM_START:
             left = self.term()
             self.expect("=")
             return Eq(left, self.term())
         self.fail("expected a formula, found %r" % tok)
 
     def term(self) -> Term:
-        tok, pos = self.next()
-        if tok.isdigit():
-            return Num(natural(tok, pos))
-        if tok.startswith("x") and tok[1:].isdigit():
-            return Var(natural(tok[1:], pos))
-        if tok == "S":
-            # iterative: a printed numeral is an S chain up to 1000 deep
-            depth = 1
-            self.expect("(")
-            while self.peek() == "S":
-                self.next()
-                self.expect("(")
-                depth += 1
+        tok = self.next()
+        if tok[0] == "S":
+            if tok == "S":
+                self.expect("(")  # fails: an S before `(` is part of a run
+            depth = tok.count("S")
             t = self.term()
+            close = self.i + depth
+            if self.tokens[self.i:close] != [")"] * depth:
+                for _ in range(depth):
+                    self.expect(")")  # fails at the first token that is not `)`
+            self.i = close
+            if isinstance(t, Num):
+                return Num(t.value + depth)
             for _ in range(depth):
-                self.expect(")")
                 t = Succ(t)
             return t
+        if tok.isdigit():
+            return Num(self.number(tok, self.i - 1))
+        if tok.startswith("x") and tok[1:].isdigit():
+            return Var(self.number(tok[1:], self.i - 1))
         if tok == "diag":
             self.expect("(")
             t = self.term()
@@ -258,14 +266,14 @@ class _Parser(Cursor):
             b = self.term()
             self.expect(")")
             return Sub(a, b)
-        raise ParseError("expected a term, found %r" % tok, pos)
+        self.fail("expected a term, found %r" % tok, self.i - 1)
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(_tokens(text))
+    p = _Parser(text)
     return p.parse(p.formula)
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(_tokens(text))
+    p = _Parser(text)
     return p.parse(p.term)

@@ -19,8 +19,8 @@ import re
 from functools import reduce
 from operator import and_
 
-from .errors import ParseError, ResourceBound
-from .syntax import Cursor, Node, natural, tokenize, truth_columns, walk
+from .errors import ResourceBound
+from .syntax import Cursor, Node, truth_columns, walk
 
 # --- index terms -------------------------------------------------------
 
@@ -240,20 +240,18 @@ def print_meta(phi: MetaFormula) -> str:
 
 # --- parsing -----------------------------------------------------------
 
-_META_TOKEN_RE = re.compile(r"<->|->|[~().,\[\]]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*\*?")
-
-
 class _MetaParser(Cursor):
     # the meta lexer has no `&` or `|` token
+    lexeme = r"<->|->|[~().,\[\]]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*\*?"
     neg, imp, iff = MNot, MImplies, MIff
 
     def atom(self) -> MetaFormula:
         tok = self.peek()
         if tok == "all":
             self.next()
-            name, pos = self.next()
+            name = self.next()
             if not re.fullmatch(r"[a-z][A-Za-z0-9_]*", name):
-                raise ParseError("expected an index variable, got %r" % name, pos)
+                self.fail("expected an index variable, got %r" % name, self.i - 1)
             self.expect(".")
             return ForAllIndex(name, self.formula())
         if tok == "Dem":
@@ -265,7 +263,7 @@ class _MetaParser(Cursor):
         return Assert(self.desig())
 
     def desig(self) -> Designator:
-        tok, pos = self.next()
+        tok = self.next()
         if tok == "~":
             return NegD(self.desig())
         if tok == "App":
@@ -282,26 +280,26 @@ class _MetaParser(Cursor):
             return InE(j)
         if tok.endswith("*"):
             return DVar(tok)
-        raise ParseError("expected a designator, found %r" % tok, pos)
+        self.fail("expected a designator, found %r" % tok, self.i - 1)
 
     def iterm(self) -> IndexTerm:
-        tok, pos = self.next()
+        tok = self.next()
         if tok == "q":
             return Q
         if tok.isdigit():
-            return Const(natural(tok, pos))
+            return Const(self.number(tok, self.i - 1))
         if re.fullmatch(r"[a-z][A-Za-z0-9_]*", tok):
             return MetaVar(tok)
-        raise ParseError("expected an index term, found %r" % tok, pos)
+        self.fail("expected an index term, found %r" % tok, self.i - 1)
 
 
 def parse_meta(text: str) -> MetaFormula:
-    p = _MetaParser(tokenize(_META_TOKEN_RE, text))
+    p = _MetaParser(text)
     return p.parse(p.formula)
 
 
 def parse_desig(text: str) -> Designator:
-    p = _MetaParser(tokenize(_META_TOKEN_RE, text))
+    p = _MetaParser(text)
     return p.parse(p.desig)
 
 

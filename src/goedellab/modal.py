@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from operator import or_
 
-from .errors import ParseError, ResourceBound, WorkbenchError
-from .syntax import Cursor, Node, read_text, tokenize, truth_columns, walk
+from .errors import ResourceBound, WorkbenchError
+from .syntax import Cursor, Node, read_text, truth_columns, walk
 
 LOGICS = ("K", "K4", "GL")
 
@@ -94,22 +94,20 @@ def print_modal(f: ModalFormula) -> str:
     return "(%s -> %s)" % (print_modal(f.left), print_modal(f.right))
 
 
-_MODAL_TOKEN_RE = re.compile(r"\[\]|<>|<->|->|[~&|()]|[a-z][a-z0-9_]*")
-
-
 class _Parser(Cursor):
+    lexeme = r"\[\]|<>|<->|->|[~&|()]|[a-z][a-z0-9_]*"
     neg, imp = Neg, Imp
     prefixes = {"[]": Box, "<>": Dia}
 
     def atom(self) -> ModalFormula:
-        tok, pos = self.next()
+        tok = self.next()
         if re.fullmatch(r"[a-z][a-z0-9_]*", tok):
             return Atom(tok)
-        raise ParseError("expected a formula, found %r" % tok, pos)
+        self.fail("expected a formula, found %r" % tok, self.i - 1)
 
 
 def parse_modal(text: str) -> ModalFormula:
-    p = _Parser(tokenize(_MODAL_TOKEN_RE, text))
+    p = _Parser(text)
     return p.parse(p.formula)
 
 

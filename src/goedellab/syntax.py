@@ -1,4 +1,4 @@
-"""AST node base, lexer, token cursor and connective rules shared by the
+"""AST node base, scanner, token cursor and connective rules shared by the
 three concrete syntaxes: object formulas (`formulas`), meta schemas
 (`meta`) and modal formulas (`modal`).  Each parser supplies its token
 pattern, its AST constructors and the rules of its own operands.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import lru_cache
-from typing import Iterable
+from itertools import islice
 
 from .errors import ParseError, WorkbenchError
 
@@ -23,7 +23,7 @@ class Node:
     takes them in order; `_data` names the fields that hold plain values
     (ints and strings), and every other field holds a node.  Nodes are
     immutable by contract: the hash is computed once, on first use, and
-    cached.
+    cached, and `copy.copy` and `copy.deepcopy` return the node itself.
 
     Hash, equality and repr behave as a frozen dataclass's (the hash of a
     node is the hash of the tuple of its field values), but each walks an
@@ -97,8 +97,15 @@ class Node:
             stack.append(type(x).__qualname__ + "(")
         return "".join(parts)
 
+    def __copy__(self):
+        # immutable: a copy of a node, however deep, is the node itself
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        # rebuilt through the constructor, so copy and pickle never carry the
+        # rebuilt through the constructor, so a pickle never carries the
         # cached hash: a str's hash differs between processes (PYTHONHASHSEED)
         return type(self), self._values()
 
@@ -131,22 +138,6 @@ def truth_columns(k: int) -> tuple[int, tuple[int, ...]]:
 
 END = "<end>"
 
-_SPACE = re.compile(r"\s*")
-
-
-def tokenize(pattern: re.Pattern, text: str):
-    """Yield (token, start position) for each token of text, then
-    (END, len(text)).  `pattern` matches one token; whitespace between
-    tokens is skipped."""
-    pos = _SPACE.match(text).end()
-    while pos < len(text):
-        m = pattern.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        yield m.group(), pos
-        pos = _SPACE.match(text, m.end()).end()
-    yield END, len(text)
-
 
 def is_natural(text: str) -> bool:
     """Whether text is a decimal numeral: ASCII digits only.  int() and
@@ -154,15 +145,15 @@ def is_natural(text: str) -> bool:
     return text.isascii() and text.isdecimal()
 
 
-def natural(digits: str, pos: int | None = None) -> int:
+def natural(digits: str) -> int:
     """The value of a decimal numeral.  Anything but ASCII digits, or more
     of them than int() converts (`sys.get_int_max_str_digits()`), is a
     parse error, not a ValueError."""
     if not is_natural(digits):
-        raise ParseError("not a decimal numeral: %r" % digits, pos)
+        raise ParseError("not a decimal numeral: %r" % digits)
     limit = sys.get_int_max_str_digits()
     if limit and len(digits) > limit:
-        raise ParseError("numeral of %d digits exceeds the limit of %d" % (len(digits), limit), pos)
+        raise ParseError("numeral of %d digits exceeds the limit of %d" % (len(digits), limit))
     return int(digits)
 
 
@@ -183,42 +174,87 @@ _BINARY = {"<->": (0, 0), "->": (1, 1), "|": (2, 3), "&": (3, 4)}
 
 
 class Cursor:
-    """Recursive-descent position over a token list, with the connective
-    rules of all three syntaxes.  Precedence, loosest first: `<->`, `->`,
-    `|`, `&`, then `~`, the syntax's other prefix operators and
-    parentheses; `<->` and `->` group to the right, `|` and `&` to the
+    """Recursive-descent position over the tokens of a text, with the
+    connective rules of all three syntaxes.  Precedence, loosest first:
+    `<->`, `->`, `|`, `&`, then `~`, the syntax's other prefix operators
+    and parentheses; `<->` and `->` group to the right, `|` and `&` to the
     left.  `formula` reads all four binary connectives by precedence
     climbing, so a parenthesis or quantifier costs two or three calls of
     nesting, not one per precedence level.
 
-    A subclass sets `neg` and `imp` to its AST's negation and implication,
-    may set `iff` to a biconditional node of its own and `prefixes` to its
-    other prefix operators, and defines `atom`, the rule for everything
-    else."""
+    A subclass sets `lexeme` to the regular expression of one token of
+    its syntax (with no group of its own), `neg` and `imp` to its AST's
+    negation and implication, may set `iff` to a biconditional node of
+    its own and `prefixes` to its other prefix operators, and defines
+    `atom`, the rule for everything else.
 
+    The text is scanned once, by one `findall`; whitespace between tokens
+    is skipped.  A lexical fault (a character no token starts with, or a
+    token `fault` rejects) is reported before any parse error, the first
+    one in the text.  A token's position is found only when an error
+    names it."""
+
+    lexeme: str
     neg = imp = None
     # token -> constructor; read here, so a chain of them nests one call deep each
     prefixes: dict = {}
 
-    def __init__(self, tokens: Iterable[tuple[str, int]]):
-        self.tokens = list(tokens)
+    def __init_subclass__(cls):
+        # a token, or any other visible character: a lexical fault, which
+        # findall returns as "" and finditer as a match without group 1
+        cls.scanner = re.compile(r"(%s)|\S" % cls.lexeme)
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = self.scanner.findall(text)
+        # faults are rare and most tokens repeat: check each distinct one once
+        for tok in set(self.tokens):
+            if not tok or self.fault(tok) is not None:
+                for m in self.scanner.finditer(text):
+                    tok = m.group(1)
+                    message = ("unexpected character %r" % m.group() if tok is None
+                               else self.fault(tok))
+                    if message is not None:
+                        raise ParseError(message, m.start())
+        self.tokens.append(END)
         self.i = 0
 
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
+    def fault(self, tok: str) -> str | None:
+        """The message for a token that the syntax's pattern matches but
+        rejects, such as an unknown word, else None."""
+        return None
 
-    def next(self) -> tuple[str, int]:
+    def shown(self, tok: str) -> str:
+        """A token as an error message names it."""
+        return tok
+
+    def peek(self) -> str:
+        return self.tokens[self.i]
+
+    def next(self) -> str:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
     def expect(self, want: str) -> None:
-        tok, pos = self.next()
+        tok = self.tokens[self.i]
         if tok != want:
-            raise ParseError("expected %r, found %r" % (want, tok), pos)
+            self.fail("expected %r, found %r" % (want, self.shown(tok)))
+        self.i += 1
 
-    def fail(self, message: str):
-        raise ParseError(message, self.tokens[self.i][1])
+    def fail(self, message: str, i: int | None = None):
+        """Raise a ParseError at token i, by default the next one.  Its
+        position comes from a second scan of the text, up to that token."""
+        m = next(islice(self.scanner.finditer(self.text), self.i if i is None else i, None), None)
+        raise ParseError(message, len(self.text) if m is None else m.start())
+
+    def number(self, digits: str, i: int) -> int:
+        """natural(digits), a fault in it reported at token i."""
+        try:
+            return natural(digits)
+        except ParseError as e:
+            message = e.args[0]
+        self.fail(message, i)
 
     def iff(self, a, b):
         # (a -> b) & (b -> a)
@@ -263,7 +299,6 @@ class Cursor:
     def parse(self, rule):
         """Apply a grammar rule that must consume the whole input."""
         result = rule()
-        tok, pos = self.tokens[self.i]
-        if tok != END:
-            raise ParseError("trailing input %r" % tok, pos)
+        if self.tokens[self.i] != END:
+            self.fail("trailing input %r" % self.shown(self.tokens[self.i]))
         return result

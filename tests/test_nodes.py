@@ -1,6 +1,6 @@
 """The AST node base shared by the three syntaxes (`syntax.Node`): hash,
-equality and repr as a frozen dataclass's, without recursion, and copies
-and pickles that never carry a cached hash."""
+equality and repr as a frozen dataclass's, without recursion, copies that
+are the node itself, and pickles that never carry a cached hash."""
 
 import copy
 import os
@@ -74,6 +74,15 @@ def test_deep_chains_hash_compare_and_print():
         assert a == b and a != other and hash(a) != hash(other)
         text = repr(a)
         assert text.startswith(head) and text == repr(b) != repr(other)
+
+
+def test_deep_chains_copy_as_themselves():
+    for chain in (_object_chain(0), _meta_chain("d"), _modal_chain("p")):
+        assert copy.copy(chain) is chain
+        assert copy.deepcopy(chain) is chain
+        # inside a container too, where deepcopy goes through the memo
+        pair = copy.deepcopy([chain, chain])
+        assert pair[0] is chain and pair[1] is chain
 
 
 def test_repr_keeps_the_dataclass_format():

@@ -1,10 +1,18 @@
-"""The connective rules shared by the formula, modal and meta parsers: one
-precedence and associativity table run through all three."""
+"""The scanner and connective rules shared by the formula, modal and meta
+parsers: one precedence and associativity table run through all three,
+and the one-`findall` scanner against the per-position one it replaced."""
+
+import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_formula, random_meta, random_modal, random_term
 from goedellab import formulas as F, meta as M, modal as Mo
 from goedellab.errors import ParseError
+from goedellab.syntax import END
 
 
 def _connectives(neg, imp, iff=None):
@@ -114,3 +122,130 @@ def test_nesting_depth_per_level():
     assert F.print_formula(F.parse_formula("forall x0. " * 250 + "0 = 0")).count("forall") == 250
     assert M.print_meta(M.parse_meta("all n. " * 250 + "d*")).count("all") == 250
     assert Mo.modal_depth(Mo.parse_modal("[]" * 600 + "p")) == 600
+
+
+# --- the scanner -------------------------------------------------------
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    # the first lexical fault in text order, whichever kind comes first
+    (F.parse_formula, "y = \u0661", "unknown identifier 'y' (at position 0)"),
+    (F.parse_formula, "\u0661 = y", "unexpected character '\u0661' (at position 0)"),
+    # a bare S after a run of `S(`, and a run named by its first S
+    (F.parse_formula, "S(S S(0)) = 0", "expected '(', found 'S' (at position 4)"),
+    (F.parse_term, "S(0) S(1)", "trailing input 'S' (at position 5)"),
+    # the closing parentheses of a run
+    (F.parse_formula, "S(S(0) = 0", "expected ')', found '=' (at position 7)"),
+    (F.parse_formula, "S(S(S(0)) = S", "expected ')', found '=' (at position 10)"),
+    # a fault after a valid prefix; a lexical fault comes before a parse error
+    (M.parse_meta, "all n. InE(n) -> Dem[App(n, $)]", "unexpected character '$' (at position 28)"),
+    (Mo.parse_modal, "[]p -> <>q & r!", "unexpected character '!' (at position 14)"),
+    (Mo.parse_modal, "p q !", "unexpected character '!' (at position 4)"),
+    # a numeral too long for int() is reported at its own token
+    (M.parse_desig, "App(q, " + "9" * 5000 + ")",
+     "numeral of 5000 digits exceeds the limit of 4300 (at position 7)"),
+])
+def test_scanner_error_contract(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+_SPACE = re.compile(r"\s*")
+_WORD = re.compile(r"[A-Za-z_]+")
+
+# syntax -> (its cursor, the per-token pattern of the referee, its keywords,
+# or None where a word needs none)
+SCANNERS = {
+    "formulas": (F._Parser, re.compile(r"<->|->|[~&|().,=]|x[0-9]+|[0-9]+|[A-Za-z_]+"),
+                 {"forall", "exists", "Dem", "sub", "diag", "S"}),
+    "meta": (M._MetaParser, re.compile(r"<->|->|[~().,\[\]]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*\*?"), None),
+    "modal": (Mo._Parser, re.compile(r"\[\]|<>|<->|->|[~&|()]|[a-z][a-z0-9_]*"), None),
+}
+
+
+def _referee_tokens(pattern, keywords, text):
+    """The scanner the parsers had before: one pattern match per token at
+    each position after the whitespace, the first fault raised as soon as
+    it is met.  (token, position) pairs, then (END, len(text))."""
+    out = []
+    pos = _SPACE.match(text).end()
+    while pos < len(text):
+        m = pattern.match(text, pos)
+        if m is None:
+            raise ParseError("unexpected character %r" % text[pos], pos)
+        tok = m.group()
+        if keywords is not None and tok not in keywords and _WORD.fullmatch(tok):
+            raise ParseError("unknown identifier %r" % tok, pos)
+        out.append((tok, pos))
+        pos = _SPACE.match(text, m.end()).end()
+    out.append((END, len(text)))
+    return out
+
+
+def _scanned(cursor_class, text):
+    """The tokens of the scanner at their positions, with each run of `S(`
+    spelled out as its S and ( tokens.  An error at the first, middle or
+    last token reports that token's position."""
+    cursor = cursor_class(text)
+    starts = [m.start() for m in cursor.scanner.finditer(text)] + [len(text)]
+    assert len(starts) == len(cursor.tokens)
+    for i in {0, len(starts) // 2, len(starts) - 1}:
+        with pytest.raises(ParseError) as exc:
+            cursor.fail("", i)
+        assert exc.value.position == starts[i]
+    out = []
+    for tok, pos in zip(cursor.tokens, starts):
+        if tok[0] == "S" and "(" in tok:
+            out += [(c, pos + k) for k, c in enumerate(tok) if not c.isspace()]
+        else:
+            out.append((tok, pos))
+    return out
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except ParseError as e:
+        return str(e)
+
+
+_PRINTED = {
+    "formulas": lambda rng: rng.choice((
+        F.print_formula(random_formula(rng, rng.randrange(4))),
+        F.print_term(random_term(rng, rng.randrange(4))) + " = " + "S(" * rng.randrange(40)
+        + rng.choice(("0", "x1", "S")) + ")" * rng.randrange(40))),
+    "meta": lambda rng: M.print_meta(random_meta(rng, rng.randrange(4))),
+    "modal": lambda rng: Mo.print_modal(random_modal(rng, rng.randrange(4))),
+}
+
+_PIECES = ["S(", "S (", "S", "(", ")", " ", "\n", "\t", "0", "12", "x1", "x", "y", "Sx", "\u0661", "\u00e9",
+           "&", "|", "~", "->", "<->", "<", "-", "=", ",", ".", "[", "]", "[]", "<>", "*", "_", "$",
+           "forall", "Dem", "sub", "all", "App", "InE", "q", "d*", "p"]
+
+
+def _mutated(rng, text):
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randrange(3))
+        text = text[:i] + rng.choice(_PIECES) * (rng.random() < 0.8) + text[j:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SCANNERS)), st.randoms(use_true_random=False),
+       st.lists(st.sampled_from(_PIECES), max_size=10))
+def test_scanner_agrees_with_the_per_position_referee(syntax, rng, pieces):
+    cursor_class, pattern, keywords = SCANNERS[syntax]
+    for text in (_mutated(rng, _PRINTED[syntax](rng)), "".join(pieces)):
+        assert _outcome(_scanned, cursor_class, text) == _outcome(
+            _referee_tokens, pattern, keywords, text), text
+
+
+def test_scanner_agrees_with_the_referee_on_deep_numerals():
+    rng = random.Random(12)
+    for depth in (1, 2, 999, 1000):
+        for inner, close in (("0", depth), ("x1", depth), ("0", depth - 1), ("0 = S", depth + 1)):
+            text = "x0 = " + "S" + " (" * rng.randrange(2) + "(S(" * (depth - 1) + inner + ")" * close
+            assert _outcome(_scanned, F._Parser, text) == _outcome(
+                _referee_tokens, *SCANNERS["formulas"][1:], text)
