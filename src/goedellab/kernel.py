@@ -236,12 +236,16 @@ def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("premise"):
-            rest = line[len("premise"):].strip()
-            if ":" not in rest:
+        # as in a justification, the keyword is the whole first word
+        keyword, *rest = line.split(None, 1)
+        if keyword == "premise":
+            label, colon, formula_text = "".join(rest).partition(":")
+            label = label.strip()
+            if not (colon and label):
                 raise ParseError("premise line needs 'LABEL : formula'")
-            label, formula_text = (s.strip() for s in rest.split(":", 1))
-            premises[label] = F.parse_formula(formula_text)
+            if label in premises:
+                raise ParseError("duplicate premise label %r" % label)
+            premises[label] = F.parse_formula(formula_text.strip())
             continue
         if "." not in line:
             raise ParseError("step line needs 'k. formula ; justification'")

@@ -5,11 +5,11 @@ Three independent engines are provided on purpose:
 * a direct Kripke-model checker (`KripkeModel.forces`) — the small
   trusted base;
 * an exhaustive finite-model search (`find_model`) that sweeps one frame
-  per isomorphism class (a generated table) to find the least size with
-  a model, then the labeled frames of that size, which are enumerated
-  constructively (GL frames are exactly the finite strict partial
-  orders); its valuation sweep runs over all valuations at once, one bit
-  per valuation in a Python int;
+  per isomorphism class, sizes ascending, from a generated table whose
+  entries are the first frames a labeled search from one world meets
+  (GL frames are exactly the finite strict partial orders); its
+  valuation sweep runs over all valuations at once, one bit per
+  valuation in a Python int;
 * a tableau satisfiability procedure (`is_satisfiable` / `is_valid`)
   that decides the logics outright.
 
@@ -217,73 +217,20 @@ def make_model(
     )
 
 
-# --- frame enumeration -------------------------------------------------
+# --- frame classes -----------------------------------------------------
 #
 # Frames are kept as succ-bitmask tuples: succ[w] has bit v set iff wRv.
-
-
-def _gl_frames(max_n: int, start: int = 1):
-    """All strict partial orders on {0..n-1} for n from start to max_n,
-    sizes ascending, each exactly once.  Element k joins an existing
-    order with a predecessor set P (closed under earlier predecessors) and
-    a successor set S (closed under earlier successors) such that P x S
-    already lies in the order; then P, S are exactly k's neighborhoods and
-    the extension is again transitive, which makes the construction
-    canonical."""
-
-    def exact(target: int, n: int, succ: list[int]):
-        if n == target:
-            yield n, tuple(succ)
-            return
-        # P is down-closed iff no world outside P has a successor in P
-        down_closed = [
-            p
-            for p in range(1 << n)
-            if not any(succ[x] & p for x in range(n) if not p >> x & 1)
-        ]
-        up_closed = [
-            s
-            for s in range(1 << n)
-            if all(succ[x] & ~s == 0 for x in range(n) if s >> x & 1)
-        ]
-        for p in down_closed:
-            for s in up_closed:
-                if p & s:
-                    continue
-                if any(s & ~succ[x] for x in range(n) if p >> x & 1):
-                    continue
-                new_succ = [succ[x] | (p >> x & 1) << n for x in range(n)] + [s]
-                yield from exact(target, n + 1, new_succ)
-
-    for target in range(start, max_n + 1):
-        yield from exact(target, 0, [])
-
-
-def _k_frames(max_n: int, transitive: bool, start: int = 1):
-    for n in range(start, max_n + 1):
-        mask = (1 << n) - 1
-        for bits in range(1 << (n * n)):
-            # bit a*n + b of `bits` is the pair (a, b)
-            succ = tuple(bits >> (a * n) & mask for a in range(n))
-            if transitive and any(
-                succ[b] & ~s for s in succ for b in range(n) if s >> b & 1
-            ):
-                continue
-            yield n, succ
-
-
-def _frames(logic: str, start: int, max_n: int):
-    """The labeled frames of the logic on start..max_n worlds."""
-    if logic == "GL":
-        return _gl_frames(max_n, start)
-    return _k_frames(max_n, logic == "K4", start)
 
 
 @cache
 def _class_frames(logic: str, n: int) -> tuple[tuple[int, ...], ...]:
     """One frame of n worlds per isomorphism class, for n from 1 to the
-    logic's cap.  The table is decoded one size at a time on first use,
-    so importing this module does not load it."""
+    logic's cap: the first frame of each class that a labeled search from
+    one world meets, in the order it meets them.  The table is decoded one
+    size at a time on first use, so importing this module does not load
+    it, and a one-world search never does."""
+    if n == 1:
+        return ((0,),) if logic == "GL" else ((0,), (1,))
     from ._frame_classes import FRAMES
 
     text, width, mask = FRAMES[logic][n - 1], -(-n * n // 4), (1 << n) - 1
@@ -373,12 +320,12 @@ def find_model(
     the formula is propositionally unsatisfiable, no model at all).
 
     Whether some world of a frame forces f under some valuation does not
-    depend on how the worlds are labeled.  So at each size, ascending,
-    one frame per isomorphism class is swept first, and the labeled
-    frames are searched in order only at the first size where a class
-    has a model.  Every smaller labeled frame is in a class that missed,
-    so the witness is the first one a labeled search from one world
-    would find."""
+    depend on how the worlds are labeled.  So the search sweeps one frame
+    per isomorphism class, sizes ascending: the first frame of the class
+    that a labeled search from one world meets, in the order it meets
+    them.  The first labeled frame with a model is its class's entry, and
+    every class listed before it has no model, so the witness is the one
+    that labeled search would find."""
     if logic not in LOGICS:
         raise WorkbenchError("unknown logic %r" % logic)
     if max_worlds is not None and max_worlds < 1:
@@ -397,12 +344,7 @@ def find_model(
                 "%d atoms on %d worlds exceed the valuation sweep bound"
                 % (len(atom_names), n)
             )
-        # a one-world frame is its own class, so one world needs no table
-        if n > 1 and not any(
-            reduce(or_, _sweep(f, succ, atom_order)) for succ in _class_frames(logic, n)
-        ):
-            continue
-        for _, succ in _frames(logic, n, n):
+        for succ in _class_frames(logic, n):
             forced = _sweep(f, succ, atom_order)
             hit = reduce(or_, forced)
             if hit:
@@ -422,8 +364,6 @@ def find_model(
                         "search produced a bad witness (frame/forcing re-check failed)"
                     )
                 return ModelWitness(model, world)
-        if n > 1:
-            raise AssertionError("a %d-world frame class has a model, but no labeled frame" % n)
     return None
 
 

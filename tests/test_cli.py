@@ -305,6 +305,27 @@ def test_a_justification_keyword_is_the_whole_first_word(tmp_path, capsys, kind,
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        # not premise lines, so read as step lines
+        ("premiseH : 0 = 0\n1. 0 = 0 ; PREMISE H\n",
+         "step line needs 'k. formula ; justification'"),
+        ("premises H : 0 = 0\n1. 0 = 0 ; PREMISE s H\n",
+         "step line needs 'k. formula ; justification'"),
+        ("premise  : 0 = 0\n1. 0 = 0 ; EVAL\n", "premise line needs 'LABEL : formula'"),
+        ("premise H : 0 = 0\npremise H : 1 = 1\n1. 1 = 1 ; PREMISE H\n",
+         "duplicate premise label 'H'"),
+    ],
+)
+def test_premise_is_a_whole_word_and_a_label_is_declared_once(tmp_path, capsys, text, message):
+    path = tmp_path / "premise.proof"
+    path.write_text(text)
+    code, out, err = run(capsys, "prove", "check", str(path))
+    # the whole of stderr is the message: no traceback
+    assert (code, out, err) == (1, "", "parse error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
     "command, text",
     [
         ("prove", "1. Dem(x0) ; MP a b\n"),

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import random
 import time
@@ -5,6 +6,7 @@ from collections import Counter
 from functools import reduce
 from itertools import permutations
 from operator import or_
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,13 @@ from goedellab._frame_classes import FRAMES
 from goedellab.errors import ParseError, ResourceBound, WorkbenchError
 
 p, r = Md.Atom("p"), Md.Atom("r")
+
+# the table's generator, which holds the labeled frame generators
+_spec = importlib.util.spec_from_file_location(
+    "frame_classes", Path(__file__).resolve().parents[1] / "tools" / "frame_classes.py"
+)
+FC = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(FC)
 
 
 # --- syntax ------------------------------------------------------------
@@ -145,8 +154,10 @@ def test_deep_boxes_are_checked_in_linear_time():
 
 # --- frame enumeration -------------------------------------------------
 #
-# The generators as they were before they kept only successor masks,
-# kept as referees: the same frames must come out in the same order.
+# The generators of tools/frame_classes.py, which writes the frame-class
+# table, against the generators as they were before they kept only
+# successor masks, kept as referees: the same frames must come out in the
+# same order.
 
 
 def _referee_gl_frames(max_n: int):
@@ -208,24 +219,29 @@ def _referee_k_frames(max_n: int, transitive: bool):
             yield n, tuple(succ)
 
 
+def _referee_frames(logic: str, max_n: int):
+    if logic == "GL":
+        return _referee_gl_frames(max_n)
+    return _referee_k_frames(max_n, logic == "K4")
+
+
 def test_gl_frames_match_the_referee():
-    assert list(Md._gl_frames(5)) == list(_referee_gl_frames(5))
+    assert list(FC.gl_frames(5)) == list(_referee_gl_frames(5))
 
 
 def test_k_frames_match_the_referee():
     for transitive in (False, True):
-        got = list(Md._k_frames(3, transitive))
+        got = list(FC.k_frames(3, transitive))
         assert got == list(_referee_k_frames(3, transitive))
 
 
-
 def test_strict_poset_counts_are_exact():
-    counts = Counter(n for n, _ in Md._gl_frames(5))
+    counts = Counter(n for n, _ in FC.gl_frames(5))
     assert [counts[i] for i in range(1, 6)] == [1, 3, 19, 219, 4231]
 
 
 def test_k4_frames_are_the_transitive_ones():
-    frames = [succ for n, succ in Md._k_frames(3, transitive=True) if n == 3]
+    frames = [succ for n, succ in FC.k_frames(3, transitive=True) if n == 3]
     for succ in frames:
         m = Md.make_model(
             3, [(a, b) for a in range(3) for b in range(3) if succ[a] >> b & 1], {}
@@ -237,9 +253,9 @@ def test_k4_frames_are_the_transitive_ones():
 
 # --- the frame-class table --------------------------------------------
 #
-# Brute-force canonical forms, the referee of the shipped table: the
-# canonical code of a frame is the least code over all n! relabelings,
-# where bit a * n + b of a code is set iff world a sees world b.
+# Brute-force orbits, the referee of the shipped table: the orbit of a
+# frame is the codes of all n! relabelings of it, where bit a * n + b of a
+# code is set iff world a sees world b.
 
 CLASS_COUNTS = {
     "GL": [1, 2, 5, 16, 63, 318],  # OEIS A000112
@@ -279,28 +295,27 @@ def test_class_table_entries_are_frames_of_their_logic():
 
 
 def test_class_table_entries_are_pairwise_non_isomorphic():
-    # each entry is the least code of its class and the entries of a size
-    # are distinct, so no two entries share a class; with the pinned counts
-    # this proves GL on 6 and K on 4 worlds complete without sweeping their
-    # 130,023 and 65,536 labeled frames
     for logic in Md.LOGICS:
         for frames in _class_table(logic):
-            codes = [_code(succ) for succ in frames]
-            assert codes == sorted(set(codes))
-            assert all(min(_orbit(succ)) == c for succ, c in zip(frames, codes))
+            assert len({min(_orbit(succ)) for succ in frames}) == len(frames)
 
 
-@pytest.mark.parametrize("logic, max_n", [("GL", 5), ("K", 3), ("K4", 4)])
+@pytest.mark.parametrize("logic, max_n", [("GL", 6), ("K", 4), ("K4", 4)])
 def test_class_table_is_regenerated_from_the_labeled_frames(logic, max_n):
-    canonical: dict[tuple[int, int], int] = {}
-    for n, succ in Md._frames(logic, 1, max_n):
-        if (n, _code(succ)) not in canonical:
-            codes = _orbit(succ)
-            canonical.update(((n, c), min(codes)) for c in codes)
-    for n in range(1, max_n + 1):
-        # every labeled frame maps to exactly one entry, and every entry is hit
-        reps = {rep for (size, _), rep in canonical.items() if size == n}
-        assert sorted(reps) == [_code(succ) for succ in Md._class_frames(logic, n)]
+    # each entry is the first frame of its orbit in the labeled order, and
+    # the entries of a size come in the order their orbits are first met; so
+    # the first labeled frame with a model is the entry of its class, and
+    # every entry before it is in a class with no model.  With the pinned
+    # counts this proves every size complete.
+    seen: set[tuple[int, int]] = set()
+    firsts: list[list[tuple[int, ...]]] = [[] for _ in range(max_n)]
+    for n, succ in _referee_frames(logic, max_n):
+        if (n, _code(succ)) not in seen:
+            seen.update((n, c) for c in _orbit(succ))
+            firsts[n - 1].append(succ)
+    assert [list(entries) for entries in _class_table(logic)] == firsts
+    # one world is served without the table; its row must agree all the same
+    assert FRAMES[logic][0] == "".join("%x" % _code(succ) for succ in firsts[0])
 
 
 # --- search and tableau ------------------------------------------------
@@ -373,7 +388,7 @@ def test_tableau_and_bounded_search_never_disagree_on_the_corpus():
 
 
 def _referee_find_model(f, logic: str, max_worlds=None):
-    """find_model before the class pass: the labeled frames in order from
+    """find_model without the class table: the labeled frames in order from
     one world; the first frame with a model gives the witness."""
     if not Md._prop_satisfiable(f):
         return None
@@ -381,7 +396,7 @@ def _referee_find_model(f, logic: str, max_worlds=None):
     bound = cap if max_worlds is None else max_worlds
     if bound > cap:
         raise ResourceBound("%s frame search capped at %d worlds" % (logic, cap))
-    frames = Md._gl_frames(bound) if logic == "GL" else Md._k_frames(bound, logic == "K4")
+    frames = _referee_frames(logic, bound)
     atom_names = sorted(Md.atoms_of(f))
     atom_order = {a: i for i, a in enumerate(atom_names)}
     for n, succ in frames:
@@ -451,7 +466,6 @@ def test_witnesses_match_the_labeled_search():
             continue
         assert got == _search_result(f, logic, bound, _referee_find_model), (logic, bound, f)
         sizes[got["worlds"] if got else "none"] += 1
-    # the sample reaches past one world and covers empty searches
     # the sample reaches past one world and covers empty searches
     assert sizes[2] + sizes[3] >= 50 and sizes["none"] >= 50, sizes
 
