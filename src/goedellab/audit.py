@@ -15,20 +15,17 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 
 from . import meta as M
 from .errors import ParseError, WorkbenchError
-from .syntax import is_natural, natural, walk
+from .syntax import Node, is_natural, natural, walk
 
 # --- assumptions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assumption:
-    label: str
-    schema: M.MetaFormula  # may contain the designator hole d*
-    provenance: str = ""
+class Assumption(Node):
+    # schema: a MetaFormula that may contain the designator hole d*
+    __slots__ = _fields = _data = ("label", "schema", "provenance")
 
 
 BUILTIN_PROVENANCE = {
@@ -57,8 +54,7 @@ _TWO_REFS = {"syll": "Syllogism", "iffi": "IffIntro", "mp": "ModusPonens"}
 _PREMISE_SEP = re.compile(r",(?![^\[]*\])")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Node):
     """One script step.  `rule` names the rule as the report prints it;
     `args` holds its parsed operands:
 
@@ -72,16 +68,11 @@ class Step:
     Reductio  (hypothesis, positive, negative)
     """
 
-    id: str
-    rule: str
-    args: tuple
-    provenance: str = ""
+    __slots__ = _fields = _data = ("id", "rule", "args", "provenance")
 
 
-@dataclass(frozen=True)
-class DerivationScript:
-    assumptions: tuple[Assumption, ...]
-    steps: tuple[Step, ...]
+class DerivationScript(Node):
+    __slots__ = _fields = _data = ("assumptions", "steps")
 
     def assumption(self, label: str) -> Assumption:
         for a in self.assumptions:
@@ -100,35 +91,22 @@ class RuleError(WorkbenchError):
 # --- checked output ----------------------------------------------------
 
 
-@dataclass
-class CheckedStep:
-    id: str
-    formula: M.MetaFormula | None
-    rule: str
-    ok: bool
-    reason: str | None
-    assumptions: frozenset[str]
-    hypotheses: frozenset[str]
-    provenance: str = ""
+class CheckedStep(Node):
+    # formula is None when the step fails, reason None when it holds
+    __slots__ = _fields = _data = (
+        "id", "formula", "rule", "ok", "reason", "assumptions", "hypotheses", "provenance")
 
 
-@dataclass
-class Finding:
-    step: str
-    pattern: str  # "iff-neg" | "dem-neg-iff" | "contradictory-pair"
-    requires_consistency: bool
-    detail: str
-    unsat_confirmed: bool
+class Finding(Node):
+    # pattern: "iff-neg" | "dem-neg-iff" | "contradictory-pair"
+    __slots__ = _fields = _data = (
+        "step", "pattern", "requires_consistency", "detail", "unsat_confirmed")
 
 
-@dataclass
-class AuditReport:
-    steps: list[CheckedStep]
-    contradictions: list[Finding]
-    classification: dict[str, str]
-    consumed: frozenset[str]
-    assumption_labels: list[str]
-    minimal_inconsistent_subsets: list[list[str]] = field(default_factory=list)
+class AuditReport(Node):
+    # classification: printed designator -> its provability status
+    __slots__ = _fields = _data = (
+        "steps", "contradictions", "classification", "consumed", "assumption_labels")
 
     def step(self, id: str) -> CheckedStep:
         for s in self.steps:
@@ -168,9 +146,8 @@ class AuditReport:
             ],
             "classification": dict(sorted(self.classification.items())),
             "consumed_assumptions": sorted(self.consumed),
-            "minimal_inconsistent_subsets": [
-                sorted(s) for s in self.minimal_inconsistent_subsets
-            ],
+            # a report finds no cores; `minimal_inconsistent_subsets` does
+            "minimal_inconsistent_subsets": [],
         }
 
 
@@ -464,13 +441,8 @@ def check_script(
     classification = {
         M.print_desig(d): classify(d, theory) for d in _ground_designators(theory)
     }
-    return AuditReport(
-        steps=steps,
-        contradictions=findings,
-        classification=classification,
-        consumed=frozenset().union(*(s.assumptions for s in steps if s.ok)),
-        assumption_labels=script.labels(),
-    )
+    consumed = frozenset().union(*(s.assumptions for s in steps if s.ok))
+    return AuditReport(steps, findings, classification, consumed, script.labels())
 
 
 def minimal_inconsistent_subsets(script: DerivationScript) -> list[list[str]]:

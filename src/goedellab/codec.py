@@ -12,11 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 from . import formulas as F
 from .errors import NotUnary, NotWellFormed, ResourceBound
-from .syntax import walk
+from .syntax import Node, walk
 
 # --- token table -------------------------------------------------------
 
@@ -296,15 +295,15 @@ def decode_formula(g: int) -> F.Formula:
     return tokens_to_formula(tokens)
 
 
-@dataclass(frozen=True)
-class ProofCode:
+class ProofCode(Node):
     """Exact factored form of a proof's Goedel number, prod p_i^{g_i}.
 
     The exponents are whole formula codes, so the materialized integer is
     astronomically large for all but toy proofs; it stays factored here.
     """
 
-    factors: tuple[tuple[int, int], ...]  # (prime, formula code), in step order
+    # factors: (prime, formula code), in step order
+    __slots__ = _fields = _data = ("factors",)
 
     def formula_codes(self) -> list[int]:
         return [g for (_, g) in self.factors]
@@ -337,8 +336,7 @@ def decode_proof(code: ProofCode) -> list[F.Formula]:
 # --- run-length token codes (for substituted-numeral blowup) -----------
 
 
-@dataclass(frozen=True)
-class CodeRLE:
+class CodeRLE(Node):
     """A Goedel number given by its run-length encoded token string.
 
     Exact and comparable even when the token string (hence the integer)
@@ -346,7 +344,8 @@ class CodeRLE:
     formula's own code is substituted into it.
     """
 
-    runs: tuple[tuple[int, int], ...]  # (token, repeat count)
+    # runs: (token, repeat count)
+    __slots__ = _fields = _data = ("runs",)
 
     @staticmethod
     def from_tokens(tokens: list[int]) -> "CodeRLE":

@@ -9,20 +9,14 @@ by code; code-based diagonalization lives in codec.diag_num.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import codec
 from . import formulas as F
 from .errors import NotUnary
+from .syntax import Node
 
 
-@dataclass(frozen=True)
-class DiagonalCertificate:
-    psi: F.Formula
-    q: int
-    sentence: F.Formula
-    sentence_code: int
-    fixed_point_checked: bool
+class DiagonalCertificate(Node):
+    __slots__ = _fields = _data = ("psi", "q", "sentence", "sentence_code", "fixed_point_checked")
 
     def to_json_dict(self) -> dict:
         return {

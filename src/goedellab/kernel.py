@@ -13,67 +13,58 @@ derives `forall x0. x0 = 0`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import codec
 from . import formulas as F
 from .errors import NotClosed, ParseError, ResourceBound
-from .syntax import is_natural, natural
+from .syntax import Node, is_natural, natural
 
 # eval_term refuses to enumerate past this index
 MAX_EVAL_INDEX = 10_000
 
 
-@dataclass(frozen=True)
-class Axiom:
-    schema: str  # P1 | P2 | P3 | INST
-    binding: tuple[tuple[str, object], ...]  # sorted (name, Formula/Term/int)
+class Axiom(Node):
+    # schema: P1 | P2 | P3 | INST; binding: sorted (name, Formula/Term/int)
+    __slots__ = _fields = _data = ("schema", "binding")
 
     def bound(self) -> dict:
         return dict(self.binding)
 
 
-@dataclass(frozen=True)
-class ModusPonens:
-    implication: int  # 1-based earlier step proving A -> B
-    antecedent: int  # 1-based earlier step proving A
+class ModusPonens(Node):
+    # 1-based earlier steps proving A -> B and A
+    __slots__ = _fields = _data = ("implication", "antecedent")
 
 
-@dataclass(frozen=True)
-class Generalize:
-    step: int
-    var: int
+class Generalize(Node):
+    # a 1-based earlier step, and the index of the variable to bind
+    __slots__ = _fields = _data = ("step", "var")
 
 
-@dataclass(frozen=True)
-class EvalFact:
-    pass
+class EvalFact(Node):
+    __slots__ = _fields = _data = ()
 
 
-@dataclass(frozen=True)
-class Premise:
-    label: str
+class Premise(Node):
+    __slots__ = _fields = _data = ("label",)
 
 
 Justification = Axiom | ModusPonens | Generalize | EvalFact | Premise
 
 
-@dataclass(frozen=True)
-class ProofObject:
-    steps: tuple[tuple[F.Formula, Justification], ...]
+class ProofObject(Node):
+    # steps: (formula, justification) pairs
+    __slots__ = _fields = _data = ("steps",)
 
     def last_formula(self) -> F.Formula:
         return self.steps[-1][0]
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    step: int | None = None  # 1-based first failing step
-    reason: str | None = None
+class Verdict(Node):
+    # step: the 1-based first failing step, None when ok
+    __slots__ = _fields = _data = ("ok", "step", "reason")
 
 
-VALID = Verdict(True)
+VALID = Verdict(True, None, None)
 
 
 def eval_term(t: F.Term) -> int:
@@ -206,7 +197,9 @@ def _parse_justification(text: str) -> Justification:
     # a keyword is the whole first word: PREMISEH or MPX is no justification
     keyword = parts[0] if parts else ""
     if keyword == "PREMISE":
-        return Premise(text[len("PREMISE"):].strip())
+        if len(parts) != 2:
+            raise ParseError("PREMISE cites one label")
+        return Premise(parts[1])
     if keyword == "MP":
         if len(parts) != 3 or not (is_natural(parts[1]) and is_natural(parts[2])):
             raise ParseError("MP cites two steps")
@@ -243,6 +236,8 @@ def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
             label = label.strip()
             if not (colon and label):
                 raise ParseError("premise line needs 'LABEL : formula'")
+            if len(label.split()) > 1:
+                raise ParseError("premise label must be one word, not %r" % label)
             if label in premises:
                 raise ParseError("duplicate premise label %r" % label)
             premises[label] = F.parse_formula(formula_text.strip())

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cache, reduce
 from operator import or_
 
@@ -114,11 +113,9 @@ def parse_modal(text: str) -> ModalFormula:
 # --- Kripke models: the trusted base -----------------------------------
 
 
-@dataclass(frozen=True)
-class KripkeModel:
-    worlds: int
-    relation: frozenset[tuple[int, int]]
-    valuation: tuple[tuple[str, frozenset[int]], ...]  # sorted by atom
+class KripkeModel(Node):
+    # valuation: (atom, the worlds where it holds) pairs, sorted by atom
+    __slots__ = _fields = _data = ("worlds", "relation", "valuation")
 
     def is_transitive(self) -> bool:
         r = self.relation
@@ -301,10 +298,8 @@ def _prop_satisfiable(f: ModalFormula) -> bool:
     return ev(f) != 0
 
 
-@dataclass(frozen=True)
-class ModelWitness:
-    model: KripkeModel
-    world: int
+class ModelWitness(Node):
+    __slots__ = _fields = _data = ("model", "world")
 
     def to_json_dict(self) -> dict:
         d = self.model.to_json_dict()

@@ -1,6 +1,8 @@
-"""AST node base, scanner, token cursor and connective rules shared by the
+"""Node base, scanner, token cursor and connective rules shared by the
 three concrete syntaxes: object formulas (`formulas`), meta schemas
-(`meta`) and modal formulas (`modal`).  Each parser supplies its token
+(`meta`) and modal formulas (`modal`).  `Node` is also the base of every
+other record: proof steps and verdicts, audit steps and reports, codes,
+certificates and Kripke models.  Each parser supplies its token
 pattern, its AST constructors and the rules of its own operands.
 `natural` converts every decimal literal of the text formats, proof
 files and audit scripts included; `is_natural` is its rule for what a
@@ -18,12 +20,14 @@ from .errors import ParseError, WorkbenchError
 
 
 class Node:
-    """Base of the AST classes of the three syntaxes.  A subclass names its
-    fields once, `__slots__ = _fields = (...)`, and gets a constructor that
-    takes them in order; `_data` names the fields that hold plain values
-    (ints and strings), and every other field holds a node.  Nodes are
-    immutable by contract: the hash is computed once, on first use, and
-    cached, and `copy.copy` and `copy.deepcopy` return the node itself.
+    """Base of the AST classes of the three syntaxes and of every other
+    record.  A subclass names its fields once, `__slots__ = _fields = (...)`,
+    and gets a constructor that takes them in order; `_data` names the
+    fields that hold plain values, and every other field holds a node.  A
+    record that is not an AST declares every field `_data`, so `walk`
+    never enters it.  Nodes are immutable by contract: the hash is
+    computed once, on first use, and cached, and `copy.copy` and
+    `copy.deepcopy` return the node itself.
 
     Hash, equality and repr behave as a frozen dataclass's (the hash of a
     node is the hash of the tuple of its field values), but each walks an
@@ -40,9 +44,9 @@ class Node:
         fields = cls._fields
         namespace: dict = {}
         exec("def __init__(self, %s):\n%s    self._hash = None\n"
-             "def _values(self):\n    return (%s,)\n"
+             "def _values(self):\n    return (%s)\n"
              % (", ".join(fields), "".join("    self.%s = %s\n" % (f, f) for f in fields),
-                ", ".join("self." + f for f in fields)), namespace)
+                "".join("self.%s, " % f for f in fields)), namespace)
         cls.__init__, cls._values = namespace["__init__"], namespace["_values"]
         # the node fields, last first: the order in which `walk` stacks them
         cls._children = tuple(f for f in reversed(fields) if f not in cls._data)

@@ -286,6 +286,10 @@ _KEYWORD_PROOFS = {
     [
         ("PREMISE", "PREMISE H", "valid (1 steps)\n"),
         ("PREMISE", "PREMISEH", None),
+        # a label is one word
+        ("PREMISE", "PREMISE", "PREMISE cites one label"),
+        ("PREMISE", "PREMISE H K", "PREMISE cites one label"),
+        ("PREMISE", "PREMISE H  K", "PREMISE cites one label"),
         ("MP", "MP 2 1", "valid (3 steps)\n"),
         ("MP", "MPX 2 1", None),
         ("GEN", "GEN 1 x0", "valid (2 steps)\n"),
@@ -297,11 +301,14 @@ def test_a_justification_keyword_is_the_whole_first_word(tmp_path, capsys, kind,
     path = tmp_path / "keyword.proof"
     path.write_text(_KEYWORD_PROOFS[kind] % justification)
     code, out, err = run(capsys, "prove", "check", str(path))
-    if verdict is not None:
+    # verdict: the verdict printed, or a parse error's message (None: the
+    # justification is unrecognized)
+    if verdict is not None and verdict.startswith("valid"):
         assert (code, out) == (0, verdict)
     else:
         assert (code, out) == (1, "")
-        assert err == "parse error: unrecognized justification %r\n" % justification
+        message = verdict or "unrecognized justification %r" % justification
+        assert err == "parse error: %s\n" % message
 
 
 @pytest.mark.parametrize(
@@ -315,6 +322,9 @@ def test_a_justification_keyword_is_the_whole_first_word(tmp_path, capsys, kind,
         ("premise  : 0 = 0\n1. 0 = 0 ; EVAL\n", "premise line needs 'LABEL : formula'"),
         ("premise H : 0 = 0\npremise H : 1 = 1\n1. 1 = 1 ; PREMISE H\n",
          "duplicate premise label 'H'"),
+        ("premise H K : 0 = 0\n1. 0 = 0 ; PREMISE H K\n",
+         "premise label must be one word, not 'H K'"),
+        ("premise H\tK : 0 = 0\n1. 0 = 0 ; EVAL\n", "premise label must be one word, not 'H\\tK'"),
     ],
 )
 def test_premise_is_a_whole_word_and_a_label_is_declared_once(tmp_path, capsys, text, message):
@@ -654,7 +664,8 @@ def test_decode_over_the_bit_bound_is_exit_three(capsys, monkeypatch):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # runs cli.main in a fresh interpreter, then prints the goedellab modules
-# it imported as the last line of stdout
+# it imported, and whether it imported hashlib, dataclasses and inspect, as
+# the last line of stdout
 _PROBE = """
 import json, sys
 from goedellab.cli import main
@@ -663,7 +674,7 @@ try:
 except SystemExit as e:
     code = e.code
 loaded = sorted(m[len("goedellab."):] for m in sys.modules if m.startswith("goedellab."))
-print(json.dumps([code, loaded, "hashlib" in sys.modules]))
+print(json.dumps([code, loaded] + [m in sys.modules for m in ("hashlib", "dataclasses", "inspect")]))
 """
 
 
@@ -696,7 +707,7 @@ def test_command_imports_only_its_subsystems(tmp_path, argv, exit_code, modules)
     proof = tmp_path / "identity.proof"
     proof.write_text(PROOF_TEXT)
     out = _fresh([a.replace("{proof}", str(proof)) for a in argv])
-    assert json.loads(out.splitlines()[-1]) == [exit_code, sorted(modules), False]
+    assert json.loads(out.splitlines()[-1]) == [exit_code, sorted(modules), False, False, False]
 
 
 def test_package_imports_subsystems_on_first_access():

@@ -1,6 +1,7 @@
-"""The AST node base shared by the three syntaxes (`syntax.Node`): hash,
-equality and repr as a frozen dataclass's, without recursion, copies that
-are the node itself, and pickles that never carry a cached hash."""
+"""The node base (`syntax.Node`) of the AST classes of the three syntaxes
+and of every other record: hash, equality and repr as a frozen
+dataclass's, without recursion, copies that are the node itself, and
+pickles that never carry a cached hash."""
 
 import copy
 import os
@@ -8,10 +9,12 @@ import pickle
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_formula, random_meta, random_modal
+from goedellab import audit, codec, diagonal, kernel
 from goedellab import formulas as F
 from goedellab import meta as M
 from goedellab import modal as Md
@@ -132,3 +135,103 @@ def test_a_pickled_node_does_not_carry_its_hash():
         out = subprocess.run([sys.executable, "-c", code, data], env=env, capture_output=True,
                              text=True, timeout=60)
         assert out.stdout == "True True\n", out.stderr
+
+
+_ZERO = F.Eq(F.Num(0), F.Num(0))
+_MODEL = Md.KripkeModel(2, frozenset({(0, 1)}), (("p", frozenset({1})),))
+_REFL = M.Assert(M.DVar("d*"))
+_ASSUMPTION = audit.Assumption("REFL", _REFL, "reflection")
+_STEP = audit.Step("1", "UseAssumption", ("REFL", None), "")
+_CHECKED = audit.CheckedStep("1", _REFL, "UseAssumption", True, None, frozenset({"REFL"}),
+                             frozenset(), "")
+_FINDING = audit.Finding("11", "iff-neg", False, "equivalence", True)
+
+# every record that is not an AST: a builder of one instance, and the repr
+# it had as a dataclass (AuditReport's less `minimal_inconsistent_subsets=[]`,
+# a field that no caller set and that is gone)
+RECORDS = {
+    "ProofCode": (lambda: codec.ProofCode(((2, 5), (3, 7))),
+                  "ProofCode(factors=((2, 5), (3, 7)))"),
+    "CodeRLE": (lambda: codec.CodeRLE(((1, 2), (3, 1))), "CodeRLE(runs=((1, 2), (3, 1)))"),
+    "DiagonalCertificate": (
+        lambda: diagonal.DiagonalCertificate(F.Eq(F.Var(0), F.Num(0)), 7, _ZERO, 42, True),
+        "DiagonalCertificate(psi=Eq(left=Var(index=0), right=Num(value=0)), q=7, "
+        "sentence=Eq(left=Num(value=0), right=Num(value=0)), sentence_code=42, "
+        "fixed_point_checked=True)"),
+    "Axiom": (lambda: kernel.Axiom("P1", (("A", _ZERO), ("B", _ZERO))),
+              "Axiom(schema='P1', binding=(('A', Eq(left=Num(value=0), right=Num(value=0))), "
+              "('B', Eq(left=Num(value=0), right=Num(value=0)))))"),
+    "ModusPonens": (lambda: kernel.ModusPonens(1, 0), "ModusPonens(implication=1, antecedent=0)"),
+    "Generalize": (lambda: kernel.Generalize(1, 0), "Generalize(step=1, var=0)"),
+    "EvalFact": (lambda: kernel.EvalFact(), "EvalFact()"),
+    "Premise": (lambda: kernel.Premise("H"), "Premise(label='H')"),
+    "ProofObject": (lambda: kernel.ProofObject(((_ZERO, kernel.EvalFact()),)),
+                    "ProofObject(steps=((Eq(left=Num(value=0), right=Num(value=0)), "
+                    "EvalFact()),))"),
+    "Verdict": (lambda: kernel.Verdict(False, 2, "bad"),
+                "Verdict(ok=False, step=2, reason='bad')"),
+    "KripkeModel": (lambda: Md.KripkeModel(2, frozenset({(0, 1)}), (("p", frozenset({1})),)),
+                    "KripkeModel(worlds=2, relation=frozenset({(0, 1)}), "
+                    "valuation=(('p', frozenset({1})),))"),
+    "ModelWitness": (lambda: Md.ModelWitness(_MODEL, 1),
+                     "ModelWitness(model=KripkeModel(worlds=2, relation=frozenset({(0, 1)}), "
+                     "valuation=(('p', frozenset({1})),)), world=1)"),
+    "Assumption": (lambda: audit.Assumption("REFL", _REFL, "reflection"),
+                   "Assumption(label='REFL', schema=Assert(desig=DVar(name='d*')), "
+                   "provenance='reflection')"),
+    "Step": (lambda: audit.Step("1", "UseAssumption", ("REFL", None), ""),
+             "Step(id='1', rule='UseAssumption', args=('REFL', None), provenance='')"),
+    "DerivationScript": (
+        lambda: audit.DerivationScript((_ASSUMPTION,), (_STEP,)),
+        "DerivationScript(assumptions=(Assumption(label='REFL', schema=Assert(desig="
+        "DVar(name='d*')), provenance='reflection'),), steps=(Step(id='1', "
+        "rule='UseAssumption', args=('REFL', None), provenance=''),))"),
+    "CheckedStep": (
+        lambda: audit.CheckedStep("1", _REFL, "UseAssumption", True, None, frozenset({"REFL"}),
+                                  frozenset(), ""),
+        "CheckedStep(id='1', formula=Assert(desig=DVar(name='d*')), rule='UseAssumption', "
+        "ok=True, reason=None, assumptions=frozenset({'REFL'}), hypotheses=frozenset(), "
+        "provenance='')"),
+    "Finding": (lambda: audit.Finding("11", "iff-neg", False, "equivalence", True),
+                "Finding(step='11', pattern='iff-neg', requires_consistency=False, "
+                "detail='equivalence', unsat_confirmed=True)"),
+    "AuditReport": (
+        lambda: audit.AuditReport([_CHECKED], [_FINDING], {"App(q,q)": "overdetermined"},
+                                  frozenset({"REFL"}), ["REFL"]),
+        "AuditReport(steps=[CheckedStep(id='1', formula=Assert(desig=DVar(name='d*')), "
+        "rule='UseAssumption', ok=True, reason=None, assumptions=frozenset({'REFL'}), "
+        "hypotheses=frozenset(), provenance='')], contradictions=[Finding(step='11', "
+        "pattern='iff-neg', requires_consistency=False, detail='equivalence', "
+        "unsat_confirmed=True)], classification={'App(q,q)': 'overdetermined'}, "
+        "consumed=frozenset({'REFL'}), assumption_labels=['REFL'])"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_values_as_frozen_dataclasses_were(name):
+    build, text = RECORDS[name]
+    r, twin = build(), build()
+    assert isinstance(r, Node) and type(r).__name__ == name and not list(walk(r))[1:]
+    assert repr(r) == text
+    assert r == twin and not r != twin
+    # a record of another class, even of the same name and fields, with the
+    # same values is another value
+    fields = type(r)._fields
+    other = type(name, (Node,), {"__slots__": fields, "_fields": fields, "_data": fields})
+    assert r != other(*r._values()) and not r == other(*r._values())
+    try:
+        h = hash(r._values())
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(r)
+    else:
+        assert hash(r) == h == hash(twin)
+    for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert copied == r and repr(copied) == text
+
+
+def test_generalize_is_not_modus_ponens_and_evalfact_has_no_fields():
+    assert kernel.Generalize(1, 0) != kernel.ModusPonens(1, 0)
+    assert kernel.EvalFact() == kernel.EvalFact() and repr(kernel.EvalFact()) == "EvalFact()"
+    assert hash(kernel.EvalFact()) == hash(())
+    assert repr(kernel.VALID) == "Verdict(ok=True, step=None, reason=None)"
