@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import NotClosed
-from .syntax import Cursor, Node, walk
+from .errors import NotClosed, ParseError
+from .syntax import Cursor, Node, remember, walk
 
 # --- terms -------------------------------------------------------------
 
@@ -269,9 +269,24 @@ class _Parser(Cursor):
         self.fail("expected a term, found %r" % tok, self.i - 1)
 
 
-def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    return p.parse(p.formula)
+def parse_formula(text: str, memo: dict | None = None) -> Formula:
+    """The formula of text.  A memo holds the groups of one file (see
+    `syntax.remember`): a group of it that text restates is read as the
+    node recorded, unscanned, and text is recorded in it as `(text)`, and
+    as itself when it is one group.  Errors, and the formula, are those
+    of text read alone."""
+    if memo is None:
+        p = _Parser(text)
+        return p.parse(p.formula)
+    try:
+        p = _Parser(text, memo)
+        f = p.parse(p.formula)
+    except ParseError:
+        return parse_formula(text)
+    remember(memo, "(" + text + ")", f)
+    if p.one_group:
+        remember(memo, text, f)
+    return f
 
 
 def parse_term(text: str) -> Term:

@@ -169,7 +169,7 @@ def check_proof(p: ProofObject, premises: dict[str, F.Formula] | None = None) ->
 #                | INST[x := x0; A := <formula>; t := <term>]
 
 
-def _parse_binding(text: str, schema: str) -> tuple[tuple[str, object], ...]:
+def _parse_binding(text: str, memo: dict) -> tuple[tuple[str, object], ...]:
     entries = {}
     for part in text.split(";"):
         part = part.strip()
@@ -185,11 +185,11 @@ def _parse_binding(text: str, schema: str) -> tuple[tuple[str, object], ...]:
         elif name == "t":
             entries[name] = F.parse_term(value)
         else:
-            entries[name] = F.parse_formula(value)
+            entries[name] = F.parse_formula(value, memo)
     return tuple(sorted(entries.items(), key=lambda kv: kv[0]))
 
 
-def _parse_justification(text: str) -> Justification:
+def _parse_justification(text: str, memo: dict) -> Justification:
     text = text.strip()
     if text == "EVAL":
         return EvalFact()
@@ -218,45 +218,61 @@ def _parse_justification(text: str) -> Justification:
             if not text.endswith("]"):
                 raise ParseError("unterminated binding in %r" % text)
             inner = text[len(schema) + 1 : -1]
-            return Axiom(schema, _parse_binding(inner, schema))
+            return Axiom(schema, _parse_binding(inner, memo))
     raise ParseError("unrecognized justification %r" % text)
 
 
 def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
+    """The proof and premises of a proof file.  A formula group that the
+    file restates is read once: its node is shared by every formula that
+    restates it (see `formulas.parse_formula`).  A parse error inside a
+    formula or term names its 1-based line."""
     premises: dict[str, F.Formula] = {}
     steps: list[tuple[F.Formula, Justification]] = []
-    for raw in text.splitlines():
+    memo: dict = {}
+    for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        # as in a justification, the keyword is the whole first word
-        keyword, *rest = line.split(None, 1)
-        if keyword == "premise":
-            label, colon, formula_text = "".join(rest).partition(":")
-            label = label.strip()
-            if not (colon and label):
-                raise ParseError("premise line needs 'LABEL : formula'")
-            if len(label.split()) > 1:
-                raise ParseError("premise label must be one word, not %r" % label)
-            if label in premises:
-                raise ParseError("duplicate premise label %r" % label)
-            premises[label] = F.parse_formula(formula_text.strip())
-            continue
-        if "." not in line:
-            raise ParseError("step line needs 'k. formula ; justification'")
-        num_text, rest = line.split(".", 1)
-        if not is_natural(num_text.strip()):
-            raise ParseError("step line needs a leading number, got %r" % num_text)
-        k = natural(num_text.strip())
-        if k != len(steps) + 1:
-            raise ParseError("step numbered %d, expected %d" % (k, len(steps) + 1))
-        if ";" not in rest:
-            raise ParseError("step %d lacks a justification" % k)
-        formula_text, just_text = rest.split(";", 1)
-        steps.append(
-            (F.parse_formula(formula_text.strip()), _parse_justification(just_text))
-        )
+        try:
+            _parse_line(line, premises, steps, memo)
+        except ParseError as e:
+            # only an error inside a formula or term has a position
+            if e.position is not None:
+                e.args = ("line %d: %s" % (n, e),)
+            raise
     return ProofObject(tuple(steps)), premises
+
+
+def _parse_line(line: str, premises: dict, steps: list, memo: dict) -> None:
+    """Add the premise or step of one line, stripped of its comment."""
+    # as in a justification, the keyword is the whole first word
+    keyword, *rest = line.split(None, 1)
+    if keyword == "premise":
+        label, colon, formula_text = "".join(rest).partition(":")
+        label = label.strip()
+        if not (colon and label):
+            raise ParseError("premise line needs 'LABEL : formula'")
+        if len(label.split()) > 1:
+            raise ParseError("premise label must be one word, not %r" % label)
+        if label in premises:
+            raise ParseError("duplicate premise label %r" % label)
+        premises[label] = F.parse_formula(formula_text.strip(), memo)
+        return
+    if "." not in line:
+        raise ParseError("step line needs 'k. formula ; justification'")
+    num_text, rest = line.split(".", 1)
+    if not is_natural(num_text.strip()):
+        raise ParseError("step line needs a leading number, got %r" % num_text)
+    k = natural(num_text.strip())
+    if k != len(steps) + 1:
+        raise ParseError("step numbered %d, expected %d" % (k, len(steps) + 1))
+    if ";" not in rest:
+        raise ParseError("step %d lacks a justification" % k)
+    formula_text, just_text = rest.split(";", 1)
+    steps.append(
+        (F.parse_formula(formula_text.strip(), memo), _parse_justification(just_text, memo))
+    )
 
 
 def identity_proof(a: F.Formula) -> ProofObject:

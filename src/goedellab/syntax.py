@@ -4,10 +4,13 @@ three concrete syntaxes: object formulas (`formulas`), meta schemas
 other record: proof steps and verdicts, audit steps and reports, codes,
 certificates and Kripke models.  Each parser supplies its token
 pattern, its AST constructors and the rules of its own operands.
-`natural` converts every decimal literal of the text formats, proof
-files and audit scripts included; `is_natural` is its rule for what a
-decimal literal is.  `read_text` reads every input file, and
-`truth_columns` is the truth table that the modal and meta engines sweep."""
+`natural` converts a decimal literal of a proof file or an audit script
+outside a formula, and `Cursor.number` one that a scanner matched;
+`is_natural` is the rule for what a decimal literal is.  `remember`
+records a parsed group in a memo, the table through which `Cursor`
+reads a group restated in one file once.  `read_text` reads every
+input file, and `truth_columns` is the truth table that the modal and
+meta engines sweep."""
 
 from __future__ import annotations
 
@@ -141,12 +144,28 @@ def truth_columns(k: int) -> tuple[int, tuple[int, ...]]:
 
 
 END = "<end>"
+# the token of a group read from a memo; its node is `Cursor.reused[i]`
+GROUP = "<group>"
+# a memo files each group under its first KEY characters; a shorter
+# group costs less to scan again than to look up, and is not recorded
+KEY = 8
+# a file restates mostly its last steps, and each `(` is tried against at
+# most SHARED groups, so a file of groups that share their first
+# characters is still read in linear time
+SHARED = 8
+_NO_GROUPS: dict = {}
+# where a memo's group may start: a `(` right after a letter opens an
+# argument list or a run of S, never a group
+_OPEN = re.compile(r"(?<![A-Za-z])\(")
 
 
 def is_natural(text: str) -> bool:
     """Whether text is a decimal numeral: ASCII digits only.  int() and
     str.isdecimal() also take other scripts' digits, such as Arabic-Indic."""
     return text.isascii() and text.isdecimal()
+
+
+_TOO_LONG = "numeral of %d digits exceeds the limit of %d"
 
 
 def natural(digits: str) -> int:
@@ -157,7 +176,7 @@ def natural(digits: str) -> int:
         raise ParseError("not a decimal numeral: %r" % digits)
     limit = sys.get_int_max_str_digits()
     if limit and len(digits) > limit:
-        raise ParseError("numeral of %d digits exceeds the limit of %d" % (len(digits), limit))
+        raise ParseError(_TOO_LONG % (len(digits), limit))
     return int(digits)
 
 
@@ -170,6 +189,17 @@ def read_text(path: str) -> str:
         except UnicodeDecodeError as e:
             raise WorkbenchError("%s is not UTF-8 text: byte 0x%02x at offset %d"
                                  % (path, e.object[e.start], e.start)) from None
+
+
+def remember(memo: dict, text: str, node: Node) -> None:
+    """Record in memo that text, a parenthesized group, parses as node.
+    A memo maps the first KEY characters of each group to {group: node},
+    the last SHARED groups recorded with those characters."""
+    if len(text) >= KEY:
+        groups = memo.setdefault(text[:KEY], {})
+        groups[text] = node
+        if len(groups) > SHARED:
+            del groups[next(iter(groups))]
 
 
 # binary connective -> (its binding level, the level of its right operand);
@@ -196,21 +226,49 @@ class Cursor:
     is skipped.  A lexical fault (a character no token starts with, or a
     token `fault` rejects) is reported before any parse error, the first
     one in the text.  A token's position is found only when an error
-    names it."""
+    names it.
+
+    Given a memo (see `remember`), a group of the memo found at a `(` of
+    the text is not scanned: it becomes one token, GROUP, and `unary`
+    returns its node.  Anywhere else GROUP is a parse error.  A group
+    counts as one token where an error's position counts all of its
+    tokens, so a caller that gets a ParseError reads the text again
+    without the memo, for the error of the text alone.  `one_group`
+    tells whether the whole text is one parenthesized group, which a
+    memo may record as it is."""
 
     lexeme: str
     neg = imp = None
     # token -> constructor; read here, so a chain of them nests one call deep each
     prefixes: dict = {}
+    one_group = False
 
     def __init_subclass__(cls):
         # a token, or any other visible character: a lexical fault, which
         # findall returns as "" and finditer as a match without group 1
         cls.scanner = re.compile(r"(%s)|\S" % cls.lexeme)
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo: dict | None = None):
         self.text = text
-        self.tokens = self.scanner.findall(text)
+        self.tokens = tokens = []
+        # token index -> the node of a group read from the memo
+        self.reused = {}
+        at = 0  # the end of the last group read from the memo
+        if memo:
+            m = _OPEN.search(text)
+            while m:
+                a = m.start()
+                # at most one group of the memo starts at a: it ends where
+                # the `(` at a closes
+                for group, node in memo.get(text[a:a + KEY], _NO_GROUPS).items():
+                    if text.startswith(group, a):
+                        tokens += self.scanner.findall(text, at, a)
+                        self.reused[len(tokens)] = node
+                        tokens.append(GROUP)
+                        at = a + len(group)
+                        break
+                m = _OPEN.search(text, max(a + 1, at))
+        tokens += self.scanner.findall(text, at)
         # faults are rare and most tokens repeat: check each distinct one once
         for tok in set(self.tokens):
             if not tok or self.fault(tok) is not None:
@@ -253,12 +311,12 @@ class Cursor:
         raise ParseError(message, len(self.text) if m is None else m.start())
 
     def number(self, digits: str, i: int) -> int:
-        """natural(digits), a fault in it reported at token i."""
-        try:
-            return natural(digits)
-        except ParseError as e:
-            message = e.args[0]
-        self.fail(message, i)
+        """The value of digits, which the scanner matched as ASCII digits;
+        more of them than int() converts is a fault at token i."""
+        limit = sys.get_int_max_str_digits()
+        if limit and len(digits) > limit:
+            self.fail(_TOO_LONG % (len(digits), limit), i)
+        return int(digits)
 
     def iff(self, a, b):
         # (a -> b) & (b -> a)
@@ -294,10 +352,16 @@ class Cursor:
             self.next()
             return wrap(self.unary())
         if tok == "(":
+            opened = self.i
             self.next()
             f = self.formula()
             self.expect(")")
+            if not opened:
+                self.one_group = self.tokens[self.i] == END
             return f
+        if tok == GROUP:
+            self.i += 1
+            return self.reused[self.i - 1]
         return self.atom()
 
     def parse(self, rule):

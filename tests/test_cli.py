@@ -336,6 +336,32 @@ def test_premise_is_a_whole_word_and_a_label_is_declared_once(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("premise H : x0 = 0 : 1\n", "line 1: unexpected character ':' (at position 7)"),
+        # blank and comment lines count
+        ("# a comment\n\npremise H : 0 = 0\n1. (0 = 0 -> ) ; PREMISE H\n",
+         "line 4: expected a formula, found ')' (at position 10)"),
+        # after a group that the line restates from line 1
+        ("1. (0 = 0 -> 0 = 0) ; EVAL\n2. ((0 = 0 -> 0 = 0) -> 0 = ) ; EVAL\n",
+         "line 2: expected a term, found ')' (at position 25)"),
+        # in a binding's formula and in its term
+        ("1. (0 = 0 -> (Dem(x0) -> 0 = 0)) ; P1[A := 0 = 0; B := Dem(y)]\n",
+         "line 1: unknown identifier 'y' (at position 4)"),
+        ("1. 0 = 0 ; EVAL\n2. (forall x0. x0 = x0 -> 0 = 0) ; INST[x := x0; A := x0 = x0; t := S(]\n",
+         "line 2: expected a term, found '<end>' (at position 2)"),
+        ("1. x0 = S(%s) ; EVAL\n" % ("9" * 5000),
+         "line 1: numeral of 5000 digits exceeds the limit of 4300 (at position 7)"),
+    ],
+)
+def test_a_fault_inside_a_formula_names_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "fault.proof"
+    path.write_text(text)
+    code, out, err = run(capsys, "prove", "check", str(path))
+    assert (code, out, err) == (1, "", "parse error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
     "command, text",
     [
         ("prove", "1. Dem(x0) ; MP a b\n"),

@@ -1,9 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_formula
 from goedellab import codec, kernel
 from goedellab import formulas as F
+from goedellab.errors import ParseError
+from goedellab.syntax import KEY, SHARED
 
 
 def _taut(f: F.Formula) -> bool:
@@ -162,3 +167,177 @@ def test_proof_code_of_shipped_proof_is_lazy():
     proof = kernel.identity_proof(A)
     pc = codec.encode_proof([f for f, _ in proof.steps])
     assert codec.decode_proof(pc) == [f for f, _ in proof.steps]
+
+
+# --- a group restated in a file is read once ------------------------------
+#
+# A file is a list of lines: ("premise", label, text), ("step", text, just)
+# or a blank line (""), where just is "EVAL", "MP i j" or a pair (a, b) of
+# texts for P1[A := a; B := b].
+
+
+def _file_text(lines) -> str:
+    out, k = [], 0
+    for line in lines:
+        if line == "":
+            out.append("")
+        elif line[0] == "premise":
+            out.append("premise %s : %s" % line[1:])
+        else:
+            k += 1
+            just = line[2] if isinstance(line[2], str) else "P1[A := %s; B := %s]" % line[2]
+            out.append("%d. %s ; %s" % (k, line[1], just))
+    return "\n".join(out) + "\n"
+
+
+def _read_alone(lines):
+    """What the file must give: each text parsed alone, in the order the
+    kernel reads them (a step's formula, then its binding), as the reprs of
+    the steps and premises, or the first error, with its line."""
+    steps, premises = [], {}
+    for n, line in enumerate(lines, start=1):
+        if line == "":
+            continue
+        try:
+            if line[0] == "premise":
+                premises[line[1]] = F.parse_formula(line[2])
+                continue
+            f, just = F.parse_formula(line[1]), line[2]
+            if just == "EVAL":
+                just = kernel.EvalFact()
+            elif isinstance(just, str):
+                just = kernel.ModusPonens(*map(int, just.split()[1:]))
+            else:
+                just = kernel.Axiom("P1", (("A", F.parse_formula(just[0])),
+                                           ("B", F.parse_formula(just[1]))))
+            steps.append((f, just))
+        except ParseError as e:
+            return "line %d: %s" % (n, e)
+    return repr(tuple(steps)), repr(premises)
+
+
+def _read_in_file(lines):
+    try:
+        proof, premises = kernel.parse_proof_file(_file_text(lines))
+    except ParseError as e:
+        return str(e)
+    return repr(proof.steps), repr(premises)
+
+
+def _restated(rng, texts) -> str:
+    """A formula text that restates earlier texts as groups, in a shape
+    that reuse must read as the text alone reads it."""
+    # often the text just before: a restatement of the previous step
+    a = texts[-1] if rng.random() < 0.4 else rng.choice(texts)
+    b = rng.choice(texts)
+    return rng.choice((
+        a,
+        "(%s)" % a,
+        "(%s -> %s)" % (a, b),
+        "~(%s) -> ~(%s)" % (a, b),
+        "forall x1. (%s)" % a,
+        # whitespace variants of a recorded group
+        "( %s ) -> (%s )" % (a, b),
+        "(%s)  |\t(%s)" % (a, b),
+        # "(a) -> (b)" read whole, then as the prefix of a longer text
+        "(%s) -> (%s)" % (a, b),
+        "(%s) -> (%s) & %s" % (a, b, a),
+        "%s & %s" % (a, b),
+        "%s -> %s" % (a, b),
+        # a group glued to a run of S(, or in a term's place
+        "S((%s)) = 0" % a,
+        "S (S((%s))) = 0" % a,
+        "Dem((%s))" % a,
+        # a fault after a reused group
+        "(%s) -> (%s) )" % (a, b),
+        "(%s) & $" % a,
+        "(%s) -> y" % a,
+    ))
+
+
+def _random_file(rng):
+    texts = [F.print_formula(random_formula(rng, rng.randrange(4))) for _ in range(3)]
+    lines = []
+    for _ in range(rng.randrange(1, 9)):
+        text = _restated(rng, texts)
+        r = rng.random()
+        if r < 0.15:
+            lines.append(("premise", "H%d" % len(lines), text))
+        elif r < 0.2:
+            lines.append("")
+        elif r < 0.6:
+            lines.append(("step", text, (_restated(rng, texts), _restated(rng, texts))))
+        else:
+            lines.append(("step", text, rng.choice(("EVAL", "MP 1 1"))))
+        texts.append(text)
+    return lines
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_file_reads_each_formula_as_it_reads_alone(rng):
+    lines = _random_file(rng)
+    assert _read_in_file(lines) == _read_alone(lines), _file_text(lines)
+
+
+@pytest.mark.parametrize("lines", [
+    # the prefix trap: "(a) -> (b)" is not one group, so it does not match
+    # the start of "(a) -> (b) & c"
+    [("step", "(0 = 0) -> (Dem(x1))", "EVAL"),
+     ("step", "(0 = 0) -> (Dem(x1)) & x2 = x2", "EVAL")],
+    # a whitespace variant is scanned, the recorded spelling reused
+    [("step", "(0 = 0 -> Dem(x1))", "EVAL"),
+     ("step", "( 0 = 0 -> Dem(x1)) -> (0 = 0 -> Dem(x1))", "EVAL")],
+    # a recorded group glued to a run of S( is the error of the text alone
+    [("step", "(0 = 0 -> Dem(x1))", "EVAL"), ("step", "x0 = S((0 = 0 -> Dem(x1)))", "EVAL")],
+    [("step", "(0 = 0 -> Dem(x1))", "EVAL"), ("step", "Dem((0 = 0 -> Dem(x1)))", "EVAL")],
+    # a fault after a reused group, in a formula and in a binding
+    [("step", "(0 = 0 -> 0 = 0)", "EVAL"), ("step", "((0 = 0 -> 0 = 0) -> 0 = )", "EVAL")],
+    [("premise", "H", "(0 = 0 -> 0 = 0)"), "",
+     ("step", "(0 = 0 -> 0 = 0)", ("(0 = 0 -> 0 = 0)", "(0 = 0 -> 0 = 0) $"))],
+])
+def test_reuse_reads_each_text_as_alone(lines):
+    assert _read_in_file(lines) == _read_alone(lines)
+
+
+# weakening by P1 and MP, each formula printed as the workload prints it
+_CHAIN = [
+    ("0 = 0", "EVAL"),
+    ("(0 = 0 -> (Dem(x1) -> 0 = 0))", "P1[A := 0 = 0; B := Dem(x1)]"),
+    ("(Dem(x1) -> 0 = 0)", "MP 2 1"),
+    ("((Dem(x1) -> 0 = 0) -> (x2 = x2 -> (Dem(x1) -> 0 = 0)))",
+     "P1[A := (Dem(x1) -> 0 = 0); B := x2 = x2]"),
+    ("(x2 = x2 -> (Dem(x1) -> 0 = 0))", "MP 4 3"),
+    ("((x2 = x2 -> (Dem(x1) -> 0 = 0)) -> (0 = 0 -> (x2 = x2 -> (Dem(x1) -> 0 = 0))))",
+     "P1[A := (x2 = x2 -> (Dem(x1) -> 0 = 0)); B := 0 = 0]"),
+    ("(0 = 0 -> (x2 = x2 -> (Dem(x1) -> 0 = 0)))", "MP 6 5"),
+]
+CHAIN = "".join("%d. %s ; %s\n" % (k, f, j) for k, (f, j) in enumerate(_CHAIN, start=1))
+
+
+def test_a_chain_shares_the_node_of_each_restated_group():
+    proof, _ = kernel.parse_proof_file(CHAIN)
+    f = [s[0] for s in proof.steps]
+    assert kernel.check_proof(proof) == kernel.VALID
+    for mp, p1 in ((3, 4), (5, 6)):
+        # the MP formula is the node that the next P1 step restates: as
+        # its antecedent, the consequent of its consequent and its binding A
+        mp, p1, binding = f[mp - 1], f[p1 - 1], proof.steps[p1 - 1][1].bound()
+        assert p1.left is mp and p1.right.right is mp and binding["A"] is mp
+    # and the MP formula after that P1 step holds it as its consequent
+    assert f[4].right is f[2] and f[6].right is f[4]
+    # read alone, no node is shared
+    alone = F.parse_formula("((Dem(x1) -> 0 = 0) -> (x2 = x2 -> (Dem(x1) -> 0 = 0)))")
+    assert alone == f[3] and alone.left is not alone.right.right
+
+
+def test_a_memo_keeps_the_last_groups_that_share_a_start():
+    memo = {}
+    texts = ["(" * KEY + "x0 = %d" % k + ")" * KEY for k in range(3 * SHARED)]
+    for text in texts:
+        F.parse_formula(text, memo)
+    # each `(` is tried against at most SHARED groups, however many a file has
+    assert max(len(groups) for groups in memo.values()) == SHARED
+    # the last ones recorded are kept: restating the last text reuses it
+    last = F.parse_formula(texts[-1], memo)
+    assert F.parse_formula("~" + texts[-1], memo).sub is last

@@ -144,6 +144,12 @@ def test_nesting_depth_per_level():
     # a numeral too long for int() is reported at its own token
     (M.parse_desig, "App(q, " + "9" * 5000 + ")",
      "numeral of 5000 digits exceeds the limit of 4300 (at position 7)"),
+    (F.parse_formula, "0 = S(" + "9" * 5000 + ")",
+     "numeral of 5000 digits exceeds the limit of 4300 (at position 6)"),
+    (F.parse_formula, "Dem(x0) -> x" + "1" * 4301 + " = 0",
+     "numeral of 4301 digits exceeds the limit of 4300 (at position 11)"),
+    (F.parse_formula, "forall x" + "1" * 4301 + ". 0 = 0",
+     "numeral of 4301 digits exceeds the limit of 4300 (at position 7)"),
 ])
 def test_scanner_error_contract(parse, text, message):
     with pytest.raises(ParseError) as exc:
