@@ -3,8 +3,8 @@
 Replays the eleven-equation derivation chain and the two reductio
 arguments over the designator algebra, tracking which labeled
 assumptions every step consumes, flagging contradiction shapes, and
-computing minimal inconsistent assumption subsets by exhaustive subset
-re-checking.
+computing minimal inconsistent assumption subsets from one checked run
+by filtering its steps on their assumption sets.
 
 All of Dem's logical behavior enters through labeled assumptions; the
 engine itself only applies structural rules, which is what makes the
@@ -52,6 +52,9 @@ _TWO_REFS = {"syll": "Syllogism", "iffi": "IffIntro", "mp": "ModusPonens"}
 # a comma between `derive` premises, not one inside a template such as
 # REFL[App(q,q)]: no `]` follows it before the next `[`
 _PREMISE_SEP = re.compile(r",(?![^\[]*\])")
+
+# an assumption label or step id: one word that a reference can cite
+_WORD = re.compile(r"[^\s\[\],]+")
 
 
 class Step(Node):
@@ -197,15 +200,12 @@ def instantiate_assumption(
 
 
 class _Engine:
-    def __init__(self, script: DerivationScript, allowed: set[str] | None = None):
+    def __init__(self, script: DerivationScript):
         self.script = script
-        self.allowed = allowed  # None means every declared label
         self.checked: dict[str, CheckedStep] = {}
 
     def _assumption(self, label: str, template: M.Designator | None):
         assumption = self.script.assumption(label)  # raises on unknown
-        if self.allowed is not None and label not in self.allowed:
-            raise RuleError("assumption %s excluded from this run" % label)
         return instantiate_assumption(assumption, template), frozenset([label]), frozenset()
 
     def _cited(self, ref: str) -> CheckedStep:
@@ -430,10 +430,8 @@ def classify(d: M.Designator, theory: list[M.MetaFormula]) -> str:
 # --- top-level checking ------------------------------------------------
 
 
-def check_script(
-    script: DerivationScript, allowed: set[str] | None = None
-) -> AuditReport:
-    steps = _Engine(script, allowed).run()
+def check_script(script: DerivationScript) -> AuditReport:
+    steps = _Engine(script).run()
     facts = _facts(steps)
     findings = _find_contradictions(facts)
     # the formulas of the valid, hypothesis-free ground steps
@@ -447,17 +445,20 @@ def check_script(
 
 def minimal_inconsistent_subsets(script: DerivationScript) -> list[list[str]]:
     """All subset-minimal assumption-label sets from which some
-    contradiction step of the script remains derivable."""
+    contradiction step of the script remains derivable.  One engine run
+    serves every set: the rules are monotone, so a step holds under a set
+    exactly when it holds under all labels and consumes only the set's."""
     labels = script.labels()
     if len(labels) > 6:
         raise WorkbenchError("subset search limited to 6 assumptions")
+    facts = _facts(_Engine(script).run())
     inconsistent: list[frozenset[str]] = []
     for r in range(len(labels) + 1):
         for combo in itertools.combinations(labels, r):
             s = frozenset(combo)
             if any(m <= s for m in inconsistent):
                 continue  # a subset already derives the contradiction
-            findings = _find_contradictions(_facts(_Engine(script, s).run()))
+            findings = _find_contradictions([(f, g) for f, g in facts if f.assumptions <= s])
             if any(not f.requires_consistency or "CONS" in s for f in findings):
                 inconsistent.append(s)
     return sorted([sorted(s) for s in inconsistent])
@@ -495,6 +496,11 @@ def _premise_ref(text: str, known_steps: set[str], known_labels: set[str]):
     return label, template
 
 
+def _check_word(text: str, what: str) -> None:
+    if not _WORD.fullmatch(text):
+        raise ParseError("%s must be one word, not %r" % (what, text))
+
+
 def parse_script(text: str) -> DerivationScript:
     assumptions: list[Assumption] = []
     steps: list[Step] = []
@@ -509,6 +515,7 @@ def parse_script(text: str) -> DerivationScript:
             if ":" not in rest:
                 raise ParseError("assume line needs 'LABEL : formula'")
             label, formula_text = (s.strip() for s in rest.split(":", 1))
+            _check_word(label, "assumption label")
             assumptions.append(
                 Assumption(
                     label,
@@ -526,6 +533,7 @@ def parse_script(text: str) -> DerivationScript:
         if ":=" not in rest:
             raise ParseError("step line needs 'ID := rule'")
         step_id, rule_text = (s.strip() for s in rest.split(":=", 1))
+        _check_word(step_id, "step id")
         provenance = ""
         if "!" in rule_text:
             rule_text, provenance = (s.strip() for s in rule_text.rsplit("!", 1))

@@ -16,6 +16,7 @@ from goedellab import formulas as F
 from goedellab import meta as M
 
 from conftest import random_formula
+from test_audit import inconsistent
 from test_codec import _oracle_unary_below
 from test_kernel import _taut
 
@@ -105,20 +106,12 @@ def test_criterion_6_minimal_cores(capsys):
         script = audit.canonical_antinomy_script()
         cores = audit.minimal_inconsistent_subsets(script)
         assert cores
-
-        def inconsistent(labels):
-            report = audit.check_script(script, allowed=set(labels))
-            return any(
-                not f.requires_consistency or "CONS" in labels
-                for f in report.contradictions
-            )
-
         for core in cores:
             assert core != ["DEF_E"]
-            assert inconsistent(core)
+            assert inconsistent(script, set(core))
             for r in range(len(core)):
                 for sub in itertools.combinations(core, r):
-                    assert not inconsistent(sub)
+                    assert not inconsistent(script, set(sub))
 
 
 def test_criterion_7_independence_and_compare(capsys):

@@ -2,10 +2,12 @@ import itertools
 import json
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from goedellab import audit
 from goedellab import meta as M
-from goedellab.errors import ParseError
+from goedellab.errors import ParseError, ResourceBound
 
 
 @pytest.fixture(scope="module")
@@ -83,29 +85,150 @@ def test_reconstruction_step_is_marked(canonical):
 # --- minimal inconsistent subsets --------------------------------------
 
 
+def restricted(script, labels):
+    """The script declaring only the assumptions in `labels`: a step that
+    cites any other label fails as an unknown assumption label."""
+    return audit.DerivationScript(
+        tuple(a for a in script.assumptions if a.label in labels), script.steps
+    )
+
+
+def inconsistent(script, labels):
+    """Whether a fresh engine run restricted to `labels` finds a
+    contradiction that counts under them."""
+    report = audit.check_script(restricted(script, labels))
+    return any(not f.requires_consistency or "CONS" in labels for f in report.contradictions)
+
+
+def referee_cores(script):
+    """The minimal inconsistent label sets, one restricted run per set."""
+    labels = script.labels()
+    found = [
+        set(combo)
+        for r in range(len(labels) + 1)
+        for combo in itertools.combinations(labels, r)
+        if inconsistent(script, set(combo))
+    ]
+    return sorted(sorted(s) for s in found if not any(t < s for t in found))
+
+
 def test_minimal_cores_verified_independently():
     script = audit.canonical_antinomy_script()
     cores = audit.minimal_inconsistent_subsets(script)
     assert cores == [["COMP_E", "DEF_E", "REFL"]]
 
-    def inconsistent(labels):
-        report = audit.check_script(script, allowed=set(labels))
-        for f in report.contradictions:
-            if not f.requires_consistency or "CONS" in labels:
-                return True
-        return False
-
     for core in cores:
         assert ["DEF_E"] != core
-        assert inconsistent(core)
+        assert inconsistent(script, set(core))
         for r in range(len(core)):
             for sub in itertools.combinations(core, r):
-                assert not inconsistent(sub)
+                assert not inconsistent(script, set(sub))
     # and no strictly smaller mixed subset anywhere derives it
     labels = script.labels()
     for r in range(3):
         for sub in itertools.combinations(labels, r):
-            assert not inconsistent(sub)
+            assert not inconsistent(script, set(sub))
+
+
+# the canonical replay with consistency declared: step 10's finding counts
+CANONICAL_WITH_CONS = audit.CANONICAL_SCRIPT_TEXT + "assume CONS : Dem[d*] -> ~Dem[~d*]\n"
+SHIPPED = [
+    audit.CANONICAL_SCRIPT_TEXT,
+    CANONICAL_WITH_CONS,
+    audit.GOEDEL_SCRIPT_TEXT,
+    audit.GOEDEL_SCRIPT_TEXT + audit.GOEDEL_EXTENSION_TEXT,
+]
+# every formula a shipped script derives, and the negation of each
+# unquantified one, to restate as an extra assumption
+DERIVED = {
+    M.print_meta(s.formula)
+    for text in SHIPPED
+    for s in audit.check_script(audit.parse_script(text)).steps
+    if s.ok
+}
+RESTATED = sorted(DERIVED | {"~" + text for text in DERIVED if not text.startswith("all ")})
+
+
+@st.composite
+def mutated_scripts(draw):
+    """A shipped script with step lines dropped, duplicated or swapped,
+    plus extra assumptions that restate a derived formula or its negation."""
+    lines = draw(st.sampled_from(SHIPPED)).splitlines()
+    assumes = [line for line in lines if line.startswith("assume ")]
+    steps = [line for line in lines if line.startswith("step ")]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(steps) - 1)), draw(st.integers(0, len(steps) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        if edit == "drop" and len(steps) > 1:
+            del steps[i]
+        elif edit == "duplicate":
+            steps.insert(j, steps[i])
+        else:
+            steps[i], steps[j] = steps[j], steps[i]
+    for k in range(draw(st.integers(0, 6 - len(assumes)))):
+        assumes.append("assume X%d : %s" % (k, draw(st.sampled_from(RESTATED))))
+        steps.insert(draw(st.integers(0, len(steps))), "step x%d := assume X%d" % (k, k))
+    return "\n".join(assumes + steps) + "\n"
+
+
+TWO_DERIVATIONS = """\
+assume A : Dem[App(1,1)]
+assume B : Dem[App(1,1)]
+assume C : ~Dem[App(1,1)]
+step 1 := assume A
+step 2 := assume B
+step 3 := assume C
+"""
+
+
+@pytest.mark.parametrize("text, cores", [
+    (TWO_DERIVATIONS, [["A", "C"], ["B", "C"]]),
+    (CANONICAL_WITH_CONS, [["COMP_E", "DEF_E", "REFL"], ["CONS", "DEF_E", "NEC_DEF", "REFL"]]),
+], ids=["two-derivations", "canonical-with-cons"])
+def test_known_cores(text, cores):
+    assert audit.minimal_inconsistent_subsets(audit.parse_script(text)) == cores
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_scripts())
+@example(TWO_DERIVATIONS)
+@example(CANONICAL_WITH_CONS)
+def test_cores_match_one_run_per_label_set(text):
+    try:
+        script = audit.parse_script(text)
+    except ParseError:
+        reject()  # a dropped or moved step that a `derive` cites
+    assert audit.minimal_inconsistent_subsets(script) == referee_cores(script)
+
+
+def test_cores_check_every_step_as_audit_run_does():
+    # {A} is a core, yet the `derive` over 16 atoms that also cites L is
+    # checked: the one run covers every step, as `audit run` does
+    big = "Dem[App(1,1)]"
+    for k in range(2, 17):
+        big = "(Dem[App(%d,%d)] -> %s)" % (k, k, big)
+    script = audit.parse_script(
+        "assume A : Dem[App(1,1)] <-> ~Dem[App(1,1)]\nassume L : Dem[App(2,2)]\n"
+        "step 1 := assume A\nstep 2 := derive %s from A, L\n" % big
+    )
+    for audit_call in (audit.check_script, audit.minimal_inconsistent_subsets):
+        with pytest.raises(ResourceBound, match="16 modal atoms"):
+            audit_call(script)
+
+
+def test_cores_run_the_engine_once(monkeypatch):
+    runs = []
+    run = audit._Engine.run
+
+    def counted_run(self):
+        runs.append(self)
+        return run(self)
+
+    monkeypatch.setattr(audit._Engine, "run", counted_run)
+    script = audit.parse_script(TWO_DERIVATIONS)
+    for expected in (1, 2):
+        audit.minimal_inconsistent_subsets(script)
+        assert len(runs) == expected
 
 
 # --- the independence replay -------------------------------------------
@@ -220,9 +343,9 @@ step 1 := assume REFL
 
 def test_excluded_assumptions_invalidate_their_steps():
     script = audit.canonical_antinomy_script()
-    report = audit.check_script(script, allowed={"DEF_E", "NEC_DEF", "REFL"})
+    report = audit.check_script(restricted(script, {"DEF_E", "NEC_DEF", "REFL"}))
     assert report.step("8").ok
-    assert not report.step("9").ok
+    assert report.step("9").reason == "unknown assumption label 'COMP_E'"
     assert not report.step("11").ok
     # without CONS the remaining finding does not count as a contradiction
     assert all(f.requires_consistency for f in report.contradictions)
@@ -258,29 +381,28 @@ assume DEF_E : all n. InE(n) <-> ~Dem[App(n,n)]
 assume REFL  : Dem[d*] -> d*
 """
 
-# (JSON rule name, steps, allowed labels, reason of the last step or None)
+# (JSON rule name, steps, reason of the last step or None)
 RULE_CASES = [
-    ("UseAssumption", "step 1 := assume DEF_E", None, None),
-    ("UseAssumption", "step 1 := assume REFL [App(q,q)]", None, None),
+    ("UseAssumption", "step 1 := assume DEF_E", None),
+    ("UseAssumption", "step 1 := assume REFL [App(q,q)]", None),
     (
         "UseAssumption",
         "step 1 := assume REFL",
-        None,
         "assumption REFL is a designator schema; a [template] is required",
     ),
-    ("UseAssumption", "step 1 := assume DEF_E [App(q,q)]", None,
+    ("UseAssumption", "step 1 := assume DEF_E [App(q,q)]",
      "assumption DEF_E takes no template"),
-    ("UseAssumption", "step 1 := assume NOPE", None, "unknown assumption label 'NOPE'"),
-    ("UseAssumption", "step 1 := assume DEF_E", {"REFL"},
-     "assumption DEF_E excluded from this run"),
-    ("Transpose", "step 1 := assume DEF_E\nstep 2 := transpose 1", None, None),
-    ("Transpose", "step 1 := suppose Dem[App(q,q)]\nstep 2 := transpose 1", None,
+    ("UseAssumption", "step 1 := assume NOPE", "unknown assumption label 'NOPE'"),
+    # the label is looked up before its template is read
+    ("UseAssumption", "step 1 := assume NOPE [App(q,q)]", "unknown assumption label 'NOPE'"),
+    ("Transpose", "step 1 := assume DEF_E\nstep 2 := transpose 1", None),
+    ("Transpose", "step 1 := suppose Dem[App(q,q)]\nstep 2 := transpose 1",
      "transpose needs an implication or equivalence"),
-    ("IffElimF", "step 1 := assume DEF_E\nstep 2 := ifff 1", None, None),
-    ("IffElimF", "step 1 := suppose Dem[App(q,q)]\nstep 2 := ifff 1", None,
+    ("IffElimF", "step 1 := assume DEF_E\nstep 2 := ifff 1", None),
+    ("IffElimF", "step 1 := suppose Dem[App(q,q)]\nstep 2 := ifff 1",
      "iff-elim needs an equivalence"),
-    ("IffElimB", "step 1 := assume DEF_E\nstep 2 := iffb 1", None, None),
-    ("IffElimB", "step 1 := assume REFL [App(q,q)]\nstep 2 := iffb 1", None,
+    ("IffElimB", "step 1 := assume DEF_E\nstep 2 := iffb 1", None),
+    ("IffElimB", "step 1 := assume REFL [App(q,q)]\nstep 2 := iffb 1",
      "iff-elim needs an equivalence"),
     (
         "Syllogism",
@@ -288,26 +410,22 @@ RULE_CASES = [
         "step 2 := suppose Dem[App(1,1)] -> Dem[App(2,2)]\n"
         "step 3 := syll 1 2",
         None,
-        None,
     ),
     (
         "Syllogism",
         "step 1 := suppose Dem[App(q,q)] -> Dem[App(1,1)]\n"
         "step 2 := suppose Dem[App(2,2)] -> Dem[App(3,3)]\n"
         "step 3 := syll 1 2",
-        None,
         "middle terms do not match",
     ),
     (
         "Syllogism",
         "step 1 := assume DEF_E\nstep 2 := assume REFL [App(q,q)]\nstep 3 := syll 1 2",
-        None,
         "quantifier prefixes differ: ['n'] vs []",
     ),
     (
         "Syllogism",
         "step 1 := assume DEF_E\nstep 2 := ifff 1\nstep 3 := syll 1 2",
-        None,
         "both cited steps must be implications",
     ),
     (
@@ -316,44 +434,39 @@ RULE_CASES = [
         "step 2 := suppose Dem[App(2,2)] -> Dem[App(1,1)]\n"
         "step 3 := iffi 1 2",
         None,
-        None,
     ),
     (
         "IffIntro",
         "step 1 := suppose Dem[App(1,1)] -> Dem[App(2,2)]\n"
         "step 2 := suppose Dem[App(1,1)] -> Dem[App(2,2)]\n"
         "step 3 := iffi 1 2",
-        None,
         "implications are not mutually converse",
     ),
-    ("Instantiate", "step 1 := assume DEF_E\nstep 2 := inst 1 n q", None, None),
-    ("Instantiate", "step 1 := assume DEF_E\nstep 2 := inst 1 n 7", None, None),
-    ("Instantiate", "step 1 := assume DEF_E\nstep 2 := inst 1 m q", None,
+    ("Instantiate", "step 1 := assume DEF_E\nstep 2 := inst 1 n q", None),
+    ("Instantiate", "step 1 := assume DEF_E\nstep 2 := inst 1 n 7", None),
+    ("Instantiate", "step 1 := assume DEF_E\nstep 2 := inst 1 m q",
      "step '1' is not universally quantified over 'm'"),
-    ("RewriteE", "step 1 := assume DEF_E\nstep 2 := rewriteE 1", None, None),
-    ("RewriteE", "step 1 := assume DEF_E\nstep 2 := rewriteE 9", None,
+    ("RewriteE", "step 1 := assume DEF_E\nstep 2 := rewriteE 1", None),
+    ("RewriteE", "step 1 := assume DEF_E\nstep 2 := rewriteE 9",
      "reference to unknown or later step '9'"),
-    ("NegPush", "step 1 := assume DEF_E\nstep 2 := negpush 1", None, None),
-    ("NegPush", "step 1 := assume REFL\nstep 2 := negpush 1", None,
+    ("NegPush", "step 1 := assume DEF_E\nstep 2 := negpush 1", None),
+    ("NegPush", "step 1 := assume REFL\nstep 2 := negpush 1",
      "cites invalid step '1'"),
     (
         "ModusPonens",
         "step 1 := assume REFL [App(q,q)]\nstep 2 := suppose Dem[App(q,q)]\nstep 3 := mp 1 2",
         None,
-        None,
     ),
     (
         "ModusPonens",
         "step 1 := assume REFL [App(q,q)]\nstep 2 := suppose Dem[~App(q,q)]\nstep 3 := mp 1 2",
-        None,
         "antecedent mismatch",
     ),
-    ("ModusPonens", "step 1 := assume DEF_E\nstep 2 := mp 1 1", None,
+    ("ModusPonens", "step 1 := assume DEF_E\nstep 2 := mp 1 1",
      "modus ponens applies to unquantified steps"),
     (
         "ModusPonens",
         "step 1 := suppose Dem[App(q,q)]\nstep 2 := mp 1 1",
-        None,
         "step '1' is not an implication",
     ),
     (
@@ -361,49 +474,43 @@ RULE_CASES = [
         "step 1 := suppose Dem[App(q,q)]\n"
         "step 2 := derive App(q,q) from 1, REFL[InE(q)], DEF_E",
         None,
-        None,
     ),
     (
         "TautCons",
         "step 1 := suppose Dem[App(q,q)]\nstep 2 := derive ~App(q,q) from 1, REFL[InE(q)]",
-        None,
         "stated conclusion is not a tautological consequence",
     ),
-    ("TautCons", "step 1 := derive App(q,q) from REFL", None,
+    ("TautCons", "step 1 := derive App(q,q) from REFL",
      "assumption REFL is a designator schema; a [template] is required"),
-    ("TautCons", "step 1 := derive App(q,q) from DEF_E[InE(q)]", None,
+    ("TautCons", "step 1 := derive App(q,q) from DEF_E[InE(q)]",
      "assumption DEF_E takes no template"),
-    ("TautCons", "step 1 := derive App(q,q) from REFL[InE(q)]", {"DEF_E"},
-     "assumption REFL excluded from this run"),
-    ("Suppose", "step 1 := suppose Dem[App(q,q)]", None, None),
-    ("Suppose", "step 1 := suppose Dem[App(q,q)]\nstep 1 := suppose Dem[App(q,q)]", None,
+    ("TautCons", "step 1 := derive App(q,q) from NOPE[InE(q)]",
+     "unknown assumption label 'NOPE'"),
+    ("Suppose", "step 1 := suppose Dem[App(q,q)]", None),
+    ("Suppose", "step 1 := suppose Dem[App(q,q)]\nstep 1 := suppose Dem[App(q,q)]",
      "duplicate step id"),
     (
         "Reductio",
         "step h := suppose Dem[App(q,q)]\nstep n := suppose ~Dem[App(q,q)]\n"
         "step r := reductio h by h, n",
         None,
-        None,
     ),
     (
         "Reductio",
         "step 1 := assume DEF_E\nstep 2 := suppose Dem[App(q,q)]\n"
         "step 3 := suppose ~Dem[App(q,q)]\nstep 4 := reductio 1 by 2, 3",
-        None,
         "'1' is not a supposition",
     ),
     (
         "Reductio",
         "step h := suppose Dem[App(q,q)]\nstep n := suppose Dem[App(1,1)]\n"
         "step r := reductio h by h, n",
-        None,
         "cited steps are not contradictory",
     ),
     (
         "Reductio",
         "step h := suppose Dem[App(1,1)]\nstep 2 := suppose Dem[App(q,q)]\n"
         "step 3 := suppose ~Dem[App(q,q)]\nstep r := reductio h by 2, 3",
-        None,
         "contradiction does not depend on the supposition",
     ),
     # a template with a comma cited as a `derive` premise
@@ -411,23 +518,22 @@ RULE_CASES = [
         "TautCons",
         "step 1 := suppose Dem[App(q,q)]\nstep 2 := derive App(q,q) from 1, REFL[App(q,q)]",
         None,
-        None,
     ),
 ]
 
 
-def _json_steps(steps, allowed=None):
+def _json_steps(steps):
     script = audit.parse_script(RULE_ASSUMPTIONS + steps + "\n")
-    return audit.check_script(script, allowed=allowed).to_json_dict()["steps"]
+    return audit.check_script(script).to_json_dict()["steps"]
 
 
 @pytest.mark.parametrize(
-    "rule, steps, allowed, reason",
+    "rule, steps, reason",
     RULE_CASES,
     ids=["%s-%d" % (case[0], i) for i, case in enumerate(RULE_CASES)],
 )
-def test_rule_table(rule, steps, allowed, reason):
-    last = _json_steps(steps, allowed)[-1]
+def test_rule_table(rule, steps, reason):
+    last = _json_steps(steps)[-1]
     assert (last["rule"], last["valid"], last["reason"]) == (rule, reason is None, reason)
     assert (last["formula"] is None) == (reason is not None)
 
@@ -454,8 +560,8 @@ def test_rule_table_accepts_and_rejects_every_rule():
         "IffIntro", "Instantiate", "RewriteE", "NegPush", "ModusPonens",
         "TautCons", "Suppose", "Reductio",
     }
-    accepted = {rule for rule, _, _, reason in RULE_CASES if reason is None}
-    rejected = {rule for rule, _, _, reason in RULE_CASES if reason is not None}
+    accepted = {rule for rule, _, reason in RULE_CASES if reason is None}
+    rejected = {rule for rule, _, reason in RULE_CASES if reason is not None}
     assert accepted == rejected == names
 
 

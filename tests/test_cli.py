@@ -445,6 +445,29 @@ def test_audit_run_invalid_script_is_exit_one(tmp_path, capsys):
     assert code == 1 and "BAD" in out
 
 
+@pytest.mark.parametrize("command", ["run", "cores"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("assume  : Dem[App(1,1)]\nstep 1 := assume \n",
+         "assumption label must be one word, not ''"),
+        # checked before the formula is parsed
+        ("assume A B : Dem[App(1,\n", "assumption label must be one word, not 'A B'"),
+        ("assume A[1] : Dem[App(1,1)]\n", "assumption label must be one word, not 'A[1]'"),
+        ("assume A : Dem[App(1,1)]\nstep a b := assume A\n",
+         "step id must be one word, not 'a b'"),
+        ("assume A : Dem[App(1,1)]\nstep a,b := assume A\n",
+         "step id must be one word, not 'a,b'"),
+        ("assume A : Dem[App(1,1)]\nstep  := assume A\n", "step id must be one word, not ''"),
+    ],
+)
+def test_audit_labels_and_step_ids_are_one_word(tmp_path, capsys, command, text, message):
+    path = tmp_path / "label.audit"
+    path.write_text(text)
+    code, out, err = run(capsys, "audit", command, str(path))
+    assert (code, out, err) == (1, "", "parse error: %s\n" % message)
+
+
 # --- model -------------------------------------------------------------
 
 
