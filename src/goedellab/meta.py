@@ -306,6 +306,7 @@ def parse_desig(text: str) -> Designator:
 # --- propositional engine over modal atoms -----------------------------
 
 MAX_ATOMS = 14
+_ATOMS = (Assert, DemOf, ForAllIndex)
 
 
 def _prepare(formulas: list[MetaFormula]) -> list[MetaFormula]:
@@ -324,24 +325,30 @@ def _prepare(formulas: list[MetaFormula]) -> list[MetaFormula]:
 
 def _truth_rows(formulas: list[MetaFormula]) -> tuple[int, list[int]]:
     """(full, one int per formula whose bit r says it holds in row r of
-    the truth table over the formulas' atoms)."""
-    keys = {print_meta(a) for phi in formulas for a in walk(phi)
-            if isinstance(a, (Assert, DemOf))}
+    the truth table over the formulas' atoms).  An atom is an Assert, a
+    DemOf, or a quantified formula under a connective, which is opaque:
+    keyed by its printed text, its body's atoms are not counted."""
+    keys = set()
+    stack = list(formulas)
+    while stack:
+        phi = stack.pop()
+        if isinstance(phi, _ATOMS):
+            keys.add(print_meta(phi))
+        else:
+            stack += (getattr(phi, f) for f in phi._children)
     if len(keys) > MAX_ATOMS:
         raise ResourceBound("%d modal atoms exceed the truth-table bound" % len(keys))
     full, cols = truth_columns(len(keys))
     column = dict(zip(sorted(keys), cols))
 
     def rows(phi: MetaFormula) -> int:
-        if isinstance(phi, (Assert, DemOf)):
+        if isinstance(phi, _ATOMS):
             return column[print_meta(phi)]
         if isinstance(phi, MNot):
             return full ^ rows(phi.sub)
         if isinstance(phi, MImplies):
             return (full ^ rows(phi.left)) | rows(phi.right)
-        if isinstance(phi, MIff):
-            return full ^ rows(phi.left) ^ rows(phi.right)
-        raise ValueError("quantified formula reached the propositional engine")
+        return full ^ rows(phi.left) ^ rows(phi.right)
 
     return full, [rows(phi) for phi in formulas]
 

@@ -11,9 +11,16 @@ Three independent engines are provided on purpose:
   valuation sweep runs over all valuations at once, one bit per
   valuation in a Python int;
 * a tableau satisfiability procedure (`is_satisfiable` / `is_valid`)
-  that decides the logics outright.
+  that decides the logics outright.  A branch is an int, one bit per
+  literal of the formula's closure (`_Closure`), and its implications
+  are expanded lowest literal first; a successor starts from one mask,
+  the operands of the branch's boxes (and in K4 and GL the boxes), plus
+  the demand's literals.  So the work does not depend on the hash seed.
 
-Every model returned by the search is re-verified by the direct checker
+The search and the tableau read one closure: the sweep evaluates its
+subformulas in order, and the search's propositional check is "some
+open saturated branch exists".  Every model returned by the search is
+re-verified by the direct checker, which does not read the closure,
 before it leaves this module.  Search bounds are explicit; exceeding
 them raises ResourceBound rather than returning a silently wrong answer.
 """
@@ -23,10 +30,10 @@ from __future__ import annotations
 import json
 import re
 from functools import cache, reduce
-from operator import or_
+from operator import and_, or_
 
 from .errors import ResourceBound, WorkbenchError
-from .syntax import Cursor, Node, read_text, truth_columns, walk
+from .syntax import Cursor, Node, read_text, truth_columns
 
 LOGICS = ("K", "K4", "GL")
 
@@ -69,18 +76,8 @@ def And(a: ModalFormula, b: ModalFormula) -> ModalFormula:
     return Neg(Imp(a, Neg(b)))
 
 
-def atoms_of(f: ModalFormula) -> set[str]:
-    return {g.name for g in walk(f) if isinstance(g, Atom)}
-
-
 def modal_depth(f: ModalFormula) -> int:
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Neg):
-        return modal_depth(f.sub)
-    if isinstance(f, Box):
-        return 1 + modal_depth(f.sub)
-    return max(modal_depth(f.left), modal_depth(f.right))
+    return _Closure(f).depth
 
 
 def print_modal(f: ModalFormula) -> str:
@@ -110,6 +107,58 @@ def parse_modal(text: str) -> ModalFormula:
     return p.parse(p.formula)
 
 
+class _Closure:
+    """A formula's subformulas, numbered once (the Fischer-Ladner closure).
+    Each one that is not a negation gets an index k, operands first, keyed
+    by its kind and its operands' literals, so a shared or repeated
+    subformula gets one.  Literal 2k is subformula k and 2k+1 its negation:
+    i ^ 1 is the complement of literal i, and ~~g is g.  keys[k] is an
+    atom's name, the literal s for the box of s, or (a, b) for a -> b.  A
+    set of literals is an int with bit i for literal i; imps and boxes
+    hold bit 2k of each implication and box."""
+
+    __slots__ = ("keys", "top", "imps", "boxes", "depth", "evens")
+
+    def __init__(self, f: ModalFormula):
+        index: dict = {}  # key -> k
+        lit: dict[int, int] = {}  # id(node) -> literal
+        depth: list[int] = []  # index -> modal depth
+        imps = boxes = 0
+        stack = [f]
+        pop, get = stack.pop, lit.get
+        while stack:
+            g = pop()
+            kind = type(g)
+            if kind is Imp:
+                a, b = get(id(g.left)), get(id(g.right))
+                if a is None or b is None:
+                    stack += (g, g.right, g.left)
+                    continue
+                key, d = (a, b), max(depth[a >> 1], depth[b >> 1])
+            elif kind is Atom:
+                key, d = g.name, 0
+            else:
+                a = get(id(g.sub))
+                if a is None:
+                    stack += (g, g.sub)
+                    continue
+                if kind is Neg:
+                    lit[id(g)] = a ^ 1
+                    continue
+                key, d = a, depth[a >> 1] + 1
+            k = index.setdefault(key, len(depth))
+            lit[id(g)] = 2 * k
+            if k == len(depth):
+                depth.append(d)
+                if kind is Imp:
+                    imps |= 1 << 2 * k
+                elif kind is Box:
+                    boxes |= 1 << 2 * k
+        self.keys, self.top, self.imps, self.boxes = list(index), lit[id(f)], imps, boxes
+        self.depth = depth[self.top >> 1]
+        self.evens = (4 ** len(depth) - 1) // 3
+
+
 # --- Kripke models: the trusted base -----------------------------------
 
 
@@ -137,24 +186,34 @@ class KripkeModel(Node):
 
     def truth_mask(self, f: ModalFormula) -> int:
         """The worlds forcing f, as an int with bit u for world u.  Bottom-up
-        labeling: each subformula occurrence is labeled once."""
+        labeling from an explicit stack: each subformula occurrence is
+        labeled once, and its connective applied to its operands' labels."""
         full = (1 << self.worlds) - 1
         succ: dict[int, int] = {}
         for a, b in self.relation:
             succ[a] = succ.get(a, 0) | 1 << b
         ext = {a: sum(1 << u for u in ws) for a, ws in self.valuation}
-
-        def label(g: ModalFormula) -> int:
-            if isinstance(g, Atom):
-                return ext.get(g.name, 0)
-            if isinstance(g, Neg):
-                return full ^ label(g.sub)
-            if isinstance(g, Imp):
-                return (full ^ label(g.left)) | label(g.right)
-            bad = full ^ label(g.sub)
-            return full ^ sum(1 << u for u, s in succ.items() if s & bad)
-
-        return label(f)
+        # todo holds subformulas to label and, below their operands, the
+        # classes of connectives to apply to the labels on top of `labels`
+        todo: list = [f]
+        labels: list[int] = []
+        while todo:
+            g = todo.pop()
+            if g is Imp:
+                right = labels.pop()
+                labels[-1] = (full ^ labels[-1]) | right
+            elif g is Neg:
+                labels[-1] ^= full
+            elif g is Box:
+                bad = full ^ labels[-1]
+                labels[-1] = full ^ sum(1 << u for u, s in succ.items() if s & bad)
+            elif type(g) is Atom:
+                labels.append(ext.get(g.name, 0))
+            elif type(g) is Imp:
+                todo += (Imp, g.right, g.left)
+            else:
+                todo += (type(g), g.sub)
+        return labels[0]
 
     def forces(self, w: int, f: ModalFormula) -> bool:
         if not 0 <= w < self.worlds:
@@ -242,60 +301,34 @@ def _class_frames(logic: str, n: int) -> tuple[tuple[int, ...], ...]:
 # kept per world as an int with one bit per row.
 
 
-def _sweep(f: ModalFormula, succ: tuple[int, ...], atom_order: dict[str, int]):
-    """For each world w, the rows (valuations) under which w forces f."""
+def _sweep(c: _Closure, succ: tuple[int, ...], atom_order: dict[str, int]):
+    """For each world w, the rows (valuations) under which w forces the
+    closure's formula, each subformula evaluated once, operands first."""
     n = len(succ)
     full, cols = truth_columns(n * len(atom_order))
-
-    def ev(g: ModalFormula) -> list[int]:
-        if isinstance(g, Atom):
-            i = atom_order[g.name]
-            return list(cols[i * n : i * n + n])
-        if isinstance(g, Neg):
-            return [full ^ x for x in ev(g.sub)]
-        if isinstance(g, Imp):
-            return [(full ^ a) | b for a, b in zip(ev(g.left), ev(g.right))]
-        sub = ev(g.sub)
-        out = []
-        for w in range(n):
-            rows = full
-            for u in range(n):
-                if succ[w] >> u & 1:
-                    rows &= sub[u]
-            out.append(rows)
-        return out
-
-    return ev(f)
-
-
-def _prop_satisfiable(f: ModalFormula) -> bool:
-    """Treat Box-subformulas as opaque atoms; a propositionally
-    unsatisfiable formula has no model in any logic."""
-    keys: set[str] = set()
-
-    def scan(g: ModalFormula):
-        if isinstance(g, (Atom, Box)):
-            keys.add(print_modal(g))
-        elif isinstance(g, Neg):
-            scan(g.sub)
+    below = [[u for u in range(n) if s >> u & 1] for s in succ]
+    # vals[k]: per world, the rows forcing subformula k; literal 2k+1's
+    # rows are full ^ those, so `l & 1 and full` flips a literal l
+    vals: list = []
+    for key in c.keys:
+        if type(key) is str:
+            i = atom_order[key] * n
+            vals.append(cols[i : i + n])
+        elif type(key) is tuple:
+            a, b = key
+            na, nb = full if not a & 1 else 0, b & 1 and full
+            vals.append([(x ^ na) | (y ^ nb) for x, y in zip(vals[a >> 1], vals[b >> 1])])
         else:
-            scan(g.left)
-            scan(g.right)
+            sub, ns = vals[key >> 1], key & 1 and full
+            vals.append([reduce(and_, [sub[u] ^ ns for u in us], full) for us in below])
+    nt = c.top & 1 and full
+    return [x ^ nt for x in vals[c.top >> 1]]
 
-    scan(f)
-    if len(keys) > 20:
-        return True  # inconclusive; defer to the real procedures
-    full, cols = truth_columns(len(keys))
-    column = dict(zip(sorted(keys), cols))
 
-    def ev(g: ModalFormula) -> int:
-        if isinstance(g, (Atom, Box)):
-            return column[print_modal(g)]
-        if isinstance(g, Neg):
-            return full ^ ev(g.sub)
-        return (full ^ ev(g.left)) | ev(g.right)
-
-    return ev(f) != 0
+def _prop_satisfiable(c: _Closure) -> bool:
+    """Whether an open saturated branch (never empty) exists: if not, the
+    formula has no model in any logic."""
+    return any(_saturated(c, 1 << c.top))
 
 
 class ModelWitness(Node):
@@ -325,13 +358,14 @@ def find_model(
         raise WorkbenchError("unknown logic %r" % logic)
     if max_worlds is not None and max_worlds < 1:
         raise WorkbenchError("the search bound must be at least 1 world, not %d" % max_worlds)
-    if not _prop_satisfiable(f):
+    c = _Closure(f)
+    if not _prop_satisfiable(c):
         return None
     cap = GL_MAX_WORLDS if logic == "GL" else K_MAX_WORLDS
     bound = cap if max_worlds is None else max_worlds
     if bound > cap:
         raise ResourceBound("%s frame search capped at %d worlds" % (logic, cap))
-    atom_names = sorted(atoms_of(f))
+    atom_names = sorted(key for key in c.keys if type(key) is str)
     atom_order = {a: i for i, a in enumerate(atom_names)}
     for n in range(1, bound + 1):
         if n * len(atom_names) > MAX_SEARCH_BITS:
@@ -340,7 +374,7 @@ def find_model(
                 % (len(atom_names), n)
             )
         for succ in _class_frames(logic, n):
-            forced = _sweep(f, succ, atom_order)
+            forced = _sweep(c, succ, atom_order)
             hit = reduce(or_, forced)
             if hit:
                 # the lowest valuation row, then the highest world forcing f in it
@@ -365,71 +399,58 @@ def find_model(
 # --- tableau decision procedure ----------------------------------------
 
 
-def _push(branch: frozenset, f: ModalFormula) -> frozenset | None:
-    """Add f (collapsing double negation); None signals branch closure."""
-    while isinstance(f, Neg) and isinstance(f.sub, Neg):
-        f = f.sub.sub
-    comp = f.sub if isinstance(f, Neg) else Neg(f)
-    if comp in branch:
-        return None
-    return branch | {f}
-
-
-def _saturated(branch: frozenset):
-    """Fully expand the propositional connectives; yields open saturated
-    branches containing only atoms, negated atoms, Box and ~Box."""
-    for f in branch:
-        if isinstance(f, Imp):
-            rest = branch - {f}
-            for side in (Neg(f.left), f.right):
-                b = _push(rest, side)
-                if b is not None:
-                    yield from _saturated(b)
-            return
-        if isinstance(f, Neg) and isinstance(f.sub, Imp):
-            rest = branch - {f}
-            b = _push(rest, f.sub.left)
-            if b is not None:
-                b = _push(b, Neg(f.sub.right))
-            if b is not None:
-                yield from _saturated(b)
-            return
-    yield branch
+def _saturated(c: _Closure, branch: int):
+    """Fully expand the propositional connectives, lowest literal first;
+    yields open saturated branches, which hold only atoms, boxes and
+    their negations."""
+    keys, evens, composite = c.keys, c.evens, c.imps * 3
+    stack = [branch]
+    while stack:
+        b = stack.pop()
+        todo = b & composite
+        if not todo:
+            yield b
+            continue
+        low = todo & -todo
+        i = low.bit_length() - 1
+        left, right = keys[i >> 1]
+        b ^= low
+        if i & 1:  # ~(left -> right): left and ~right
+            kids = (b | 1 << left | 1 << (right ^ 1),)
+        else:  # left -> right: ~left or right, ~left expanded first
+            kids = (b | 1 << right, b | 1 << (left ^ 1))
+        stack += [k for k in kids if not k & k >> 1 & evens]
 
 
 def _branch_satisfiable(
-    branch: frozenset, logic: str, path: frozenset, budget: int
+    c: _Closure, branch: int, logic: str, path: frozenset, budget: int
 ) -> bool:
     if budget < 0:
         raise ResourceBound("tableau depth bound exceeded")
-    for sat in _saturated(branch):
-        boxed = [g for g in sat if isinstance(g, Box)]
-        diamonds = [
-            g for g in sat if isinstance(g, Neg) and isinstance(g.sub, Box)
-        ]
-        ok = True
-        for d in diamonds:
-            psi = d.sub.sub  # d is ~[]psi
-            succ: frozenset | None = frozenset()
-            for g in boxed:
-                succ = _push(succ, g.sub)
-                if succ is not None and logic in ("K4", "GL"):
-                    succ = _push(succ, g)
-                if succ is None:
-                    break
-            if succ is not None and logic == "GL":
-                succ = _push(succ, Box(psi))
-            if succ is not None:
-                succ = _push(succ, Neg(psi))
-            if succ is None:
-                ok = False
+    for sat in _saturated(c, branch):
+        # every successor holds each box's operand, and in K4 and GL the
+        # box; the bit of literal 2k has bit_length 2k + 1, so >> 1 is k
+        boxed = sat & c.boxes
+        base = 0 if logic == "K" else boxed
+        while boxed:
+            low = boxed & -boxed
+            boxed ^= low
+            base |= 1 << c.keys[low.bit_length() >> 1]
+        # each ~[]psi, as the bit of []psi, demands a successor with ~psi
+        demands = sat >> 1 & c.boxes
+        while demands:
+            low = demands & -demands
+            demands ^= low
+            succ = base | 1 << (c.keys[low.bit_length() >> 1] ^ 1)
+            if logic == "GL":
+                succ |= low  # []psi holds there too
+            if succ & succ >> 1 & c.evens:
                 break
             if logic == "K4" and succ in path:
                 continue  # a transitive loop realizes this demand
-            if not _branch_satisfiable(succ, logic, path | {succ}, budget - 1):
-                ok = False
+            if not _branch_satisfiable(c, succ, logic, path | {succ}, budget - 1):
                 break
-        if ok:
+        else:
             return True
     return False
 
@@ -437,17 +458,12 @@ def _branch_satisfiable(
 def is_satisfiable(f: ModalFormula, logic: str = "GL") -> bool:
     if logic not in LOGICS:
         raise WorkbenchError("unknown logic %r" % logic)
-    start = _push(frozenset(), f)
-    if start is None:
-        return False
+    c = _Closure(f)
+    start = 1 << c.top
     # GL re-expansion terminates because each successor fulfills one more
     # Box subformula for good; the budget is a generous safety net.
-    budget = 4 * (len(_box_subformulas(f)) + 1) * (modal_depth(f) + 1) + 8
-    return _branch_satisfiable(start, logic, frozenset([start]), budget)
-
-
-def _box_subformulas(f: ModalFormula) -> set[ModalFormula]:
-    return {g for g in walk(f) if isinstance(g, Box)}
+    budget = 4 * (c.boxes.bit_count() + 1) * (c.depth + 1) + 8
+    return _branch_satisfiable(c, start, logic, frozenset([start]), budget)
 
 
 def is_valid(f: ModalFormula, logic: str = "GL") -> bool:

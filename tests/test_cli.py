@@ -468,6 +468,44 @@ def test_audit_labels_and_step_ids_are_one_word(tmp_path, capsys, command, text,
     assert (code, out, err) == (1, "", "parse error: %s\n" % message)
 
 
+@pytest.mark.parametrize(
+    "text, ran, cores",
+    [
+        (
+            "assume X : ~all n. (Dem[App(n,n)] -> Dem[~InE(n)])\nassume Y : Dem[App(1,1)]\n"
+            "step 1 := assume X\nstep 2 := assume Y\n",
+            "1    ok  ~all n. (Dem[App(n,n)] -> Dem[~InE(n)])  uses {X}\n"
+            "2    ok  Dem[App(1,1)]  uses {Y}\n"
+            "classification: App(1,1) is provable\nassumptions consumed: X, Y\n",
+            "no inconsistent assumption subset\n",
+        ),
+        (
+            "assume X : Dem[App(1,1)] -> all n. Dem[App(n,n)]\n"
+            "step 1 := derive Dem[App(1,1)] -> Dem[App(1,1)] from X\n",
+            "1    ok  (Dem[App(1,1)] -> Dem[App(1,1)])  uses {X}\n"
+            "classification: App(1,1) is unknown\nassumptions consumed: X\n",
+            "no inconsistent assumption subset\n",
+        ),
+        (
+            "assume X : Dem[App(1,1)] -> all n. Dem[App(n,n)]\n"
+            "assume Z : ~(Dem[App(1,1)] -> all n. Dem[App(n,n)])\n"
+            "step 1 := assume X\nstep 2 := assume Z\n",
+            "1    ok  (Dem[App(1,1)] -> all n. Dem[App(n,n)])  uses {X}\n"
+            "2    ok  ~(Dem[App(1,1)] -> all n. Dem[App(n,n)])  uses {Z}\n"
+            "contradiction at 2: contradictory-pair — contradicts step 1\n"
+            "classification: App(1,1) is overdetermined\nassumptions consumed: X, Z\n",
+            "core: {X, Z}\n",
+        ),
+    ],
+    ids=["negated-quantifier", "quantifier-in-a-premise", "opaque-pair"],
+)
+def test_a_quantifier_under_a_connective_is_an_opaque_atom(tmp_path, capsys, text, ran, cores):
+    path = tmp_path / "quantified.audit"
+    path.write_text(text)
+    assert run(capsys, "audit", "run", str(path)) == (0, ran, "")
+    assert run(capsys, "audit", "cores", str(path)) == (0, cores, "")
+
+
 # --- model -------------------------------------------------------------
 
 
@@ -485,6 +523,18 @@ def test_model_check(tmp_path, capsys):
     code, out, _ = run(capsys, "--json", "model", "check", str(path), "<>p")
     payload = json.loads(out)
     assert payload["forcing_worlds"] == [0]
+
+
+def test_a_long_conjunction_gets_a_verdict(tmp_path, capsys):
+    f = " & ".join(["[]p"] * 1500)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": 2, "relation": [[0, 1]], "valuation": {"p": [1]}}))
+    assert run(capsys, "model", "check", str(path), f) == (0, "forced at worlds: 0, 1\n", "")
+    code, out, err = run(capsys, "model", "find", f)
+    assert (code, out.splitlines()[0], err) == (
+        0, "model with 1 world(s), formula forced at world 0", "")
+    code, out, err = run(capsys, "model", "valid", f)
+    assert (code, out.splitlines()[:2], err) == (0, ["invalid in GL", "{"], "")
 
 
 def test_model_check_world_out_of_range_is_exit_one(tmp_path, capsys):

@@ -65,6 +65,15 @@ def test_satisfiability():
     )
 
 
+def test_a_quantifier_under_a_connective_is_one_atom():
+    x = M.parse_meta("Dem[App(1,1)] -> all n. Dem[App(n,n)]")
+    assert M.satisfiable([x])
+    assert not M.satisfiable([x, M.neg(x)])
+    # the body's 15 atoms are not counted: the whole quantifier is one
+    big = " -> ".join("Dem[App(%d,n)]" % i for i in range(15))
+    assert M.tautological_consequence([M.parse_meta("~(d* -> all n. %s)" % big)], M.parse_meta("d*"))
+
+
 def test_atom_bound_is_enforced():
     formulas = [M.parse_meta("Dem[App(%d,%d)]" % (i, i)) for i in range(15)]
     with pytest.raises(ResourceBound):

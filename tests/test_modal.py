@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from functools import reduce
@@ -9,12 +12,16 @@ from operator import or_
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goedellab import modal as Md
 from goedellab._frame_classes import FRAMES
 from goedellab.errors import ParseError, ResourceBound, WorkbenchError
+from goedellab.syntax import truth_columns, walk
 
 p, r = Md.Atom("p"), Md.Atom("r")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # the table's generator, which holds the labeled frame generators
 _spec = importlib.util.spec_from_file_location(
@@ -146,7 +153,7 @@ def test_deep_boxes_are_checked_in_linear_time():
         start = time.perf_counter()
         forced = [m.forces(w, f) for w in range(n)]
         assert time.perf_counter() - start < 0.1
-        rows = Md._sweep(f, (succ,) * n, {"p": 0})
+        rows = Md._sweep(Md._Closure(f), (succ,) * n, {"p": 0})
         v = sum(1 << w for w in truth)  # the sweep's row for this valuation
         assert forced == [bool(rows[w] >> v & 1) for w in range(n)]
         assert forced == [len(truth) == n] * n
@@ -387,17 +394,153 @@ def test_tableau_and_bounded_search_never_disagree_on_the_corpus():
             assert Md.find_model(f, "GL", max_worlds=4) is not None, text
 
 
+
+# --- the tableau's work ------------------------------------------------
+
+# counts the tableau's steps over a seeded formula set, in a process of
+# its own, so that the hash seed can be set
+_COUNT_TABLEAU_CALLS = """
+import random
+from goedellab import modal as Md
+
+calls = 0
+step = Md._branch_satisfiable
+
+def counted(*args):
+    global calls
+    calls += 1
+    return step(*args)
+
+Md._branch_satisfiable = counted
+
+def text(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return rng.choice("pqr")
+    if r < 0.5:
+        return rng.choice(("~", "[]", "<>")) + text(rng, depth - 1)
+    op = rng.choice(("->", "&", "|", "<->"))
+    return "(%s %s %s)" % (text(rng, depth - 1), op, text(rng, depth - 1))
+
+rng = random.Random(3)
+for _ in range(100):
+    f = Md.parse_modal(text(rng, 5))
+    for logic in Md.LOGICS:
+        Md.is_satisfiable(f, logic)
+print(calls)
+"""
+
+
+def test_the_tableau_does_the_same_work_under_every_hash_seed():
+    counts = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", _COUNT_TABLEAU_CALLS], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(int(proc.stdout))
+    assert counts == [counts[0]] * 3, counts
+
+
+def test_a_gl_box_chain_takes_one_tableau_step_per_world(monkeypatch):
+    calls = []
+    step = Md._branch_satisfiable
+    monkeypatch.setattr(Md, "_branch_satisfiable", lambda *a: calls.append(1) or step(*a))
+    assert not Md.is_valid(Md.parse_modal("[]" * 300 + "p"), "GL")
+    assert len(calls) == 301
+
+
+def test_box_chains_and_nested_biconditionals_are_decided_fast():
+    chain = Md.parse_modal("[]" * 600 + "p")
+    start = time.perf_counter()
+    assert not Md.is_valid(chain, "GL")
+    assert time.perf_counter() - start < 0.5
+    # <-> shares its operands: 20 nested are a tree of 2**20 paths
+    text = "p"
+    for _ in range(20):
+        text = "p <-> (%s)" % text
+    nested = Md.parse_modal(text)
+    start = time.perf_counter()
+    assert not Md.is_valid(nested, "GL")
+    assert time.perf_counter() - start < 0.1
+
+
+def _referee_prop_satisfiable(f) -> bool:
+    """The propositional check as it was before the closure: atoms and
+    boxes are opaque, keyed by their printed text, in a truth table."""
+
+    def opaque(g) -> set:
+        if isinstance(g, (Md.Atom, Md.Box)):
+            return {Md.print_modal(g)}
+        return set().union(*map(opaque, g._values()))
+
+    full, cols = truth_columns(len(opaque(f)))
+    column = dict(zip(sorted(opaque(f)), cols))
+
+    def ev(g) -> int:
+        if isinstance(g, (Md.Atom, Md.Box)):
+            return column[Md.print_modal(g)]
+        if isinstance(g, Md.Neg):
+            return full ^ ev(g.sub)
+        return (full ^ ev(g.left)) | ev(g.right)
+
+    return ev(f) != 0
+
+
+def _without_double_negations(f):
+    while isinstance(f, Md.Neg) and isinstance(f.sub, Md.Neg):
+        f = f.sub.sub
+    if isinstance(f, Md.Atom):
+        return f
+    if isinstance(f, Md.Imp):
+        return Md.Imp(_without_double_negations(f.left), _without_double_negations(f.right))
+    return type(f)(_without_double_negations(f.sub))
+
+
+@st.composite
+def _modal_formulas(draw, depth=3):
+    if depth == 0 or draw(st.integers(0, 4)) == 0:
+        return Md.Atom(draw(st.sampled_from("pq")))
+    kind = draw(st.integers(0, 4))
+    if kind == 4:
+        return Md.Imp(draw(_modal_formulas(depth - 1)), draw(_modal_formulas(depth - 1)))
+    # a diamond ~[]~g puts a double negation under a box when g is one
+    wrap = (Md.Neg, Md.Box, Md.Dia, lambda g: Md.Neg(Md.Neg(g)))[kind]
+    return wrap(draw(_modal_formulas(depth - 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_modal_formulas(), min_size=1, max_size=3))
+def test_the_propositional_check_and_the_engines_agree(parts):
+    f = reduce(Md.And, parts)  # several demands at once
+    c = Md._Closure(f)
+    prop = Md._prop_satisfiable(c)
+    # the referee keys []~~p and []p apart; the check identifies them
+    assert prop == _referee_prop_satisfiable(_without_double_negations(f))
+    if not _referee_prop_satisfiable(f):
+        assert not prop
+    for logic, cap in (("K", 3), ("K4", 3), ("GL", 4)):
+        sat = Md.is_satisfiable(f, logic)
+        if not prop:
+            assert not sat
+        witness = Md.find_model(f, logic, cap)
+        if witness is not None:
+            assert sat and witness.model.forces(witness.world, f)
+        if not sat:
+            assert witness is None
+
 def _referee_find_model(f, logic: str, max_worlds=None):
     """find_model without the class table: the labeled frames in order from
     one world; the first frame with a model gives the witness."""
-    if not Md._prop_satisfiable(f):
+    c = Md._Closure(f)
+    if not Md._prop_satisfiable(c):
         return None
     cap = Md.GL_MAX_WORLDS if logic == "GL" else Md.K_MAX_WORLDS
     bound = cap if max_worlds is None else max_worlds
     if bound > cap:
         raise ResourceBound("%s frame search capped at %d worlds" % (logic, cap))
     frames = _referee_frames(logic, bound)
-    atom_names = sorted(Md.atoms_of(f))
+    atom_names = sorted({g.name for g in walk(f) if isinstance(g, Md.Atom)})
     atom_order = {a: i for i, a in enumerate(atom_names)}
     for n, succ in frames:
         if n * len(atom_names) > Md.MAX_SEARCH_BITS:
@@ -405,7 +548,7 @@ def _referee_find_model(f, logic: str, max_worlds=None):
                 "%d atoms on %d worlds exceed the valuation sweep bound"
                 % (len(atom_names), n)
             )
-        forced = Md._sweep(f, succ, atom_order)
+        forced = Md._sweep(c, succ, atom_order)
         hit = reduce(or_, forced)
         if hit:
             v = (hit & -hit).bit_length() - 1
@@ -475,8 +618,11 @@ def test_witnesses_match_the_labeled_search():
     [
         ("p", "GL", 7),  # over the cap
         ("p", "K", 5),
-        ("[]p & <>~p & q & r & s & t & u", "GL", None),  # 6 atoms trip at 4 worlds
-        ("[]p & <>~p & q & r & s & t & u & v & w", "K", None),  # 8 atoms trip at 3
+        ("[](p -> v) & []p & <>~v & q & r & s & t", "GL", None),  # 6 atoms trip at 4 worlds
+        ("[](p -> v) & []p & <>~v & q & r & s & t & u & w", "K", None),  # 8 atoms trip at 3
+        # propositionally unsatisfiable ([]p & ~[]p): no search, so no trip
+        ("[]p & <>~p & q & r & s & t & u", "GL", None),
+        ("[]p & <>~p & q & r & s & t & u & v & w", "K", None),
         ("<>p & <>q & <>r & <>s & <>t", "K4", 4),  # 5 atoms: 4 worlds fit, 20 bits
         (" & ".join("<>p%d" % i for i in range(23)), "K", 1),  # trips at 1 world
     ],
@@ -485,6 +631,15 @@ def test_resource_bounds_match_the_labeled_search(text, logic, max_worlds):
     f = Md.parse_modal(text)
     got = _search_result(f, logic, max_worlds, Md.find_model)
     assert got == _search_result(f, logic, max_worlds, _referee_find_model)
+
+
+def test_a_propositionally_unsatisfiable_formula_has_no_model_at_once():
+    # <>~p is ~[]~~p, and the check reads []~~p as []p
+    for text in ("[]p & <>~p & q & r & s & t & u", "[]p & <>~p & q & r & s & t & u & v & w"):
+        f = Md.parse_modal(text)
+        assert not Md._prop_satisfiable(Md._Closure(f))
+        for logic in Md.LOGICS:
+            assert Md.find_model(f, logic) is None
 
 
 @pytest.mark.parametrize("bound", [0, -1])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from goedellab import meta as M
 from goedellab import modal as Md
+from goedellab.syntax import walk
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -48,8 +49,8 @@ def _frames(draw):
 @given(_modal(), _frames())
 def test_sweep_agrees_with_forcing_on_every_valuation(f, succ):
     n = len(succ)
-    names = sorted(Md.atoms_of(f))
-    forced = Md._sweep(f, succ, {a: i for i, a in enumerate(names)})
+    names = sorted({g.name for g in walk(f) if isinstance(g, Md.Atom)})
+    forced = Md._sweep(Md._Closure(f), succ, {a: i for i, a in enumerate(names)})
     relation = [(w, u) for w in range(n) for u in range(n) if succ[w] >> u & 1]
     for v in range(1 << (n * len(names))):
         valuation = {
