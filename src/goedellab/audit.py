@@ -196,7 +196,7 @@ def instantiate_assumption(
             schema = M.ForAllIndex(var, schema)
     elif template is not None:
         raise RuleError("assumption %s takes no template" % assumption.label)
-    return M.normalize(schema)
+    return schema
 
 
 class _Engine:
@@ -241,16 +241,16 @@ class _Engine:
             return self._assumption(*args)
 
         if rule == "Suppose":
-            return M.normalize(args[0]), frozenset(), frozenset([step.id])
+            return args[0], frozenset(), frozenset([step.id])
 
         if rule in _ONE_REF.values():
             s = self._cited(args[0])
             prefix, matrix = _strip_prefix(s.formula)
             if rule == "Transpose":
                 if isinstance(matrix, M.MIff):
-                    matrix = M.MIff(M.neg(matrix.left), M.neg(matrix.right))
+                    matrix = M.MIff(M.MNot(matrix.left), M.MNot(matrix.right))
                 elif isinstance(matrix, M.MImplies):
-                    matrix = M.MImplies(M.neg(matrix.right), M.neg(matrix.left))
+                    matrix = M.MImplies(M.MNot(matrix.right), M.MNot(matrix.left))
                 else:
                     raise RuleError("transpose needs an implication or equivalence")
             elif rule in ("IffElimF", "IffElimB"):
@@ -262,8 +262,8 @@ class _Engine:
                     matrix = M.MImplies(matrix.right, matrix.left)
             elif rule == "RewriteE":
                 matrix = M.expand_ine(matrix)
-            # NegPush: normalization is already canonical
-            return M.normalize(_rewrap(prefix, matrix)), s.assumptions, s.hypotheses
+            # NegPush: construction has already pushed every negation in
+            return _rewrap(prefix, matrix), s.assumptions, s.hypotheses
 
         if rule in _TWO_REFS.values():
             s1, s2 = self._cited(args[0]), self._cited(args[1])
@@ -296,8 +296,7 @@ class _Engine:
                 raise RuleError(
                     "step %r is not universally quantified over %r" % (ref, var)
                 )
-            body = M.subst_index(s.formula.body, var, value)
-            return M.normalize(body), s.assumptions, s.hypotheses
+            return M.subst_index(s.formula.body, var, value), s.assumptions, s.hypotheses
 
         if rule == "TautCons":
             conclusion, premises = args
@@ -311,7 +310,6 @@ class _Engine:
                 formulas.append(phi)
                 deps |= d
                 hyps |= h
-            conclusion = M.normalize(conclusion)
             if not M.tautological_consequence(formulas, conclusion):
                 raise RuleError("stated conclusion is not a tautological consequence")
             return conclusion, deps, hyps
@@ -322,13 +320,13 @@ class _Engine:
             if hyp.rule != "Suppose":
                 raise RuleError("%r is not a supposition" % hyp_id)
             pos, neg_ = self._cited(pos_id), self._cited(neg_id)
-            if M.neg(pos.formula) != neg_.formula and M.neg(neg_.formula) != pos.formula:
+            if M.MNot(pos.formula) != neg_.formula:
                 raise RuleError("cited steps are not contradictory")
             if hyp_id not in (pos.hypotheses | neg_.hypotheses):
                 raise RuleError("contradiction does not depend on the supposition")
             hyps = (pos.hypotheses | neg_.hypotheses) - {hyp_id}
             deps = pos.assumptions | neg_.assumptions
-            return M.neg(hyp.formula), deps, hyps
+            return M.MNot(hyp.formula), deps, hyps
 
         raise RuleError("unknown rule %r" % rule)
 
@@ -350,7 +348,7 @@ def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]
         m = _strip_prefix(s.formula)[1]
         if isinstance(m, M.MIff):
             left, right = m.left, m.right
-            if M.neg(left) == right or M.neg(right) == left:
+            if M.MNot(left) == right:
                 findings.append(
                     Finding(
                         s.id,
@@ -361,9 +359,7 @@ def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]
                     )
                 )
             elif isinstance(left, M.DemOf) and isinstance(right, M.DemOf):
-                dl = M.normalize_desig(M.expand_desig(left.desig))
-                dr = M.normalize_desig(M.expand_desig(right.desig))
-                if M.normalize_desig(M.NegD(dl)) == dr:
+                if M.NegD(M.expand_desig(left.desig)) == M.expand_desig(right.desig):
                     findings.append(
                         Finding(
                             s.id,
@@ -375,9 +371,9 @@ def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]
                         )
                     )
         if ground:
-            canon = M.normalize(M.expand_ine(s.formula))
+            canon = M.expand_ine(s.formula)
             key = M.print_meta(canon)
-            neg_key = M.print_meta(M.neg(M.expand_ine(s.formula)))
+            neg_key = M.print_meta(M.MNot(canon))
             if neg_key in ground_seen:
                 other_id, other = ground_seen[neg_key]
                 findings.append(
@@ -408,9 +404,9 @@ def classify(d: M.Designator, theory: list[M.MetaFormula]) -> str:
     """Provability status of the designated proposition under the ground
     facts of a report: provable, refutable, independent, overdetermined,
     or unknown when neither side is settled."""
-    d = M.normalize_desig(M.expand_desig(d))
+    d = M.expand_desig(d)
     pos = M.DemOf(d)
-    neg_side = M.DemOf(M.normalize_desig(M.NegD(d)))
+    neg_side = M.DemOf(M.NegD(d))
 
     def entails(phi: M.MetaFormula) -> bool:
         return M.tautological_consequence(theory, phi)

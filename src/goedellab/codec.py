@@ -295,44 +295,6 @@ def decode_formula(g: int) -> F.Formula:
     return tokens_to_formula(tokens)
 
 
-class ProofCode(Node):
-    """Exact factored form of a proof's Goedel number, prod p_i^{g_i}.
-
-    The exponents are whole formula codes, so the materialized integer is
-    astronomically large for all but toy proofs; it stays factored here.
-    """
-
-    # factors: (prime, formula code), in step order
-    __slots__ = _fields = _data = ("factors",)
-
-    def formula_codes(self) -> list[int]:
-        return [g for (_, g) in self.factors]
-
-    def to_int(self, max_bits: int = 10_000_000) -> int:
-        bits = sum(g * p.bit_length() for (p, g) in self.factors)
-        if bits > max_bits:
-            raise ResourceBound(
-                "proof code needs about %d bits; raise max_bits to materialize"
-                % bits
-            )
-        return _product([p**e for (p, e) in self.factors])
-
-
-def encode_proof(step_formulas: list[F.Formula]) -> ProofCode:
-    if not step_formulas:
-        raise NotWellFormed("proofs are nonempty")
-    _ensure_primes(len(step_formulas))
-    return ProofCode(
-        tuple(
-            (_primes[i], encode_formula(f)) for i, f in enumerate(step_formulas)
-        )
-    )
-
-
-def decode_proof(code: ProofCode) -> list[F.Formula]:
-    return [decode_formula(g) for g in code.formula_codes()]
-
-
 # --- run-length token codes (for substituted-numeral blowup) -----------
 
 

@@ -9,8 +9,9 @@ App(q, t) designate the same proposition.
 Dem[...] wraps a designator as a provability statement; a bare
 designator asserts the designated proposition itself.  Negation on an
 asserted designator and negation of the assertion are identified
-(classical meta-logic); `normalize` picks the designator-side form as
-canonical.
+(classical meta-logic), and construction picks the designator-side form:
+`MNot` and `NegD` fold as they are built, so every meta formula, however
+it was parsed or rebuilt, has no double negation and no negated assertion.
 """
 
 from __future__ import annotations
@@ -51,7 +52,15 @@ class InE(Node):
 
 
 class NegD(Node):
+    """The negation ~d of a designator.  A double negation folds as it is
+    built: NegD(NegD(d)) is d, so the operand of a NegD is never a NegD."""
+
     __slots__ = _fields = ("sub",)
+
+    def __new__(cls, sub):
+        if isinstance(sub, NegD):
+            return sub.sub
+        return super().__new__(cls)
 
 
 class DVar(Node):
@@ -75,7 +84,18 @@ class DemOf(Node):
 
 
 class MNot(Node):
+    """The negation of a meta formula, folded as it is built: MNot(MNot(phi))
+    is phi, and MNot(Assert(d)) is Assert(NegD(d)).  So MNot is an
+    involution, and its operand is never an MNot or an Assert."""
+
     __slots__ = _fields = ("sub",)
+
+    def __new__(cls, sub):
+        if isinstance(sub, MNot):
+            return sub.sub
+        if isinstance(sub, Assert):
+            return Assert(NegD(sub.desig))
+        return super().__new__(cls)
 
 
 class MImplies(Node):
@@ -95,40 +115,6 @@ MetaFormula = Assert | DemOf | MNot | MImplies | MIff | ForAllIndex
 
 
 # --- structural helpers ------------------------------------------------
-
-
-def normalize_desig(d: Designator) -> Designator:
-    if isinstance(d, NegD):
-        inner = normalize_desig(d.sub)
-        if isinstance(inner, NegD):
-            return inner.sub
-        return NegD(inner)
-    return d
-
-
-def normalize(phi: MetaFormula) -> MetaFormula:
-    """Double negations out; assertion-level negation pushed into the
-    designator (¬Assert(d) and Assert(¬d) are identified)."""
-    if isinstance(phi, Assert):
-        return Assert(normalize_desig(phi.desig))
-    if isinstance(phi, DemOf):
-        return DemOf(normalize_desig(phi.desig))
-    if isinstance(phi, MNot):
-        sub = normalize(phi.sub)
-        if isinstance(sub, MNot):
-            return sub.sub
-        if isinstance(sub, Assert):
-            return Assert(normalize_desig(NegD(sub.desig)))
-        return MNot(sub)
-    if isinstance(phi, MImplies):
-        return MImplies(normalize(phi.left), normalize(phi.right))
-    if isinstance(phi, MIff):
-        return MIff(normalize(phi.left), normalize(phi.right))
-    return ForAllIndex(phi.var, normalize(phi.body))
-
-
-def neg(phi: MetaFormula) -> MetaFormula:
-    return normalize(MNot(phi))
 
 
 def desig_metavars(d: Designator) -> set[str]:
@@ -310,7 +296,7 @@ _ATOMS = (Assert, DemOf, ForAllIndex)
 
 
 def _prepare(formulas: list[MetaFormula]) -> list[MetaFormula]:
-    """Strip quantifier prefixes and canonicalize for atom identity.
+    """Strip quantifier prefixes and expand InE for atom identity.
 
     Distinct DemOf/Assert atoms over distinct designators are mutually
     independent: no theory of provability is baked in here.
@@ -319,7 +305,7 @@ def _prepare(formulas: list[MetaFormula]) -> list[MetaFormula]:
     for phi in formulas:
         while isinstance(phi, ForAllIndex):
             phi = phi.body
-        out.append(normalize(expand_ine(phi)))
+        out.append(expand_ine(phi))
     return out
 
 

@@ -81,13 +81,21 @@ def modal_depth(f: ModalFormula) -> int:
 
 
 def print_modal(f: ModalFormula) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Neg):
-        return "~" + print_modal(f.sub)
-    if isinstance(f, Box):
-        return "[]" + print_modal(f.sub)
-    return "(%s -> %s)" % (print_modal(f.left), print_modal(f.right))
+    # the stack holds subformulas still to print and text ready to emit
+    parts, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            parts.append(g)
+        elif isinstance(g, Atom):
+            parts.append(g.name)
+        elif isinstance(g, Imp):
+            parts.append("(")
+            stack += (")", g.right, " -> ", g.left)
+        else:
+            parts.append("~" if isinstance(g, Neg) else "[]")
+            stack.append(g.sub)
+    return "".join(parts)
 
 
 class _Parser(Cursor):

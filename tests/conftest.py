@@ -90,17 +90,15 @@ def random_desig(rng: random.Random, depth: int) -> M.Designator:
 
 
 def random_meta(rng: random.Random, depth: int) -> M.MetaFormula:
-    """Random meta formula.  print_meta writes ~Assert(d) and Assert(~d)
-    alike, so a negated assertion is built as the latter, the form
-    `normalize` picks."""
+    """Random meta formula.  `MNot` and `NegD` fold as they are built, so
+    it is in the one form that parsing its printed text also gives."""
     kind = rng.randrange(6 if depth > 0 else 2)
     if kind == 0:
         return M.Assert(random_desig(rng, depth))
     if kind == 1:
         return M.DemOf(random_desig(rng, depth))
     if kind == 2:
-        sub = random_meta(rng, depth - 1)
-        return M.Assert(M.NegD(sub.desig)) if isinstance(sub, M.Assert) else M.MNot(sub)
+        return M.MNot(random_meta(rng, depth - 1))
     if kind == 3:
         return M.MImplies(random_meta(rng, depth - 1), random_meta(rng, depth - 1))
     if kind == 4:

@@ -537,6 +537,24 @@ def test_a_long_conjunction_gets_a_verdict(tmp_path, capsys):
     assert (code, out.splitlines()[:2], err) == (0, ["invalid in GL", "{"], "")
 
 
+def test_a_long_conjunction_prints_as_json(tmp_path):
+    f = " & ".join(["[]p"] * 1500)
+    # `a & b` reads as ~(a -> ~b), and `&` groups to the left
+    printed = "~(" * 1499 + "[]p" + " -> ~[]p)" * 1499
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": 2, "relation": [[0, 1]], "valuation": {"p": [1]}}))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv, key, value in ((("model", "find", f), "found", True),
+                             (("model", "valid", f), "valid", False),
+                             (("model", "check", str(path), f), "forcing_worlds", [0, 1])):
+        # in a fresh interpreter, where a RecursionError is a plain traceback
+        proc = subprocess.run([sys.executable, "-m", "goedellab.cli", "--json", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        payload = json.loads(proc.stdout)
+        assert (payload["formula"], payload[key]) == (printed, value)
+
+
 def test_model_check_world_out_of_range_is_exit_one(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"worlds": 3, "relation": [], "valuation": {}}))

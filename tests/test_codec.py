@@ -415,12 +415,6 @@ def test_tree_materialization_matches_the_product_in_order():
         assert codec.CodeRLE(runs).to_int() == expected
         tokens = [tok for tok, count in runs for _ in range(count)]
         assert codec.encode_tokens(tokens) == expected
-    factors = tuple((PRIMES[i], rng.randrange(1, 500)) for i in range(20))
-    expected = 1
-    for p, e in factors:
-        expected *= p**e
-    assert codec.ProofCode(factors).to_int() == expected
-    assert codec.ProofCode(()).to_int() == 1
 
 
 def test_decode_round_trips_long_runs_and_large_exponents():
@@ -588,15 +582,6 @@ def test_a_long_run_is_decoded_in_blocks(monkeypatch):
     assert codec.decode_formula(g) == f
     assert 0 < calls.count("_strip_prime") <= 100
     assert 0 < calls.count("_product") <= 100
-
-
-def test_proof_code_round_trip():
-    steps = [F.Eq(F.ZERO, F.ZERO), F.Dem(F.Var(0)), F.Not(F.Dem(F.ZERO))]
-    pc = codec.encode_proof(steps)
-    assert codec.decode_proof(pc) == steps
-    # the materialized integer is astronomically large by design
-    with pytest.raises(ResourceBound):
-        pc.to_int(max_bits=10_000)
 
 
 # --- numeric substitution ----------------------------------------------

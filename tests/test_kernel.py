@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_formula
-from goedellab import codec, kernel
+from goedellab import kernel
 from goedellab import formulas as F
 from goedellab.errors import ParseError
 from goedellab.syntax import KEY, SHARED
@@ -161,12 +161,6 @@ def test_proof_file_round_trip():
 def test_proof_file_rejects_bad_numbering():
     with pytest.raises(kernel.ParseError):
         kernel.parse_proof_file("2. 0 = 0 ; EVAL")
-
-
-def test_proof_code_of_shipped_proof_is_lazy():
-    proof = kernel.identity_proof(A)
-    pc = codec.encode_proof([f for f, _ in proof.steps])
-    assert codec.decode_proof(pc) == [f for f, _ in proof.steps]
 
 
 # --- a group restated in a file is read once ------------------------------

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_meta
 from goedellab import meta as M
 from goedellab.errors import ParseError, ResourceBound
+from goedellab.syntax import walk
 
 
 def test_parse_print_round_trip():
@@ -24,11 +28,52 @@ def test_q_is_a_distinguished_constant():
 def test_normalization_identifies_assertion_and_designator_negation():
     a = M.parse_meta("~App(q,q)")
     b = M.MNot(M.Assert(M.App(M.Q, M.Q)))
-    assert M.normalize(a) == M.normalize(b) == M.Assert(M.NegD(M.App(M.Q, M.Q)))
-    assert M.normalize(M.MNot(M.MNot(M.DemOf(M.App(M.Q, M.Q))))) == M.DemOf(
-        M.App(M.Q, M.Q)
-    )
-    assert M.neg(M.neg(M.parse_meta("Dem[App(q,q)]"))) == M.parse_meta("Dem[App(q,q)]")
+    assert a == b == M.Assert(M.NegD(M.App(M.Q, M.Q)))
+    assert M.MNot(M.MNot(M.DemOf(M.App(M.Q, M.Q)))) == M.DemOf(M.App(M.Q, M.Q))
+    assert M.parse_meta("~~Dem[App(q,q)]") == M.parse_meta("Dem[App(q,q)]")
+
+
+def test_negations_fold_at_construction():
+    d = M.App(M.Q, M.Const(1))
+    assert M.NegD(M.NegD(d)) is d
+    x = M.DemOf(d)
+    assert M.MNot(M.MNot(x)) is x
+    folded = M.MNot(M.Assert(d))
+    assert type(folded) is M.Assert and folded == M.Assert(M.NegD(d))
+    assert M.MNot(M.Assert(M.NegD(d))) == M.Assert(d)
+    read = M.parse_meta("~~~App(q,1) -> Dem[~~InE(q)]")
+    assert M.print_meta(read) == "(~App(q,1) -> Dem[InE(q)])"
+
+
+def _folds_left(phi) -> list:
+    """The nodes of phi that construction should have folded away."""
+    return [x for x in walk(phi)
+            if isinstance(x, M.NegD) and isinstance(x.sub, M.NegD)
+            or isinstance(x, M.MNot) and isinstance(x.sub, (M.MNot, M.Assert))]
+
+
+def _quantifier_on_left(phi) -> bool:
+    """Whether a quantifier, negated or not, is the left operand of a
+    connective somewhere in phi.  print_meta writes no parentheses around
+    it, so its printed text reads back with the quantifier's body running
+    to the end of the enclosing group."""
+    return any(isinstance(x, (M.MImplies, M.MIff))
+               and isinstance(getattr(x.left, "sub", x.left), M.ForAllIndex)
+               for x in walk(phi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.randoms(use_true_random=False))
+def test_meta_formulas_are_in_one_form_by_construction(depth, rng):
+    built = random_meta(rng, depth)
+    parsed = M.parse_meta(M.print_meta(built))
+    for phi in (built, parsed):
+        assert _folds_left(phi) == []
+        assert M.MNot(M.MNot(phi)) == phi
+        assert M.MNot(phi) != phi
+        # so print -> parse -> print is the identity
+        if not _quantifier_on_left(phi):
+            assert M.parse_meta(M.print_meta(phi)) == phi
 
 
 def test_ine_expansion():
@@ -68,7 +113,7 @@ def test_satisfiability():
 def test_a_quantifier_under_a_connective_is_one_atom():
     x = M.parse_meta("Dem[App(1,1)] -> all n. Dem[App(n,n)]")
     assert M.satisfiable([x])
-    assert not M.satisfiable([x, M.neg(x)])
+    assert not M.satisfiable([x, M.MNot(x)])
     # the body's 15 atoms are not counted: the whole quantifier is one
     big = " -> ".join("Dem[App(%d,n)]" % i for i in range(15))
     assert M.tautological_consequence([M.parse_meta("~(d* -> all n. %s)" % big)], M.parse_meta("d*"))

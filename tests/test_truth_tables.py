@@ -85,7 +85,7 @@ def _meta(draw, depth=3):
 
 def _oracle_rows(formulas):
     """Each assignment to the atoms as a list of the formulas' values."""
-    prepared = [M.normalize(M.expand_ine(phi)) for phi in formulas]
+    prepared = [M.expand_ine(phi) for phi in formulas]
     keys = set()
 
     def atoms(phi):

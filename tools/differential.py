@@ -1,0 +1,212 @@
+"""Run this checkout and an earlier revision on the same seeded inputs, and
+print where their answers differ.
+
+    python tools/differential.py --parent REV --seed N --count K
+
+`git archive REV` is unpacked into a temporary directory.  Each tree then
+answers in a child process of its own (this file, run with `--child` and
+that tree's `src` first on the path, under PYTHONHASHSEED=0), and the two
+answer lists are compared line by line.  The inputs come from the
+generators below, which both children share, so they are the same text for
+both trees.  Two families of K cases each:
+
+- meta: a meta formula, as text.  The answer is its printed form and that
+  of its negation, `satisfiable` of it with the case before it, and
+  whether it is a `tautological_consequence` of that case.  The forms are
+  the ones the engines read: a tree that still has `meta.normalize`
+  applies it, and negates through `meta.neg`.
+- audit: a shipped audit script with lines dropped, duplicated or swapped,
+  or a negation doubled.  The answer is the report's JSON and the minimal
+  inconsistent subsets, or the error that ends either.
+
+The exit status is 0 when every answer agrees, and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHOWN = 5  # differing cases printed per family
+
+# --- inputs --------------------------------------------------------------
+
+_TERMS = ["q", "0", "1", "n", "m"]
+
+
+def _desig(rng: random.Random) -> str:
+    kind = rng.randrange(3)
+    if kind == 0:
+        d = "App(%s,%s)" % (rng.choice(_TERMS), rng.choice(_TERMS))
+    elif kind == 1:
+        d = "InE(%s)" % rng.choice(_TERMS)
+    else:
+        d = rng.choice(["d*", "e*"])
+    return "~" * rng.choice([0, 0, 1, 2, 3]) + d
+
+
+def meta_text(rng: random.Random, depth: int) -> str:
+    """A meta formula's text: negations of every kind, stacked up to three
+    deep, quantifiers in parentheses wherever they sit."""
+    kind = rng.randrange(5 if depth > 0 else 2)
+    if kind == 0:
+        text = _desig(rng)
+    elif kind == 1:
+        text = "Dem[%s]" % _desig(rng)
+    elif kind == 2:
+        text = "(all %s. %s)" % (rng.choice("nm"), meta_text(rng, depth - 1))
+    else:
+        op = "->" if kind == 3 else "<->"
+        text = "(%s %s %s)" % (meta_text(rng, depth - 1), op, meta_text(rng, depth - 1))
+    return "~" * rng.choice([0, 0, 0, 1, 2]) + text
+
+
+def _script_bases() -> list[list[str]]:
+    from goedellab import audit
+    texts = [audit.CANONICAL_SCRIPT_TEXT, audit.GOEDEL_SCRIPT_TEXT,
+             audit.GOEDEL_SCRIPT_TEXT + audit.GOEDEL_EXTENSION_TEXT]
+    return [[line for line in t.splitlines() if line.strip() and not line.startswith("#")]
+            for t in texts]
+
+
+def _doubled_negation(rng: random.Random, line: str) -> str:
+    spots = [i for i, c in enumerate(line) if c in "~[" or line.startswith("Dem[", i)]
+    if ":" not in line or not spots:
+        return line
+    i = rng.choice(spots)
+    i += line[i] == "["  # inside a bracket, before its designator
+    return line[:i] + "~~" + line[i:]
+
+
+def script_text(rng: random.Random, bases: list[list[str]]) -> str:
+    lines = list(rng.choice(bases))
+    for _ in range(rng.randrange(1, 4)):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        kind = rng.randrange(4)
+        if kind == 0 and len(lines) > 1:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(j, lines[i])
+        elif kind == 2:
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = _doubled_negation(rng, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+# --- one tree's answers --------------------------------------------------
+#
+# goedellab is imported only in a child, from the tree whose `src` is first
+# on its path
+
+
+def _answer(fn) -> object:
+    try:
+        return fn()
+    except Exception as e:  # an error is an answer too
+        return "%s: %s" % (type(e).__name__, e)
+
+
+def meta_answers(seed: int, count: int):
+    from goedellab import meta as M
+    canon = getattr(M, "normalize", lambda phi: phi)
+    negate = getattr(M, "neg", M.MNot)
+    rng = random.Random(seed)
+    previous = None
+    for _ in range(count):
+        text = meta_text(rng, rng.randrange(5))
+        phi = _answer(lambda: canon(M.parse_meta(text)))
+        if isinstance(phi, str):
+            yield text, [phi]
+            continue
+        answer = [M.print_meta(phi), M.print_meta(negate(phi))]
+        if previous is not None:
+            answer += [_answer(lambda: M.satisfiable([previous, phi])),
+                       _answer(lambda: M.tautological_consequence([previous], phi))]
+        previous = phi
+        yield text, answer
+
+
+def audit_answers(seed: int, count: int):
+    from goedellab import audit
+    rng = random.Random(seed)
+    bases = _script_bases()
+    for _ in range(count):
+        text = script_text(rng, bases)
+        script = _answer(lambda: audit.parse_script(text))
+        if isinstance(script, str):
+            yield text, [script]
+            continue
+        report = _answer(lambda: json.dumps(audit.check_script(script).to_json_dict(),
+                                            sort_keys=True))
+        yield text, [report, _answer(lambda: audit.minimal_inconsistent_subsets(script))]
+
+
+FAMILIES = {"meta": meta_answers, "audit": audit_answers}
+
+
+def child(family: str, seed: int, count: int, tree: str) -> None:
+    import goedellab
+    if not os.path.abspath(goedellab.__file__).startswith(os.path.join(tree, "src") + os.sep):
+        sys.exit("goedellab imported from %s, not from %s" % (goedellab.__file__, tree))
+    for text, answer in FAMILIES[family](seed, count):
+        print(json.dumps([text, answer]))
+
+
+# --- comparison ----------------------------------------------------------
+
+
+def answers(tree: str, family: str, seed: int, count: int) -> list[list]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", family, "--tree", tree,
+         "--seed", str(seed), "--count", str(count)],
+        env=env, capture_output=True, text=True, check=False)
+    if proc.returncode:
+        sys.exit("%s child in %s failed:\n%s" % (family, tree, proc.stderr))
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def compare(parent: str, seed: int, count: int) -> int:
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", parent], capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        for family in FAMILIES:
+            old = answers(tmp, family, seed, count)
+            new = answers(ROOT, family, seed, count)
+            diffs = [(o, n) for o, n in zip(old, new) if o != n]
+            print("%s: %d cases, %d differ" % (family, len(new), len(diffs)))
+            for (text, o), (_, n) in diffs[:SHOWN]:
+                print("  input:  %s" % json.dumps(text))
+                print("  parent: %s" % json.dumps(o))
+                print("  this:   %s" % json.dumps(n))
+            differing += len(diffs)
+    return 1 if differing else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", help="the revision to compare against")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--count", type=int, default=1000, help="cases per family")
+    ap.add_argument("--child", choices=sorted(FAMILIES), help=argparse.SUPPRESS)
+    ap.add_argument("--tree", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        child(args.child, args.seed, args.count, args.tree)
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    return compare(args.parent, args.seed, args.count)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
