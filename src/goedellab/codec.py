@@ -9,6 +9,7 @@ orders them by ascending code.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -26,13 +27,15 @@ RESERVED = {10, 11, 12}
 # Materialization guard for codes built from substituted numerals.
 MAX_TOKENS = 200_000
 
-# Decoding reads a run of equal tokens by long divisions of the whole
-# remainder, so its cost still grows with the square of the bit length:
-# on a 2-vCPU machine `x0 = 4000` (489k bits) takes about 0.2 s and
-# `x0 = 10000` (1.36M bits) 1.3 s.  A code without runs is read prime by
-# prime and costs about six times as much: tokens alternating 8 and 9
-# (461k bits) take 1.2 s.  Longer codes are refused before the first
-# division.
+# Decoding reads a run that ends the code, such as a numeral's S tokens,
+# with one power and one division: on a 2-vCPU machine `x0 = 4000` (489k
+# bits) and `x0 = 4080` (499,881 bits) take about 30 ms.  A huge exponent
+# is read by galloping powers: `Dem(x315000)` (499k bits) takes about
+# 0.2 s.  A code without runs is still read prime by prime, each prime by
+# divisions of the whole remainder, so its cost grows with the square of
+# the bit length: tokens alternating 8 and 9 (461k bits) take 1.3-1.5 s.
+# That worst case is why the bound stays where it is; longer codes are
+# refused before the first division.
 MAX_DECODE_BITS = 500_000
 
 # Folded into the index table's checksum: a table written under another
@@ -207,7 +210,13 @@ def _strip_prime(g: int, p: int) -> tuple[int, int]:
     """(g / p^e, e) for the exponent e of the prime p in g.
 
     Strips p^k (a power of p below one digit) while it divides; the rest
-    of the exponent is read off the small remainder.
+    of the exponent is read off the small remainder.  Once the exponent
+    read reaches 16, which only a variable past x2 does as a token, it
+    gallops: p^2k, p^4k, ... while they divide, then each of them once more
+    from the largest down (Bentley and Yao's unbounded search), so a huge
+    exponent costs about 2 log2(e/k) divisions instead of e/k.  Below 16 it
+    stays with p^k: a division by more than one digit costs more, and
+    tokens of every prime are read that way.
     """
     k = max(1, _DIGIT_BITS // p.bit_length())
     pk = p**k
@@ -215,6 +224,20 @@ def _strip_prime(g: int, p: int) -> tuple[int, int]:
     q, r = divmod(g, pk)
     while not r:
         g, e = q, e + k
+        if e - k < 16 <= e:
+            powers = [pk]  # p^k, p^2k, p^4k, ...: each has divided
+            # a square of b bits has at least 2b - 1
+            while 2 * powers[-1].bit_length() - 1 <= g.bit_length():
+                square = powers[-1] ** 2
+                q, r = divmod(g, square)
+                if r:
+                    break
+                powers.append(square)
+                g, e = q, e + (k << len(powers) - 1)
+            for j in range(len(powers) - 1, 0, -1):
+                q, r = divmod(g, powers[j])
+                if not r:
+                    g, e = q, e + (k << j)
         q, r = divmod(g, pk)
     j = 0
     while r % p == 0:
@@ -224,6 +247,47 @@ def _strip_prime(g: int, p: int) -> tuple[int, int]:
         g //= p**j
         e += j
     return g, e
+
+
+def _run_end(g: int, i: int, t: int, sums: list[float]) -> int:
+    """Where a run of t from prime i ends if at most two tokens follow it
+    to the end of the code g, else 0.
+
+    The run's length is guessed from g's size: the largest c with
+    t * log2(p_i ... p_{i+c-1}) at most log2 g.  A tail may outweigh a t,
+    so the end is c or a little below it.  An end is taken when the bits of
+    g past it are u * log2 p + v * log2 p' for the two primes after it and
+    naturals u + v < 127, and one remainder modulo a small power of the
+    run's last prime shows that it carries exactly t: the logarithms of
+    close primes can nearly cancel (2 log2 p_2004 - log2 p_2003 - log2
+    p_2005 is under 1e-6).  The floats only guess; the caller proves the
+    end by one exact division.  sums[j] is log2(p_0 ... p_{j-1}), grown here
+    as far as the guess needs and kept for the next one.
+    """
+    bits = math.log2(g)
+    while len(sums) <= i + 1 or sums[-1] - sums[i] <= bits / t:
+        have = len(sums) - 1
+        upto = have + have // 4 + 8
+        _ensure_primes(upto)
+        last = sums.pop()  # accumulate yields it again first
+        sums += itertools.accumulate(map(math.log2, _primes[have:upto]), initial=last)
+    c = bisect.bisect_right(sums, sums[i] + bits / t) - 1 - i
+    _ensure_primes(i + c + 2)
+    for end in range(c, max(c - 4, 0), -1):
+        rest = bits - t * (sums[i + end] - sums[i])
+        a, b = math.log2(_primes[i + end]), math.log2(_primes[i + end + 1])
+        # u * a + v * b = rest with u + v = n, for the few n that a < b allow
+        for n in range(math.ceil(rest / b - 1e-9), min(int(rest / a + 1e-9), 126) + 1):
+            u = round((n * b - rest) / (b - a))
+            if 0 <= u <= n and abs(rest - u * a - (n - u) * b) < 1e-6:
+                break
+        else:
+            continue
+        p = _primes[i + end - 1]
+        r = g % p ** (t + 1)
+        if r and not r % p**t:
+            return end
+    return 0
 
 
 def decode_tokens(g: int) -> list[int]:
@@ -239,6 +303,13 @@ def decode_tokens(g: int) -> list[int]:
     each hit until the first miss, then halves after every guess (an
     exponential search for the run's end).  After a miss the next prime is
     read alone; a missed block of one prime has already read it.
+
+    A run that ends a code of more than 8,192 bits, such as the S tokens of
+    the numeral in `x0 = m`, is read top down instead: once its first
+    block has hit, the run's end is guessed from the size of g
+    (`_run_end`), and the whole rest of the run is one block, taken under
+    the same proof.  If the guess is missed or refuted, the block search
+    goes on as above.
     """
     if g < 1:
         raise NotWellFormed("Goedel numbers are naturals >= 1")
@@ -250,10 +321,23 @@ def decode_tokens(g: int) -> list[int]:
     tokens = []
     i = 0
     block, grow = 1, True
+    sums = [0.0]
     while g > 1:
         p, e = nth_prime(i), None
         if block and len(tokens) > 1 and tokens[-1] == tokens[-2]:
             t = tokens[-1]
+            # in a code of up to 8,192 bits the divisions are cheap, and a
+            # guess that misses costs a logarithm per prime still left
+            if block == 2 and grow and g.bit_length() > 8192:
+                c = _run_end(g, i, t, sums)
+                if c:
+                    base = _product(_primes[i:i + c])
+                    q, r = divmod(g, base**t)
+                    if not r and math.gcd(q, base) == 1:
+                        # the run is read: the next prime is read alone
+                        tokens.extend([t] * c)
+                        g, i, block = q, i + c, 0
+                        continue
             _ensure_primes(i + block)
             base = p if block == 1 else _product(_primes[i:i + block])
             # base**t > g needs no division to be a miss

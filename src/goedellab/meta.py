@@ -210,6 +210,13 @@ def print_desig(d: Designator) -> str:
     return d.name
 
 
+def _extends_right(phi: MetaFormula) -> bool:
+    # a quantifier's body runs to the end of the enclosing group
+    while isinstance(phi, MNot):
+        phi = phi.sub
+    return isinstance(phi, ForAllIndex)
+
+
 def print_meta(phi: MetaFormula) -> str:
     if isinstance(phi, Assert):
         return print_desig(phi.desig)
@@ -217,10 +224,12 @@ def print_meta(phi: MetaFormula) -> str:
         return "Dem[%s]" % print_desig(phi.desig)
     if isinstance(phi, MNot):
         return "~" + print_meta(phi.sub)
-    if isinstance(phi, MImplies):
-        return "(%s -> %s)" % (print_meta(phi.left), print_meta(phi.right))
-    if isinstance(phi, MIff):
-        return "(%s <-> %s)" % (print_meta(phi.left), print_meta(phi.right))
+    if isinstance(phi, (MImplies, MIff)):
+        left = print_meta(phi.left)
+        if _extends_right(phi.left):
+            left = "(" + left + ")"
+        op = "->" if isinstance(phi, MImplies) else "<->"
+        return "(%s %s %s)" % (left, op, print_meta(phi.right))
     return "all %s. %s" % (phi.var, print_meta(phi.body))
 
 

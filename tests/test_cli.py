@@ -496,8 +496,15 @@ def test_audit_labels_and_step_ids_are_one_word(tmp_path, capsys, command, text,
             "classification: App(1,1) is overdetermined\nassumptions consumed: X, Z\n",
             "core: {X, Z}\n",
         ),
+        (
+            # the quantifier on the left keeps its parentheses when printed
+            "assume A : (all n. Dem[App(n,n)]) -> Dem[App(1,1)]\nstep 1 := assume A\n",
+            "1    ok  ((all n. Dem[App(n,n)]) -> Dem[App(1,1)])  uses {A}\n"
+            "classification: App(1,1) is unknown\nassumptions consumed: A\n",
+            "no inconsistent assumption subset\n",
+        ),
     ],
-    ids=["negated-quantifier", "quantifier-in-a-premise", "opaque-pair"],
+    ids=["negated-quantifier", "quantifier-in-a-premise", "opaque-pair", "quantifier-on-the-left"],
 )
 def test_a_quantifier_under_a_connective_is_an_opaque_atom(tmp_path, capsys, text, ran, cores):
     path = tmp_path / "quantified.audit"

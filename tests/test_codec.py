@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -487,16 +488,26 @@ def _assert_decoders_agree(g):
 _BLOCK_EDGES = [2**j + 1 for j in range(1, 10)]
 
 
+def _tails(t):
+    """Tails after a run of t that ends the code.  Their weight puts the
+    run's end at the guess c, or 1, 2 or 3 primes below it, or further
+    (the last three); a 0 is a gap."""
+    return [[], [t - 1], [t + 1], [t - 1, t + 1], [t + 1, t - 1], [t + 1, t + 1],
+            [8, 20], [t + 1] * 3, [4 * t + 4], [60, 70]]
+
+
 def _decode_cases(rng):
     """Token lists (0 is a gap) and extra factors of the kinds that steer
     the block decoder: runs ending near a block edge, alternating pairs,
-    repeated huge exponents, gaps and off-by-one exponents inside runs."""
+    repeated huge exponents, gaps and off-by-one exponents inside runs,
+    and runs that end the code after a short tail, whole or broken in
+    their last primes."""
     def token():
         return rng.choice([1, 2, 3, 4, 5, 8, 9, 13, 14, 20])
 
     head = [token() for _ in range(rng.randrange(3))]
     tail = [token() for _ in range(rng.randrange(3))]
-    kind = rng.randrange(5)
+    kind = rng.randrange(7)
     if kind == 0:
         length = rng.choice(_BLOCK_EDGES) + rng.choice([-1, 0, 1])
         tokens = head + [rng.choice([8, 9, 13])] * length + tail
@@ -507,6 +518,13 @@ def _decode_cases(rng):
         tokens += tail
     elif kind == 2:
         tokens = [4] + [rng.choice([300, 2000, 5000])] * rng.randrange(2, 6)
+    elif kind >= 5:
+        t = rng.choice([1, 2, 9, 13])
+        length = rng.randrange(2, 600)
+        tokens = head + [t] * length + rng.choice(_tails(t))
+        if kind == 6:
+            tokens[len(head) + length - 1 - rng.randrange(min(4, length))] = rng.choice(
+                [0, t - 1, t + 1])
     else:
         t = rng.choice([2, 9, 13])
         length = rng.randrange(2, 300)
@@ -535,6 +553,12 @@ def test_block_decoder_matches_the_prime_by_prime_loop_on_seeded_codes():
         for n in (length - 1, length, length + 1):
             for after in ([], [8], [8, 13], [10]):
                 _assert_decoders_agree(codec.encode_tokens([5, 6] + [9] * n + after))
+    for t in (1, 2, 9, 13):
+        for after in _tails(t):
+            # the last length puts the code past the decoder's 8,192-bit
+            # floor for reading a run top down
+            for n in (2, 3, 4, 5, 40, 1500 // t):
+                _assert_decoders_agree(codec.encode_tokens([4, 13] + [t] * n + after))
     # `x60000 = x60000`
     _assert_decoders_agree(codec.encode_formula(F.Eq(F.Var(60000), F.Var(60000))))
     for bits in (1, 2, 8, 30, 64, 200, 2000):
@@ -551,6 +575,11 @@ def _run_codes(draw):
     runs = draw(st.lists(run, min_size=1, max_size=6))
     tokens = [tok for tok, count in runs for _ in range(count)]
     if draw(st.booleans()):
+        # a long run and a short tail end the code
+        t = draw(st.sampled_from([1, 2, 8, 9, 13]))
+        tokens += [t] * draw(st.integers(2, 400))
+        tokens += draw(st.lists(st.sampled_from([0, 1, 8, 14, 20, t - 1, t + 1]), max_size=3))
+    if draw(st.booleans()):
         # one exponent off by one, a gap where it drops to 0
         at = draw(st.integers(0, len(tokens) - 1))
         tokens[at] = max(0, tokens[at] + draw(st.sampled_from([-1, 1])))
@@ -564,24 +593,74 @@ def test_block_decoder_matches_the_prime_by_prime_loop(g):
     _assert_decoders_agree(g)
 
 
+def _counted(helper, calls):
+    def call(*args):
+        calls.append(args)
+        return helper(*args)
+    return call
+
+
 def test_a_long_run_is_decoded_in_blocks(monkeypatch):
-    # prime by prime, `x0 = 2000` takes 2,003 steps, one per token; in
-    # blocks it takes a handful of single primes and one guess per block
-    f = F.Eq(F.Var(0), F.Num(2000))
-    g = codec.encode_formula(f)
+    # prime by prime, `x0 = 2000` takes 2,003 steps, one per token.  Two S
+    # tokens are read alone and one as a block of one prime; the run ends
+    # the code, so the other 1,997 are one block, whose end is guessed from
+    # the code's size: one product, of their primes.  The same holds for
+    # `Dem(sub(2000, x1))`, whose run has two tokens after it.
+    for text in ("x0 = 2000", "Dem(sub(2000, x1))"):
+        f = F.parse_formula(text)
+        g = codec.encode_formula(f)
+        strips, products = [], []
+        monkeypatch.setattr(codec, "_strip_prime", _counted(codec._strip_prime, strips))
+        monkeypatch.setattr(codec, "_product", _counted(codec._product, products))
+        assert codec.decode_formula(g) == f
+        monkeypatch.undo()
+        assert 0 < len(strips) <= 100
+        assert products == [([codec.nth_prime(i) for i in range(5, 2002)],)]
+
+
+def test_a_run_that_ends_the_code_is_found_at_each_candidate_end():
+    # the guess c is the longest run with (p_4 ... p_{4+c-1})^9 <= g, here
+    # found exactly; the tail's weight puts the run's true end at c or 1,
+    # 2 or 3 primes below it, where it is found, or 4 below, where it is
+    # not, nor when three tokens follow the run
+    for after, below in (([8], 0), ([10], 1), ([8, 13], 2), ([14, 14], 3), ([20, 20], 4),
+                         ([8, 13, 14], None)):
+        tokens = [4, 13] + [9] * 300 + after
+        g = codec.encode_tokens(tokens) // codec.encode_tokens(tokens[:4])
+        c, power = 0, 1
+        while power * codec.nth_prime(4 + c) ** 9 <= g:
+            power *= codec.nth_prime(4 + c) ** 9
+            c += 1
+        if below is not None:
+            assert c - 298 == below
+        found = below is not None and below < 4
+        assert codec._run_end(g, 4, 9, [0.0]) == (298 if found else 0)
+        assert codec.decode_tokens(codec.encode_tokens(tokens)) == tokens
+
+
+@pytest.mark.parametrize("broken", [0, 8, 10])
+def test_a_wrong_guess_of_the_run_end_is_refuted(broken, monkeypatch):
+    # an end is taken only under an exact division and a quotient prime to
+    # the run's primes.  Guessed over a run whose last prime is broken, it
+    # is refuted, and the block search reads the run.  The tail's one
+    # prime puts the quotient at 0 (for a gap), 1 (for 8, refuted by the
+    # remainder alone) or a multiple of the last prime (for 10, refuted by
+    # the gcd alone).
+    tokens = [4, 13] + [9] * 599 + [broken, 1]
+    monkeypatch.setattr(codec, "_run_end", lambda g, i, t, sums: 602 - i)
+    g = codec.encode_tokens(tokens)
+    assert _outcome(codec.decode_tokens, g) == _outcome(_referee_decode_tokens, g)
+
+
+def test_a_huge_exponent_is_read_in_logarithmically_many_divisions(monkeypatch):
+    # `Dem(x315000)`: the exponent 315013 of 3, read by 3^15 at a time,
+    # would take 21,001 divisions
+    g = codec.encode_formula(F.parse_formula("Dem(x315000)"))
     calls = []
-
-    def counted(helper):
-        def call(*args):
-            calls.append(helper.__name__)
-            return helper(*args)
-        return call
-
-    monkeypatch.setattr(codec, "_strip_prime", counted(codec._strip_prime))
-    monkeypatch.setattr(codec, "_product", counted(codec._product))
-    assert codec.decode_formula(g) == f
-    assert 0 < calls.count("_strip_prime") <= 100
-    assert 0 < calls.count("_product") <= 100
+    monkeypatch.setattr(codec, "divmod", _counted(divmod, calls), raising=False)
+    assert codec._strip_prime(g // 2**5, 3) == (1, 315013)
+    assert len(calls) <= 2 * math.log2(315013 / 15) + 4
+    assert codec.decode_tokens(g) == [5, 315013]
 
 
 # --- numeric substitution ----------------------------------------------

@@ -52,16 +52,6 @@ def _folds_left(phi) -> list:
             or isinstance(x, M.MNot) and isinstance(x.sub, (M.MNot, M.Assert))]
 
 
-def _quantifier_on_left(phi) -> bool:
-    """Whether a quantifier, negated or not, is the left operand of a
-    connective somewhere in phi.  print_meta writes no parentheses around
-    it, so its printed text reads back with the quantifier's body running
-    to the end of the enclosing group."""
-    return any(isinstance(x, (M.MImplies, M.MIff))
-               and isinstance(getattr(x.left, "sub", x.left), M.ForAllIndex)
-               for x in walk(phi))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 4), st.randoms(use_true_random=False))
 def test_meta_formulas_are_in_one_form_by_construction(depth, rng):
@@ -72,8 +62,7 @@ def test_meta_formulas_are_in_one_form_by_construction(depth, rng):
         assert M.MNot(M.MNot(phi)) == phi
         assert M.MNot(phi) != phi
         # so print -> parse -> print is the identity
-        if not _quantifier_on_left(phi):
-            assert M.parse_meta(M.print_meta(phi)) == phi
+        assert M.parse_meta(M.print_meta(phi)) == phi
 
 
 def test_ine_expansion():

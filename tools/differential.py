@@ -8,7 +8,7 @@ answers in a child process of its own (this file, run with `--child` and
 that tree's `src` first on the path, under PYTHONHASHSEED=0), and the two
 answer lists are compared line by line.  The inputs come from the
 generators below, which both children share, so they are the same text for
-both trees.  Two families of K cases each:
+both trees.  Three families of K cases each:
 
 - meta: a meta formula, as text.  The answer is its printed form and that
   of its negation, `satisfiable` of it with the case before it, and
@@ -18,6 +18,11 @@ both trees.  Two families of K cases each:
 - audit: a shipped audit script with lines dropped, duplicated or swapped,
   or a negation doubled.  The answer is the report's JSON and the minimal
   inconsistent subsets, or the error that ends either.
+- codec: an integer for `codec.decode_tokens`, built here from a token
+  string: a run that ends the code, two runs of one token split by a short
+  gap, a run broken near its end, tokens alternating 8 and 9, huge single
+  exponents, an extra cofactor, or a random integer.  The answer is the
+  decoded tokens as (token, count) runs, or the error's type and text.
 
 The exit status is 0 when every answer agrees, and 1 otherwise.
 """
@@ -25,7 +30,9 @@ The exit status is 0 when every answer agrees, and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -100,6 +107,71 @@ def script_text(rng: random.Random, bases: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _first_primes(k: int) -> list[int]:
+    """The first k primes, by a sieve of Eratosthenes of this file's own."""
+    n = int(k * (math.log(k + 2) + math.log(math.log(k + 2)))) + 16
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return list(itertools.compress(range(n), sieve))[:k]
+
+
+def _product(factors: list[int]) -> int:
+    """The product of factors, multiplied as a balanced tree."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[j:j + 2]) for j in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
+
+
+def _encode(runs: list[list[int]], primes: list[int]) -> int:
+    """prod p_i^{t_i} of a token string given as [token, count] runs, a run
+    at a time: (p_i ... p_{i+c-1})^t."""
+    factors, i = [], 0
+    for tok, count in runs:
+        factors.append(_product(primes[i:i + count]) ** tok)
+        i += count
+    return _product(factors)
+
+
+def codec_case(rng: random.Random, primes: list[int]) -> tuple[str, int]:
+    """A decode input, described as [token, count] runs and a cofactor, and
+    the input itself, of at most 6,040 tokens.  A token 0 is a gap: its
+    prime is left out."""
+    t = rng.choice([9, 9, 9, 1, 2, 8, 13, 14])
+    head = [rng.choice([1, 2, 4, 5, 6, 13]) for _ in range(rng.randrange(4))]
+    length = int(2 ** rng.uniform(1, math.log2(5000)))
+    kind = rng.randrange(7)
+    if kind == 0:  # a run that ends the code
+        tokens = head + [t] * length + rng.choice([[], [8], [8, 13 + rng.randrange(40)]])
+    elif kind == 1:  # two runs of one token, split by a gap of 1-5 primes
+        gap = [rng.choice([x for x in (1, 4, 5, 6, 8, 13) if x != t])
+               for _ in range(rng.randrange(1, 6))]
+        tokens = head + [t] * length + gap + [t] * int(2 ** rng.uniform(1, 10)) + [8]
+    elif kind == 2:  # a run broken in its last 4 primes
+        tokens = head + [t] * length + [8]
+        tokens[len(head) + length - 1 - rng.randrange(min(4, length))] = rng.choice(
+            [0, t - 1, t + 1])
+    elif kind == 3:  # tokens alternating 8 and 9
+        tokens = [8 + k % 2 for k in range(int(2 ** rng.uniform(1, 11)))]
+    elif kind == 4:  # huge single exponents
+        tokens = head + [rng.randrange(1000, 320_000) for _ in range(rng.randrange(1, 3))]
+    elif kind == 5:
+        g = rng.getrandbits(rng.randrange(1, 2000))
+        return "int %x" % g, g
+    else:  # a run that ends the code, then a cofactor
+        tokens = head + [t] * length + [8]
+    extra = 1
+    if kind == 6 or rng.random() < 0.15:
+        extra = rng.choice([2, 3, 2**61 - 1, rng.getrandbits(64) | 1])
+    runs = [[tok, len(list(group))] for tok, group in itertools.groupby(tokens)]
+    g = _encode(runs, primes) * extra
+    if kind == 3:
+        return "%d tokens alternating 8 and 9 * %d" % (len(tokens), extra), g
+    return "runs %s * %d" % (json.dumps(runs), extra), g
+
+
 # --- one tree's answers --------------------------------------------------
 #
 # goedellab is imported only in a child, from the tree whose `src` is first
@@ -148,7 +220,19 @@ def audit_answers(seed: int, count: int):
         yield text, [report, _answer(lambda: audit.minimal_inconsistent_subsets(script))]
 
 
-FAMILIES = {"meta": meta_answers, "audit": audit_answers}
+def codec_answers(seed: int, count: int):
+    from goedellab import codec
+    rng = random.Random(seed)
+    primes = _first_primes(6040)
+    for _ in range(count):
+        text, g = codec_case(rng, primes)
+        tokens = _answer(lambda: codec.decode_tokens(g))
+        if isinstance(tokens, list):
+            tokens = [[tok, len(list(group))] for tok, group in itertools.groupby(tokens)]
+        yield text, [tokens]
+
+
+FAMILIES = {"meta": meta_answers, "audit": audit_answers, "codec": codec_answers}
 
 
 def child(family: str, seed: int, count: int, tree: str) -> None:
