@@ -30,11 +30,11 @@ MAX_TOKENS = 200_000
 # Decoding reads a run that ends the code, such as a numeral's S tokens,
 # with one power and one division: on a 2-vCPU machine `x0 = 4000` (489k
 # bits) and `x0 = 4080` (499,881 bits) take about 30 ms.  A huge exponent
-# is read by galloping powers: `Dem(x315000)` (499k bits) takes about
-# 0.2 s.  A code without runs is still read prime by prime, each prime by
-# divisions of the whole remainder, so its cost grows with the square of
-# the bit length: tokens alternating 8 and 9 (461k bits) take 1.3-1.5 s.
-# That worst case is why the bound stays where it is; longer codes are
+# is read a few digits at a time: `Dem(x315000)` (499k bits) takes about
+# 1.2-1.4 s.  A code without runs is still read prime by prime, each prime
+# by divisions of the whole remainder, so its cost grows with the square
+# of the bit length: tokens alternating 8 and 9 (461k bits) take 1.3-1.5 s.
+# Those worst cases are why the bound stays where it is; longer codes are
 # refused before the first division.
 MAX_DECODE_BITS = 500_000
 
@@ -210,13 +210,7 @@ def _strip_prime(g: int, p: int) -> tuple[int, int]:
     """(g / p^e, e) for the exponent e of the prime p in g.
 
     Strips p^k (a power of p below one digit) while it divides; the rest
-    of the exponent is read off the small remainder.  Once the exponent
-    read reaches 16, which only a variable past x2 does as a token, it
-    gallops: p^2k, p^4k, ... while they divide, then each of them once more
-    from the largest down (Bentley and Yao's unbounded search), so a huge
-    exponent costs about 2 log2(e/k) divisions instead of e/k.  Below 16 it
-    stays with p^k: a division by more than one digit costs more, and
-    tokens of every prime are read that way.
+    of the exponent is read off the small remainder.
     """
     k = max(1, _DIGIT_BITS // p.bit_length())
     pk = p**k
@@ -224,20 +218,6 @@ def _strip_prime(g: int, p: int) -> tuple[int, int]:
     q, r = divmod(g, pk)
     while not r:
         g, e = q, e + k
-        if e - k < 16 <= e:
-            powers = [pk]  # p^k, p^2k, p^4k, ...: each has divided
-            # a square of b bits has at least 2b - 1
-            while 2 * powers[-1].bit_length() - 1 <= g.bit_length():
-                square = powers[-1] ** 2
-                q, r = divmod(g, square)
-                if r:
-                    break
-                powers.append(square)
-                g, e = q, e + (k << len(powers) - 1)
-            for j in range(len(powers) - 1, 0, -1):
-                q, r = divmod(g, powers[j])
-                if not r:
-                    g, e = q, e + (k << j)
         q, r = divmod(g, pk)
     j = 0
     while r % p == 0:

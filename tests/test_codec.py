@@ -1,5 +1,4 @@
 import hashlib
-import math
 import random
 
 import pytest
@@ -650,17 +649,6 @@ def test_a_wrong_guess_of_the_run_end_is_refuted(broken, monkeypatch):
     monkeypatch.setattr(codec, "_run_end", lambda g, i, t, sums: 602 - i)
     g = codec.encode_tokens(tokens)
     assert _outcome(codec.decode_tokens, g) == _outcome(_referee_decode_tokens, g)
-
-
-def test_a_huge_exponent_is_read_in_logarithmically_many_divisions(monkeypatch):
-    # `Dem(x315000)`: the exponent 315013 of 3, read by 3^15 at a time,
-    # would take 21,001 divisions
-    g = codec.encode_formula(F.parse_formula("Dem(x315000)"))
-    calls = []
-    monkeypatch.setattr(codec, "divmod", _counted(divmod, calls), raising=False)
-    assert codec._strip_prime(g // 2**5, 3) == (1, 315013)
-    assert len(calls) <= 2 * math.log2(315013 / 15) + 4
-    assert codec.decode_tokens(g) == [5, 315013]
 
 
 # --- numeric substitution ----------------------------------------------
