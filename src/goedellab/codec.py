@@ -13,6 +13,7 @@ import bisect
 import itertools
 import math
 import os
+from operator import itemgetter
 
 from . import formulas as F
 from .errors import NotUnary, NotWellFormed, ResourceBound
@@ -76,9 +77,19 @@ def nth_prime(i: int) -> int:
 # --- tokenization ------------------------------------------------------
 
 
+# The token table: the kind of slot a token fills (as the reader's messages
+# name it) -> token -> (its node class, the kinds of its operand slots, the
+# second None for one operand).  The leaves 0 and x_i are read on their own.
+_FORMULA, _TERM, _VARIABLE = "formula", "term", "quantifier variable"
+_RULES = {
+    _FORMULA: {NOT: (F.Not, _FORMULA, None), IMP: (F.Implies, _FORMULA, _FORMULA),
+               ALL: (F.ForAll, _VARIABLE, _FORMULA), EQ: (F.Eq, _TERM, _TERM),
+               DEM: (F.Dem, _TERM, None)},
+    _TERM: {SUB: (F.Sub, _TERM, _TERM), DIAG: (F.Diag, _TERM, None), S: (F.Succ, _TERM, None)},
+    _VARIABLE: {},
+}
 # the token of every node type but the leaves Var and Num
-_TOKEN = {F.Not: NOT, F.Implies: IMP, F.ForAll: ALL, F.Eq: EQ, F.Dem: DEM,
-          F.Sub: SUB, F.Diag: DIAG, F.Succ: S}
+_TOKEN = {rule[0]: tok for table in _RULES.values() for tok, rule in table.items()}
 
 
 def formula_tokens(f: F.Formula) -> list[int]:
@@ -101,67 +112,54 @@ def formula_tokens(f: F.Formula) -> list[int]:
 
 
 def tokens_to_formula(tokens: list[int]) -> F.Formula:
-    """Parse a Polish token string as exactly one formula."""
-    pos = 0
-
-    def need(kind: str) -> int:
-        nonlocal pos
-        if pos >= len(tokens):
+    """Parse a Polish token string as exactly one formula, left to right:
+    the first token that cannot stand where it is is the error.  The stack
+    holds each open node as (build, None) while it waits for its one
+    operand, (build, kind) for its first of two and (build, first) for its
+    second.  A run of S is read in one step."""
+    n, stack = len(tokens), []
+    kind, pos = _FORMULA, 0
+    while True:
+        if pos == n:
             raise NotWellFormed("token string ends inside a %s" % kind)
         tok = tokens[pos]
         pos += 1
-        if tok in RESERVED or tok <= 0:
-            raise NotWellFormed("reserved or invalid token code %d" % tok)
-        return tok
-
-    def formula() -> F.Formula:
-        tok = need("formula")
-        if tok == NOT:
-            return F.Not(formula())
-        if tok == IMP:
-            left = formula()
-            return F.Implies(left, formula())
-        if tok == ALL:
-            var = need("quantifier variable")
-            if var < VAR_BASE:
-                raise NotWellFormed("quantifier not followed by a variable token")
-            return F.ForAll(var - VAR_BASE, formula())
-        if tok == EQ:
-            left = term()
-            return F.Eq(left, term())
-        if tok == DEM:
-            return F.Dem(term())
-        raise NotWellFormed("token %d cannot start a formula" % tok)
-
-    def term() -> F.Term:
-        tok = need("term")
-        if tok >= VAR_BASE:
-            return F.Var(tok - VAR_BASE)
-        if tok == ZERO:
-            return F.ZERO
-        if tok == S:
-            n = 1
-            nonlocal pos
-            while pos < len(tokens) and tokens[pos] == S:
-                n += 1
-                pos += 1
-            inner = term()
-            if isinstance(inner, F.Num):
-                return F.Num(inner.value + n)
-            for _ in range(n):
-                inner = F.Succ(inner)
-            return inner
-        if tok == SUB:
-            left = term()
-            return F.Sub(left, term())
-        if tok == DIAG:
-            return F.Diag(term())
-        raise NotWellFormed("token %d cannot start a term" % tok)
-
-    f = formula()
-    if pos != len(tokens):
-        raise NotWellFormed("trailing tokens after a complete formula")
-    return f
+        if tok >= VAR_BASE and kind is not _FORMULA:
+            x = tok - VAR_BASE if kind is _VARIABLE else F.Var(tok - VAR_BASE)
+        elif tok == ZERO and kind is _TERM:
+            x = F.ZERO
+        else:
+            rule = _RULES[kind].get(tok)
+            if rule is None:
+                if tok in RESERVED or tok <= 0:
+                    raise NotWellFormed("reserved or invalid token code %d" % tok)
+                if kind is _VARIABLE:
+                    raise NotWellFormed("quantifier not followed by a variable token")
+                raise NotWellFormed("token %d cannot start a %s" % (tok, kind))
+            build, kind, second = rule
+            if tok == S:
+                start = pos - 1
+                while pos < n and tokens[pos] == S:
+                    pos += 1
+                build = lambda t, run=pos - start: F.successors(t, run)
+            stack.append((build, second))
+            continue
+        while stack:
+            build, arg = stack[-1]
+            if arg is None:
+                stack.pop()
+                x = build(x)
+            elif arg.__class__ is str:
+                stack[-1] = (build, x)
+                kind = arg
+                break
+            else:
+                stack.pop()
+                x = build(arg, x)
+        else:
+            if pos != n:
+                raise NotWellFormed("trailing tokens after a complete formula")
+            return x
 
 
 # --- encode / decode ---------------------------------------------------
@@ -374,20 +372,14 @@ class CodeRLE(Node):
     __slots__ = _fields = _data = ("runs",)
 
     @staticmethod
-    def from_tokens(tokens: list[int]) -> "CodeRLE":
-        runs: list[list[int]] = []
-        for tok in tokens:
-            if runs and runs[-1][0] == tok:
-                runs[-1][1] += 1
-            else:
-                runs.append([tok, 1])
-        return CodeRLE(tuple((t, c) for t, c in runs))
-
-    def token_count(self) -> int:
-        return sum(c for (_, c) in self.runs)
+    def from_runs(pairs) -> "CodeRLE":
+        """The code of the token string given as (token, count) pairs: pairs
+        of one token in a row make one run, and a count of 0 none."""
+        return CodeRLE(tuple((tok, sum(c for _, c in group)) for tok, group in
+                             itertools.groupby((p for p in pairs if p[1]), itemgetter(0))))
 
     def to_int(self) -> int:
-        n = self.token_count()
+        n = sum(c for (_, c) in self.runs)
         if n > MAX_TOKENS:
             raise ResourceBound(
                 "code has %d tokens, over the bound of %d to materialize" % (n, MAX_TOKENS)
@@ -402,23 +394,9 @@ def _substitute_x0_numeral(psi: F.Formula, m: int) -> CodeRLE:
         # psi also binds x0 somewhere, which needs scope-aware substitution
         if m > MAX_TOKENS:
             raise ResourceBound("numeral of %d too large for symbolic route" % m)
-        return CodeRLE.from_tokens(formula_tokens(F.substitute(psi, 0, F.Num(m))))
-    runs: list[tuple[int, int]] = []
-
-    def push(tok: int, count: int = 1) -> None:
-        if runs and runs[-1][0] == tok:
-            runs[-1] = (tok, runs[-1][1] + count)
-        else:
-            runs.append((tok, count))
-
-    for tok in tokens:
-        if tok == VAR_BASE:
-            if m:
-                push(S, m)
-            push(ZERO)
-        else:
-            push(tok)
-    return CodeRLE(tuple(runs))
+        return CodeRLE.from_runs((tok, 1) for tok in formula_tokens(F.substitute(psi, 0, F.Num(m))))
+    return CodeRLE.from_runs(pair for tok in tokens
+                             for pair in (((S, m), (ZERO, 1)) if tok == VAR_BASE else ((tok, 1),)))
 
 
 # --- enumeration of unary formulas -------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import NotClosed, ParseError
-from .syntax import Cursor, Node, remember, walk
+from .syntax import Cursor, Node, extends_right, print_node, remember, walk
 
 # --- terms -------------------------------------------------------------
 
@@ -19,6 +19,11 @@ from .syntax import Cursor, Node, remember, walk
 class Var(Node):
     __slots__ = _fields = ("index",)
     _data = ("index",)
+    _pieces = ("x", 0)
+
+
+# Numerals up to this value print as S(...(0)) chains, larger ones in decimal.
+NUMERAL_CHAIN_LIMIT = 1000
 
 
 class Num(Node):
@@ -27,11 +32,16 @@ class Num(Node):
     __slots__ = _fields = ("value",)
     _data = ("value",)
 
+    def _show(self, parts, stack):
+        v = self.value
+        parts.append(str(v) if v > NUMERAL_CHAIN_LIMIT else "S(" * v + "0" + ")" * v)
+
 
 class Succ(Node):
     """S(t) of a term that is not a numeral: S of Num(n) is Num(n + 1)."""
 
     __slots__ = _fields = ("arg",)
+    _pieces = ("S(", 0, ")")
 
     def __new__(cls, arg):
         if isinstance(arg, Num):
@@ -41,18 +51,26 @@ class Succ(Node):
 
 class Sub(Node):
     __slots__ = _fields = ("left", "right")
+    _pieces = ("sub(", 0, ",", 1, ")")
 
 
 class Diag(Node):
     __slots__ = _fields = ("arg",)
+    _pieces = ("diag(", 0, ")")
 
 
 Term = Var | Num | Succ | Sub | Diag
 
 ZERO = Num(0)
 
-# Numerals up to this value print as S(...(0)) chains, larger ones in decimal.
-NUMERAL_CHAIN_LIMIT = 1000
+
+def successors(t: Term, n: int) -> Term:
+    """S applied n times to t; over a numeral, one numeral."""
+    if isinstance(t, Num):
+        return Num(t.value + n)
+    for _ in range(n):
+        t = Succ(t)
+    return t
 
 
 # --- formulas ----------------------------------------------------------
@@ -60,26 +78,34 @@ NUMERAL_CHAIN_LIMIT = 1000
 
 class Not(Node):
     __slots__ = _fields = ("sub",)
+    _prefix = True
+    _pieces = ("~", (0, lambda f: type(f) is Eq))
 
 
 class Implies(Node):
     __slots__ = _fields = ("left", "right")
+    _pieces = ("(", (0, extends_right), " -> ", 1, ")")
 
 
 class ForAll(Node):
     __slots__ = _fields = ("var", "body")
     _data = ("var",)
+    _quantifier = True
+    _pieces = ("forall x", 0, ". ", 1)
 
 
 class Eq(Node):
     __slots__ = _fields = ("left", "right")
+    _pieces = (0, " = ", 1)
 
 
 class Dem(Node):
     __slots__ = _fields = ("arg",)
+    _pieces = ("Dem(", 0, ")")
 
 
 Formula = Not | Implies | ForAll | Eq | Dem
+print_term = print_formula = print_node
 
 
 def term_free_vars(t: Term) -> set[int]:
@@ -129,56 +155,6 @@ def substitute(f: Formula, var: int, t: Term) -> Formula:
         return Dem(_subst_term(f.arg, var, t))
 
     return go(f)
-
-
-# --- printer -----------------------------------------------------------
-
-
-def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return "x%d" % t.index
-    if isinstance(t, Num):
-        if t.value > NUMERAL_CHAIN_LIMIT:
-            return str(t.value)
-        return "S(" * t.value + "0" + ")" * t.value
-    if isinstance(t, Succ):
-        # iterative: S chains over a variable or sub/diag can be deep
-        depth = 0
-        while isinstance(t, Succ):
-            depth += 1
-            t = t.arg
-        return "S(" * depth + print_term(t) + ")" * depth
-    if isinstance(t, Diag):
-        return "diag(%s)" % print_term(t.arg)
-    return "sub(%s,%s)" % (print_term(t.left), print_term(t.right))
-
-
-def _extends_right(f: Formula) -> bool:
-    # printed form that keeps consuming input (quantifier body runs to
-    # the end of the enclosing context)
-    if isinstance(f, ForAll):
-        return True
-    if isinstance(f, Not):
-        return _extends_right(f.sub)
-    return False
-
-
-def print_formula(f: Formula) -> str:
-    if isinstance(f, Not):
-        inner = print_formula(f.sub)
-        if isinstance(f.sub, Eq):
-            inner = "(" + inner + ")"
-        return "~" + inner
-    if isinstance(f, Implies):
-        left = print_formula(f.left)
-        if _extends_right(f.left):
-            left = "(" + left + ")"
-        return "(%s -> %s)" % (left, print_formula(f.right))
-    if isinstance(f, ForAll):
-        return "forall x%d. %s" % (f.var, print_formula(f.body))
-    if isinstance(f, Eq):
-        return "%s = %s" % (print_term(f.left), print_term(f.right))
-    return "Dem(%s)" % print_term(f.arg)
 
 
 # --- parser ------------------------------------------------------------
@@ -245,11 +221,7 @@ class _Parser(Cursor):
                 for _ in range(depth):
                     self.expect(")")  # fails at the first token that is not `)`
             self.i = close
-            if isinstance(t, Num):
-                return Num(t.value + depth)
-            for _ in range(depth):
-                t = Succ(t)
-            return t
+            return successors(t, depth)
         if tok.isdigit():
             return Num(self.number(tok, self.i - 1))
         if tok.startswith("x") and tok[1:].isdigit():

@@ -21,7 +21,7 @@ from functools import reduce
 from operator import and_
 
 from .errors import ResourceBound
-from .syntax import Cursor, Node, truth_columns, walk
+from .syntax import Cursor, Node, extends_right, truth_columns, walk
 
 # --- index terms -------------------------------------------------------
 
@@ -89,6 +89,7 @@ class MNot(Node):
     involution, and its operand is never an MNot or an Assert."""
 
     __slots__ = _fields = ("sub",)
+    _prefix = True
 
     def __new__(cls, sub):
         if isinstance(sub, MNot):
@@ -109,6 +110,7 @@ class MIff(Node):
 class ForAllIndex(Node):
     __slots__ = _fields = ("var", "body")
     _data = ("var",)
+    _quantifier = True
 
 
 MetaFormula = Assert | DemOf | MNot | MImplies | MIff | ForAllIndex
@@ -210,13 +212,6 @@ def print_desig(d: Designator) -> str:
     return d.name
 
 
-def _extends_right(phi: MetaFormula) -> bool:
-    # a quantifier's body runs to the end of the enclosing group
-    while isinstance(phi, MNot):
-        phi = phi.sub
-    return isinstance(phi, ForAllIndex)
-
-
 def print_meta(phi: MetaFormula) -> str:
     if isinstance(phi, Assert):
         return print_desig(phi.desig)
@@ -226,7 +221,7 @@ def print_meta(phi: MetaFormula) -> str:
         return "~" + print_meta(phi.sub)
     if isinstance(phi, (MImplies, MIff)):
         left = print_meta(phi.left)
-        if _extends_right(phi.left):
+        if extends_right(phi.left):
             left = "(" + left + ")"
         op = "->" if isinstance(phi, MImplies) else "<->"
         return "(%s %s %s)" % (left, op, print_meta(phi.right))

@@ -33,7 +33,7 @@ from functools import cache, reduce
 from operator import and_, or_
 
 from .errors import ResourceBound, WorkbenchError
-from .syntax import Cursor, Node, read_text, truth_columns
+from .syntax import Cursor, Node, print_node, read_text, truth_columns
 
 LOGICS = ("K", "K4", "GL")
 
@@ -51,21 +51,26 @@ MAX_MODEL_WORLDS = 10_000
 class Atom(Node):
     __slots__ = _fields = ("name",)
     _data = ("name",)
+    _pieces = (0,)
 
 
 class Neg(Node):
     __slots__ = _fields = ("sub",)
+    _pieces = ("~", 0)
 
 
 class Imp(Node):
     __slots__ = _fields = ("left", "right")
+    _pieces = ("(", 0, " -> ", 1, ")")
 
 
 class Box(Node):
     __slots__ = _fields = ("sub",)
+    _pieces = ("[]", 0)
 
 
 ModalFormula = Atom | Neg | Imp | Box
+print_modal = print_node
 
 
 def Dia(f: ModalFormula) -> ModalFormula:
@@ -78,24 +83,6 @@ def And(a: ModalFormula, b: ModalFormula) -> ModalFormula:
 
 def modal_depth(f: ModalFormula) -> int:
     return _Closure(f).depth
-
-
-def print_modal(f: ModalFormula) -> str:
-    # the stack holds subformulas still to print and text ready to emit
-    parts, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, str):
-            parts.append(g)
-        elif isinstance(g, Atom):
-            parts.append(g.name)
-        elif isinstance(g, Imp):
-            parts.append("(")
-            stack += (")", g.right, " -> ", g.left)
-        else:
-            parts.append("~" if isinstance(g, Neg) else "[]")
-            stack.append(g.sub)
-    return "".join(parts)
 
 
 class _Parser(Cursor):

@@ -39,6 +39,7 @@ class Node:
     __slots__ = ("_hash",)
     _fields: tuple[str, ...]
     _data: tuple[str, ...] = ()
+    _prefix = _quantifier = False  # how the text of a node ends (`extends_right`)
 
     def __init_subclass__(cls):
         # the constructor and `_values` (the tuple of field values) read and
@@ -104,6 +105,12 @@ class Node:
             stack.append(type(x).__qualname__ + "(")
         return "".join(parts)
 
+    def _show(self, parts, stack):
+        # compiled from `_pieces` when the class first prints, not on import
+        cls = type(self)
+        cls._show = _compile_show(cls)
+        return cls._show(self, parts, stack)
+
     def __copy__(self):
         # immutable: a copy of a node, however deep, is the node itself
         return self
@@ -115,6 +122,66 @@ class Node:
         # rebuilt through the constructor, so a pickle never carries the
         # cached hash: a str's hash differs between processes (PYTHONHASHSEED)
         return type(self), self._values()
+
+
+def print_node(node: Node) -> str:
+    """The text of node.  The stack holds what is left to print, last first,
+    so no depth of nesting exceeds the recursion limit."""
+    parts, stack = [], [node]
+    pop, emit = stack.pop, parts.append
+    while stack:
+        x = pop()
+        if x.__class__ is str:
+            emit(x)
+        else:  # x and its first operands, down to a leaf
+            while x is not None:
+                x = x._show(parts, stack)
+    return "".join(parts)
+
+
+def _compile_show(cls):
+    """`_show(parts, stack)` from `cls._pieces`, compiled once as `__init__`
+    is.  A piece is a str, printed as it is, a field's index, printed as
+    that field (a plain value as str() of it), or (index, test) for the
+    first node field, in parentheses where test(operand) holds.  `_show`
+    appends the text before the first operand to parts, pushes the rest
+    onto stack, last first, and returns that operand, or None."""
+    runs, operands, tests = [""], [], []  # runs: the text around the operands, as f-strings
+    for piece in cls._pieces:
+        i, test = piece if isinstance(piece, tuple) else (piece, None)
+        if isinstance(i, str):
+            runs[-1] += i.replace("{", "{{").replace("}", "}}")
+        elif cls._fields[i] in cls._data:
+            runs[-1] += "{self.%s}" % cls._fields[i]
+        else:
+            operands.append("self." + cls._fields[i])
+            tests.append(test)
+            runs.append("")
+    assert not any(tests[1:]), "only a first operand is wrapped"
+    texts = ["f%r" % run if run else None for run in runs]
+    # what follows the first operand, last first
+    after = [x for pair in zip(texts[1:], operands[1:] + [None]) for x in pair if x][::-1]
+    if not operands:
+        lines = ["parts.append(%s)" % texts[0]]
+    else:
+        lines = ["x = " + operands[0]]
+        if tests[0]:
+            lines += ["if test(x):", "    parts.append(f%r)" % (runs[0] + "("),
+                      "    stack += (%s,)" % ", ".join(after + ["')'"]), "    return x"]
+        lines += ["parts.append(%s)" % texts[0]] * bool(texts[0])
+        lines += ["stack += (%s,)" % ", ".join(after)] * bool(after) + ["return x"]
+    namespace = {"test": tests and tests[0]}
+    exec("def _show(self, parts, stack):\n    %s\n" % "\n    ".join(lines), namespace)
+    return namespace["_show"]
+
+
+def extends_right(node: Node) -> bool:
+    """Whether the text of node runs on to the end of its group, as a
+    quantifier's does, and so needs parentheses as a left operand.  A
+    prefix operator's text ends as its operand's does."""
+    while node._prefix:
+        node = node.sub
+    return node._quantifier
 
 
 def walk(node: Node):

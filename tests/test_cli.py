@@ -562,6 +562,23 @@ def test_a_long_conjunction_prints_as_json(tmp_path):
         assert (payload["formula"], payload[key]) == (printed, value)
 
 
+def test_a_deep_code_decodes_and_a_deep_term_prints():
+    # in a fresh interpreter, where a RecursionError is a plain traceback.
+    # The code of 1,500 ~ over 0 = 0 is built from its tokens, because the
+    # parser cannot read that text yet
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = codec.encode_tokens([codec.NOT] * 1500 + [codec.EQ, codec.ZERO, codec.ZERO])
+    proc = subprocess.run([sys.executable, "-m", "goedellab.cli", "decode", "0x%x" % code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "~" * 1500 + "(0 = 0)\n", "")
+    probe = ("from goedellab import formulas as F\nt = F.Var(0)\nfor _ in range(5000):\n"
+             "    t = F.Diag(t)\nprint(F.print_formula(F.Dem(t)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "Dem(" + "diag(" * 5000 + "x0" + ")" * 5001 + "\n"
+
+
 def test_model_check_world_out_of_range_is_exit_one(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"worlds": 3, "relation": [], "valuation": {}}))

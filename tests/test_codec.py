@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -44,18 +45,38 @@ def test_sub_num_worked_value():
 
 
 def test_decode_rejects_non_codes():
-    with pytest.raises(NotWellFormed):
-        codec.decode_formula(0)
-    with pytest.raises(NotWellFormed):
-        codec.decode_formula(1)  # empty token sequence
-    with pytest.raises(NotWellFormed):
-        codec.decode_formula(2 * 5)  # exponent gap at 3
-    with pytest.raises(NotWellFormed):
-        codec.decode_formula(2**10 * 3**13)  # reserved token 10
-    with pytest.raises(NotWellFormed):
-        codec.decode_formula(2**4 * 3**8)  # truncated: = 0 <missing>
-    with pytest.raises(NotWellFormed):
-        codec.decode_formula(2**4 * 3**8 * 5**8 * 7**8)  # trailing token
+    # each code and the message it is refused with; the Polish reader's
+    # faults are reported at the first token that cannot stand where it is
+    cases = [
+        (0, "Goedel numbers are naturals >= 1"),
+        (1, "empty sequence"),
+        (2 * 5, "exponent gap at prime 3"),
+        (2**10 * 3**13, "reserved or invalid token code 10"),
+        (2**1, "token string ends inside a formula"),  # ~ <missing>
+        (2**4 * 3**8, "token string ends inside a term"),  # = 0 <missing>
+        (2**3, "token string ends inside a quantifier variable"),  # forall <missing>
+        (2**3 * 3**1, "quantifier not followed by a variable token"),
+        (2**3 * 3**12, "reserved or invalid token code 12"),  # before the variable check
+        (2**8, "token 8 cannot start a formula"),
+        (2**13, "token 13 cannot start a formula"),
+        (2**5 * 3**1, "token 1 cannot start a term"),
+        (2**2 * 3**4 * 5**8 * 7**8 * 11**9, "token 9 cannot start a formula"),
+        (2**4 * 3**8 * 5**8 * 7**8, "trailing tokens after a complete formula"),
+        # the first fault from the left is the one reported
+        (2**5 * 3**2 * 5**10, "token 2 cannot start a term"),
+    ]
+    for code, message in cases:
+        with pytest.raises(NotWellFormed, match="^" + re.escape(message)):
+            codec.decode_formula(code)
+
+
+def test_the_polish_reader_reports_faults_of_token_lists():
+    # token lists that no code spells: a non-positive token
+    for tokens, message in [([0], "reserved or invalid token code 0"),
+                            ([5, -3], "reserved or invalid token code -3"),
+                            ([], "token string ends inside a formula")]:
+        with pytest.raises(NotWellFormed, match="^" + re.escape(message)):
+            codec.tokens_to_formula(tokens)
 
 
 def test_encode_is_injective_on_a_sample():

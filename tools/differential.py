@@ -8,7 +8,7 @@ answers in a child process of its own (this file, run with `--child` and
 that tree's `src` first on the path, under PYTHONHASHSEED=0), and the two
 answer lists are compared line by line.  The inputs come from the
 generators below, which both children share, so they are the same text for
-both trees.  Three families of K cases each:
+both trees.  Four families of K cases each:
 
 - meta: a meta formula, as text.  The answer is its printed form and that
   of its negation, `satisfiable` of it with the case before it, and
@@ -23,6 +23,11 @@ both trees.  Three families of K cases each:
   gap, a run broken near its end, tokens alternating 8 and 9, huge single
   exponents, an extra cofactor, or a random integer.  The answer is the
   decoded tokens as (token, count) runs, or the error's type and text.
+- print: a Polish token string for `codec.tokens_to_formula`: the tokens
+  of a random formula, built here, and that string with one token
+  replaced, one dropped and one appended.  The answer is the formula's
+  printed text, or the error.  After each four such cases comes a modal
+  formula's text, and the answer is `modal.print_modal` of it as parsed.
 
 The exit status is 0 when every answer agrees, and 1 otherwise.
 """
@@ -172,6 +177,60 @@ def codec_case(rng: random.Random, primes: list[int]) -> tuple[str, int]:
     return "runs %s * %d" % (json.dumps(runs), extra), g
 
 
+# codec's token table: ~ -> forall = Dem sub diag 0 S, then x_i is 13 + i
+_NOT, _IMP, _ALL, _EQ, _DEM, _SUB, _DIAG, _ZERO, _S, _VAR = 1, 2, 3, 4, 5, 6, 7, 8, 9, 13
+
+
+def polish_term(rng: random.Random, depth: int) -> list[int]:
+    kind = rng.randrange(5 if depth > 0 else 2)
+    if kind == 0:
+        return [_VAR + rng.randrange(3)]
+    if kind == 1:  # a numeral, sometimes past the printer's chain limit of 1000
+        return [_S] * rng.choice([0, 1, 2, 5, 40, 999, 1000, 1001, 1200]) + [_ZERO]
+    if kind == 2:
+        return [_S] * rng.randrange(1, 4) + polish_term(rng, depth - 1)
+    if kind == 3:
+        return [_DIAG] + polish_term(rng, depth - 1)
+    return [_SUB] + polish_term(rng, depth - 1) + polish_term(rng, depth - 1)
+
+
+def polish_formula(rng: random.Random, depth: int) -> list[int]:
+    """The Polish tokens of a random formula."""
+    kind = rng.randrange(5 if depth > 0 else 2)
+    if kind == 0:
+        return [_EQ] + polish_term(rng, depth) + polish_term(rng, depth)
+    if kind == 1:
+        return [_DEM] + polish_term(rng, depth)
+    if kind == 2:
+        return [_NOT] * rng.choice([1, 1, 2]) + polish_formula(rng, depth - 1)
+    if kind == 3:
+        return [_IMP] + polish_formula(rng, depth - 1) + polish_formula(rng, depth - 1)
+    return [_ALL, _VAR + rng.randrange(3)] + polish_formula(rng, depth - 1)
+
+
+def token_cases(rng: random.Random) -> list[list[int]]:
+    """A formula's tokens, then the same with a token replaced (by a
+    reserved, invalid or other token too), one dropped and one appended."""
+    tokens = polish_formula(rng, rng.randrange(5))
+    pool = [0, -1, 10, 11, 12, 13, 14, 40] + list(range(1, 10))
+    replaced, dropped = list(tokens), list(tokens)
+    replaced[rng.randrange(len(tokens))] = rng.choice(pool)
+    del dropped[rng.randrange(len(tokens))]
+    return [tokens, replaced, dropped, tokens + [rng.choice(pool)]]
+
+
+def modal_text(rng: random.Random, depth: int) -> str:
+    """A modal formula's text, with every connective and prefix."""
+    kind = rng.randrange(5 if depth > 0 else 1)
+    if kind == 0:
+        return rng.choice("pqr")
+    if kind == 1:
+        return rng.choice(["~", "[]", "<>", "~~", "[]~"]) + modal_text(rng, depth - 1)
+    op = rng.choice(["->", "<->", "&", "|"])
+    text = "%s %s %s" % (modal_text(rng, depth - 1), op, modal_text(rng, depth - 1))
+    return "(%s)" % text if kind < 4 else text
+
+
 # --- one tree's answers --------------------------------------------------
 #
 # goedellab is imported only in a child, from the tree whose `src` is first
@@ -232,7 +291,24 @@ def codec_answers(seed: int, count: int):
         yield text, [tokens]
 
 
-FAMILIES = {"meta": meta_answers, "audit": audit_answers, "codec": codec_answers}
+def print_answers(seed: int, count: int):
+    from goedellab import codec, formulas, modal
+    rng = random.Random(seed)
+
+    def cases():
+        while True:
+            for tokens in token_cases(rng):
+                runs = [[tok, len(list(group))] for tok, group in itertools.groupby(tokens)]
+                yield "tokens %s" % json.dumps(runs), [_answer(
+                    lambda: formulas.print_formula(codec.tokens_to_formula(tokens)))]
+            text = modal_text(rng, rng.randrange(5))
+            yield "modal %s" % text, [_answer(lambda: modal.print_modal(modal.parse_modal(text)))]
+
+    yield from itertools.islice(cases(), count)
+
+
+FAMILIES = {"meta": meta_answers, "audit": audit_answers, "codec": codec_answers,
+            "print": print_answers}
 
 
 def child(family: str, seed: int, count: int, tree: str) -> None:
