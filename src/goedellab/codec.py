@@ -113,11 +113,15 @@ def formula_tokens(f: F.Formula) -> list[int]:
 
 def tokens_to_formula(tokens: list[int]) -> F.Formula:
     """Parse a Polish token string as exactly one formula, left to right:
-    the first token that cannot stand where it is is the error.  The stack
-    holds each open node as (build, None) while it waits for its one
-    operand, (build, kind) for its first of two and (build, first) for its
-    second.  A run of S is read in one step."""
+    the first token that cannot stand where it is is the error.  The
+    innermost open node is (build, arg): arg is None while a node of one
+    operand waits for it, the kind of the second operand while a node of
+    two waits for its first, and that first while it waits for its second.
+    The stack holds the nodes around it, and (None, None) when none is
+    open.  A run of S is read in one step, as one node: (successors, its
+    length)."""
     n, stack = len(tokens), []
+    build = arg = None
     kind, pos = _FORMULA, 0
     while True:
         if pos == n:
@@ -129,33 +133,31 @@ def tokens_to_formula(tokens: list[int]) -> F.Formula:
         elif tok == ZERO and kind is _TERM:
             x = F.ZERO
         else:
-            rule = _RULES[kind].get(tok)
-            if rule is None:
+            stack.append((build, arg))
+            try:
+                build, kind, arg = _RULES[kind][tok]
+            except KeyError:
                 if tok in RESERVED or tok <= 0:
-                    raise NotWellFormed("reserved or invalid token code %d" % tok)
+                    raise NotWellFormed("reserved or invalid token code %d" % tok) from None
                 if kind is _VARIABLE:
-                    raise NotWellFormed("quantifier not followed by a variable token")
-                raise NotWellFormed("token %d cannot start a %s" % (tok, kind))
-            build, kind, second = rule
+                    raise NotWellFormed("quantifier not followed by a variable token") from None
+                raise NotWellFormed("token %d cannot start a %s" % (tok, kind)) from None
             if tok == S:
                 start = pos - 1
                 while pos < n and tokens[pos] == S:
                     pos += 1
-                build = lambda t, run=pos - start: F.successors(t, run)
-            stack.append((build, second))
+                build, arg = F.successors, pos - start
             continue
-        while stack:
-            build, arg = stack[-1]
+        # x is read: it completes each open node it is the last operand of
+        while build is not None:
             if arg is None:
-                stack.pop()
                 x = build(x)
-            elif arg.__class__ is str:
-                stack[-1] = (build, x)
-                kind = arg
+            elif type(arg) is str:
+                kind, arg = arg, x
                 break
             else:
-                stack.pop()
                 x = build(arg, x)
+            build, arg = stack.pop()
         else:
             if pos != n:
                 raise NotWellFormed("trailing tokens after a complete formula")

@@ -64,7 +64,7 @@ Term = Var | Num | Succ | Sub | Diag
 ZERO = Num(0)
 
 
-def successors(t: Term, n: int) -> Term:
+def successors(n: int, t: Term) -> Term:
     """S applied n times to t; over a numeral, one numeral."""
     if isinstance(t, Num):
         return Num(t.value + n)
@@ -76,10 +76,20 @@ def successors(t: Term, n: int) -> Term:
 # --- formulas ----------------------------------------------------------
 
 
+class Eq(Node):
+    __slots__ = _fields = ("left", "right")
+    _pieces = (0, " = ", 1)
+
+
+class Dem(Node):
+    __slots__ = _fields = ("arg",)
+    _pieces = ("Dem(", 0, ")")
+
+
 class Not(Node):
     __slots__ = _fields = ("sub",)
     _prefix = True
-    _pieces = ("~", (0, lambda f: type(f) is Eq))
+    _pieces = ("~", (0, Eq))
 
 
 class Implies(Node):
@@ -92,16 +102,6 @@ class ForAll(Node):
     _data = ("var",)
     _quantifier = True
     _pieces = ("forall x", 0, ". ", 1)
-
-
-class Eq(Node):
-    __slots__ = _fields = ("left", "right")
-    _pieces = (0, " = ", 1)
-
-
-class Dem(Node):
-    __slots__ = _fields = ("arg",)
-    _pieces = ("Dem(", 0, ")")
 
 
 Formula = Not | Implies | ForAll | Eq | Dem
@@ -221,7 +221,7 @@ class _Parser(Cursor):
                 for _ in range(depth):
                     self.expect(")")  # fails at the first token that is not `)`
             self.i = close
-            return successors(t, depth)
+            return successors(depth, t)
         if tok.isdigit():
             return Num(self.number(tok, self.i - 1))
         if tok.startswith("x") and tok[1:].isdigit():

@@ -128,11 +128,10 @@ def print_node(node: Node) -> str:
     """The text of node.  The stack holds what is left to print, last first,
     so no depth of nesting exceeds the recursion limit."""
     parts, stack = [], [node]
-    pop, emit = stack.pop, parts.append
     while stack:
-        x = pop()
-        if x.__class__ is str:
-            emit(x)
+        x = stack.pop()
+        if type(x) is str:
+            parts.append(x)
         else:  # x and its first operands, down to a leaf
             while x is not None:
                 x = x._show(parts, stack)
@@ -143,9 +142,10 @@ def _compile_show(cls):
     """`_show(parts, stack)` from `cls._pieces`, compiled once as `__init__`
     is.  A piece is a str, printed as it is, a field's index, printed as
     that field (a plain value as str() of it), or (index, test) for the
-    first node field, in parentheses where test(operand) holds.  `_show`
-    appends the text before the first operand to parts, pushes the rest
-    onto stack, last first, and returns that operand, or None."""
+    first node field, in parentheses where the operand is of the class
+    test, or where test(operand) holds.  `_show` appends the text before
+    the first operand to parts, pushes the rest onto stack, last first,
+    and returns that operand, or None."""
     runs, operands, tests = [""], [], []  # runs: the text around the operands, as f-strings
     for piece in cls._pieces:
         i, test = piece if isinstance(piece, tuple) else (piece, None)
@@ -166,7 +166,8 @@ def _compile_show(cls):
     else:
         lines = ["x = " + operands[0]]
         if tests[0]:
-            lines += ["if test(x):", "    parts.append(f%r)" % (runs[0] + "("),
+            wrap = "type(x) is test" if isinstance(tests[0], type) else "test(x)"
+            lines += ["if %s:" % wrap, "    parts.append(f%r)" % (runs[0] + "("),
                       "    stack += (%s,)" % ", ".join(after + ["')'"]), "    return x"]
         lines += ["parts.append(%s)" % texts[0]] * bool(texts[0])
         lines += ["stack += (%s,)" % ", ".join(after)] * bool(after) + ["return x"]
