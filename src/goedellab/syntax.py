@@ -8,9 +8,10 @@ pattern, its AST constructors and the rules of its own operands.
 outside a formula, and `Cursor.number` one that a scanner matched;
 `is_natural` is the rule for what a decimal literal is.  `remember`
 records a parsed group in a memo, the table through which `Cursor`
-reads a group restated in one file once.  `read_text` reads every
-input file, and `truth_columns` is the truth table that the modal and
-meta engines sweep."""
+reads a group restated in one file once.  `print_node` prints object
+and modal formulas from the `_pieces` their classes declare.
+`read_text` reads every input file, and `truth_columns` is the truth
+table that the modal and meta engines sweep."""
 
 from __future__ import annotations
 
@@ -107,9 +108,8 @@ class Node:
 
     def _show(self, parts, stack):
         # compiled from `_pieces` when the class first prints, not on import
-        cls = type(self)
-        cls._show = _compile_show(cls)
-        return cls._show(self, parts, stack)
+        type(self)._show = _compile_show(type(self))
+        return self._show(parts, stack)
 
     def __copy__(self):
         # immutable: a copy of a node, however deep, is the node itself
@@ -146,32 +146,32 @@ def _compile_show(cls):
     test, or where test(operand) holds.  `_show` appends the text before
     the first operand to parts, pushes the rest onto stack, last first,
     and returns that operand, or None."""
-    runs, operands, tests = [""], [], []  # runs: the text around the operands, as f-strings
+    head, first, test, after = "", None, None, []  # head: an f-string body
     for piece in cls._pieces:
-        i, test = piece if isinstance(piece, tuple) else (piece, None)
-        if isinstance(i, str):
-            runs[-1] += i.replace("{", "{{").replace("}", "}}")
-        elif cls._fields[i] in cls._data:
-            runs[-1] += "{self.%s}" % cls._fields[i]
+        i, wrap = piece if isinstance(piece, tuple) else (piece, None)
+        if isinstance(i, str) or cls._fields[i] in cls._data:
+            text = i if isinstance(i, str) else "{self.%s}" % cls._fields[i]
+            if first is None:
+                head += text
+            else:
+                after.append("f%r" % text)
+        elif first is None:
+            first, test = "self." + cls._fields[i], wrap
         else:
-            operands.append("self." + cls._fields[i])
-            tests.append(test)
-            runs.append("")
-    assert not any(tests[1:]), "only a first operand is wrapped"
-    texts = ["f%r" % run if run else None for run in runs]
-    # what follows the first operand, last first
-    after = [x for pair in zip(texts[1:], operands[1:] + [None]) for x in pair if x][::-1]
-    if not operands:
-        lines = ["parts.append(%s)" % texts[0]]
+            assert wrap is None, "only a first operand is wrapped"
+            after.append("self." + cls._fields[i])
+    after.reverse()
+    if first is None:
+        lines = ["parts.append(f%r)" % head]
     else:
-        lines = ["x = " + operands[0]]
-        if tests[0]:
-            wrap = "type(x) is test" if isinstance(tests[0], type) else "test(x)"
-            lines += ["if %s:" % wrap, "    parts.append(f%r)" % (runs[0] + "("),
+        lines = ["x = " + first]
+        if test:
+            lines += ["if %s:" % ("type(x) is test" if isinstance(test, type) else "test(x)"),
+                      "    parts.append(f%r)" % (head + "("),
                       "    stack += (%s,)" % ", ".join(after + ["')'"]), "    return x"]
-        lines += ["parts.append(%s)" % texts[0]] * bool(texts[0])
+        lines += ["parts.append(f%r)" % head] * bool(head)
         lines += ["stack += (%s,)" % ", ".join(after)] * bool(after) + ["return x"]
-    namespace = {"test": tests and tests[0]}
+    namespace = {"test": test}
     exec("def _show(self, parts, stack):\n    %s\n" % "\n    ".join(lines), namespace)
     return namespace["_show"]
 
