@@ -161,16 +161,13 @@ def _compile_show(cls):
             assert wrap is None, "only a first operand is wrapped"
             after.append("self." + cls._fields[i])
     after.reverse()
-    if first is None:
-        lines = ["parts.append(f%r)" % head]
-    else:
-        lines = ["x = " + first]
-        if test:
-            lines += ["if %s:" % ("type(x) is test" if isinstance(test, type) else "test(x)"),
-                      "    parts.append(f%r)" % (head + "("),
-                      "    stack += (%s,)" % ", ".join(after + ["')'"]), "    return x"]
-        lines += ["parts.append(f%r)" % head] * bool(head)
-        lines += ["stack += (%s,)" % ", ".join(after)] * bool(after) + ["return x"]
+    lines = ["x = %s" % first]
+    if test:
+        lines += ["if %s:" % ("type(x) is test" if isinstance(test, type) else "test(x)"),
+                  "    parts.append(f%r)" % (head + "("),
+                  "    stack += (%s,)" % ", ".join(after + ["')'"]), "    return x"]
+    lines += ["parts.append(f%r)" % head] * bool(head)
+    lines += ["stack += (%s,)" % ", ".join(after)] * bool(after) + ["return x"]
     namespace = {"test": test}
     exec("def _show(self, parts, stack):\n    %s\n" % "\n    ".join(lines), namespace)
     return namespace["_show"]
