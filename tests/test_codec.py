@@ -71,7 +71,7 @@ def test_decode_rejects_non_codes():
 
 
 def test_the_polish_reader_reports_faults_of_token_lists():
-    # token lists that no code spells: a non-positive token
+    # token lists that no code spells: a non-positive token, or none
     for tokens, message in [([0], "reserved or invalid token code 0"),
                             ([5, -3], "reserved or invalid token code -3"),
                             ([], "token string ends inside a formula")]:
