@@ -168,10 +168,26 @@ _KEYWORDS = {"forall", "exists", "Dem", "sub", "diag", "S"}
 _TERM_START = "0123456789xSsd"
 
 
+def _numerals(depth: int) -> str:
+    """The pattern of S(...S(0)...) with 1 to depth successors, as printed:
+    its closing parentheses are counted by nesting, one level per S."""
+    pattern = r"S\(0\){%d}" % depth
+    for k in range(depth - 1, 0, -1):
+        pattern = r"S\((?:0\){%d}|%s)" % (k, pattern)
+    return pattern
+
+
+# a printed numeral of at most this many successors is one token
+NUMERAL_TOKEN = 64
+
+
 class _Parser(Cursor):
-    # a run of `S(` is one token: the successors of a printed numeral, which
-    # is an S chain up to 1000 deep
-    lexeme = r"(?:S\s*\(\s*)+|<->|->|[~&|().,=]|x[0-9]+|[0-9]+|[A-Za-z_]+"
+    # a printed numeral is one token; any other run of `S(` is one token,
+    # the successors of the term that follows, up to its `)`.  The
+    # punctuation, the most frequent tokens, is tried first; no other
+    # token starts with it
+    lexeme = (r"[()~&|.,=]|%s|(?:S\s*\(\s*)+|->|<->|x[0-9]+|[0-9]+|[A-Za-z_]+"
+              % _numerals(NUMERAL_TOKEN))
     neg, imp = Not, Implies
 
     def fault(self, tok: str) -> str | None:
@@ -184,34 +200,45 @@ class _Parser(Cursor):
         return "S" if tok[0] == "S" else tok
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok in ("forall", "exists"):
-            self.next()
-            at = self.i
-            var_tok = self.next()
-            if not var_tok.startswith("x") or not var_tok[1:].isdigit():
-                self.fail("expected a variable after %r" % tok, at)
-            self.expect(".")
-            body = self.formula()
-            index = self.number(var_tok[1:], at)
-            if tok == "forall":
-                return ForAll(index, body)
-            return Not(ForAll(index, Not(body)))
-        if tok == "Dem":
-            self.next()
-            self.expect("(")
-            t = self.term()
-            self.expect(")")
-            return Dem(t)
+        i = self.i
+        tok = self.tokens[i]
         if tok[0] in _TERM_START:
             left = self.term()
             self.expect("=")
             return Eq(left, self.term())
+        if tok == "Dem":
+            if self.tokens[i + 1] != "(":
+                self.i = i + 1
+                self.expect("(")
+            self.i = i + 2
+            t = self.term()
+            self.expect(")")
+            return Dem(t)
+        if tok in ("forall", "exists"):
+            self.i = i + 2
+            var_tok = self.tokens[i + 1]
+            if not var_tok.startswith("x") or not var_tok[1:].isdigit():
+                self.fail("expected a variable after %r" % tok, i + 1)
+            self.expect(".")
+            body = self.formula()
+            index = self.number(var_tok[1:], i + 1)
+            if tok == "forall":
+                return ForAll(index, body)
+            return Not(ForAll(index, Not(body)))
         self.fail("expected a formula, found %r" % tok)
 
     def term(self) -> Term:
-        tok = self.next()
-        if tok[0] == "S":
+        i = self.i
+        tok = self.tokens[i]
+        self.i = i + 1
+        c = tok[0]
+        if c == "x" and tok[1:].isdigit():
+            return Var(self.number(tok[1:], i))
+        if c.isdigit():
+            return Num(self.number(tok, i))
+        if c == "S":
+            if tok[-1] == ")":  # a printed numeral
+                return Num(tok.count("S"))
             if tok == "S":
                 self.expect("(")  # fails: an S before `(` is part of a run
             depth = tok.count("S")
@@ -222,10 +249,6 @@ class _Parser(Cursor):
                     self.expect(")")  # fails at the first token that is not `)`
             self.i = close
             return successors(depth, t)
-        if tok.isdigit():
-            return Num(self.number(tok, self.i - 1))
-        if tok.startswith("x") and tok[1:].isdigit():
-            return Var(self.number(tok[1:], self.i - 1))
         if tok == "diag":
             self.expect("(")
             t = self.term()
@@ -238,7 +261,7 @@ class _Parser(Cursor):
             b = self.term()
             self.expect(")")
             return Sub(a, b)
-        self.fail("expected a term, found %r" % tok, self.i - 1)
+        self.fail("expected a term, found %r" % tok, i)
 
 
 def parse_formula(text: str, memo: dict | None = None) -> Formula:

@@ -169,15 +169,15 @@ def check_proof(p: ProofObject, premises: dict[str, F.Formula] | None = None) ->
 #                | INST[x := x0; A := <formula>; t := <term>]
 
 
-def _parse_binding(text: str, memo: dict) -> tuple[tuple[str, object], ...]:
+def _parse_binding(text: str, formula) -> tuple[tuple[str, object], ...]:
     entries = {}
     for part in text.split(";"):
-        part = part.strip()
-        if not part:
+        name, assign, value = part.partition(":=")
+        if not assign:
+            if part.strip():
+                raise ParseError("binding entry %r lacks ':='" % part.strip())
             continue
-        if ":=" not in part:
-            raise ParseError("binding entry %r lacks ':='" % part)
-        name, value = (s.strip() for s in part.split(":=", 1))
+        name, value = name.strip(), value.strip()
         if name == "x":
             if not value.startswith("x") or not is_natural(value[1:]):
                 raise ParseError("binding x needs a variable, got %r" % value)
@@ -185,12 +185,22 @@ def _parse_binding(text: str, memo: dict) -> tuple[tuple[str, object], ...]:
         elif name == "t":
             entries[name] = F.parse_term(value)
         else:
-            entries[name] = F.parse_formula(value, memo)
-    return tuple(sorted(entries.items(), key=lambda kv: kv[0]))
+            entries[name] = formula(value)
+    # the names differ, so the pairs sort by name alone
+    return tuple(sorted(entries.items()))
 
 
-def _parse_justification(text: str, memo: dict) -> Justification:
+_SCHEMAS = {"P1", "P2", "P3", "INST"}
+
+
+def _parse_justification(text: str, formula) -> Justification:
     text = text.strip()
+    # a schema is followed by its binding at once: `P1 [` is no justification
+    schema, bracket, inner = text.partition("[")
+    if bracket and schema in _SCHEMAS:
+        if not inner.endswith("]"):
+            raise ParseError("unterminated binding in %r" % text)
+        return Axiom(schema, _parse_binding(inner[:-1], formula))
     if text == "EVAL":
         return EvalFact()
     parts = text.split()
@@ -213,29 +223,32 @@ def _parse_justification(text: str, memo: dict) -> Justification:
         ):
             raise ParseError("GEN cites a step and a variable")
         return Generalize(natural(parts[1]), natural(parts[2][1:]))
-    for schema in ("P1", "P2", "P3", "INST"):
-        if text.startswith(schema + "["):
-            if not text.endswith("]"):
-                raise ParseError("unterminated binding in %r" % text)
-            inner = text[len(schema) + 1 : -1]
-            return Axiom(schema, _parse_binding(inner, memo))
     raise ParseError("unrecognized justification %r" % text)
 
 
 def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
-    """The proof and premises of a proof file.  A formula group that the
-    file restates is read once: its node is shared by every formula that
-    restates it (see `formulas.parse_formula`).  A parse error inside a
-    formula or term names its 1-based line."""
+    """The proof and premises of a proof file.  A formula that the file
+    restates whole is read once, and so is a formula group that it
+    restates: its node is shared by every formula that restates it (see
+    `formulas.parse_formula`).  A parse error inside a formula or term
+    names its 1-based line."""
     premises: dict[str, F.Formula] = {}
     steps: list[tuple[F.Formula, Justification]] = []
     memo: dict = {}
+    read: dict[str, F.Formula] = {}  # each formula text read, whole
+
+    def formula(text: str) -> F.Formula:
+        f = read.get(text)
+        if f is None:
+            f = read[text] = F.parse_formula(text, memo)
+        return f
+
     for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         try:
-            _parse_line(line, premises, steps, memo)
+            _parse_line(line, premises, steps, formula)
         except ParseError as e:
             # only an error inside a formula or term has a position
             if e.position is not None:
@@ -244,12 +257,12 @@ def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
     return ProofObject(tuple(steps)), premises
 
 
-def _parse_line(line: str, premises: dict, steps: list, memo: dict) -> None:
-    """Add the premise or step of one line, stripped of its comment."""
+def _parse_line(line: str, premises: dict, steps: list, formula) -> None:
+    """Add the premise or step of one line, stripped of its comment; formula
+    reads the text of a formula."""
     # as in a justification, the keyword is the whole first word
-    keyword, *rest = line.split(None, 1)
-    if keyword == "premise":
-        label, colon, formula_text = "".join(rest).partition(":")
+    if line.startswith("premise") and line.split(None, 1)[0] == "premise":
+        label, colon, formula_text = line[7:].partition(":")
         label = label.strip()
         if not (colon and label):
             raise ParseError("premise line needs 'LABEL : formula'")
@@ -257,22 +270,29 @@ def _parse_line(line: str, premises: dict, steps: list, memo: dict) -> None:
             raise ParseError("premise label must be one word, not %r" % label)
         if label in premises:
             raise ParseError("duplicate premise label %r" % label)
-        premises[label] = F.parse_formula(formula_text.strip(), memo)
+        premises[label] = formula(formula_text.strip())
         return
-    if "." not in line:
+    num_text, dot, rest = line.partition(".")
+    if not dot:
         raise ParseError("step line needs 'k. formula ; justification'")
-    num_text, rest = line.split(".", 1)
-    if not is_natural(num_text.strip()):
+    digits = num_text.strip()
+    if not is_natural(digits):
         raise ParseError("step line needs a leading number, got %r" % num_text)
-    k = natural(num_text.strip())
+    k = natural(digits)
     if k != len(steps) + 1:
         raise ParseError("step numbered %d, expected %d" % (k, len(steps) + 1))
-    if ";" not in rest:
+    formula_text, semicolon, just_text = rest.partition(";")
+    if not semicolon:
         raise ParseError("step %d lacks a justification" % k)
-    formula_text, just_text = rest.split(";", 1)
-    steps.append(
-        (F.parse_formula(formula_text.strip(), memo), _parse_justification(just_text, memo))
-    )
+    formula_text = formula_text.strip()
+    # the justification is read first: a binding states a schema's
+    # operands whole, and the step's formula restates them as groups
+    try:
+        just = _parse_justification(just_text, formula)
+    except Exception:
+        formula(formula_text)  # an error in the formula is reported first
+        raise
+    steps.append((formula(formula_text), just))
 
 
 def identity_proof(a: F.Formula) -> ProofObject:

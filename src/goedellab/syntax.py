@@ -43,18 +43,18 @@ class Node:
     _prefix = _quantifier = False  # how the text of a node ends (`extends_right`)
 
     def __init_subclass__(cls):
-        # the constructor and `_values` (the tuple of field values) read and
-        # write each slot by name, as fast as hand-written ones; a loop over
-        # setattr would build a node three times as slowly
-        fields = cls._fields
-        namespace: dict = {}
-        exec("def __init__(self, %s):\n%s    self._hash = None\n"
-             "def _values(self):\n    return (%s)\n"
-             % (", ".join(fields), "".join("    self.%s = %s\n" % (f, f) for f in fields),
-                "".join("self.%s, " % f for f in fields)), namespace)
-        cls.__init__, cls._values = namespace["__init__"], namespace["_values"]
         # the node fields, last first: the order in which `walk` stacks them
-        cls._children = tuple(f for f in reversed(fields) if f not in cls._data)
+        cls._children = tuple(f for f in reversed(cls._fields) if f not in cls._data)
+
+    def __init__(self, *values, **named):
+        # compiled when the class first builds a node, not on import
+        _compile_fields(type(self))
+        self.__init__(*values, **named)
+
+    def _values(self) -> tuple:
+        """The tuple of the node's field values."""
+        _compile_fields(type(self))
+        return self._values()
 
     def __hash__(self) -> int:
         # post-order: a node is hashed once all its children are
@@ -122,6 +122,21 @@ class Node:
         # rebuilt through the constructor, so a pickle never carries the
         # cached hash: a str's hash differs between processes (PYTHONHASHSEED)
         return type(self), self._values()
+
+
+def _compile_fields(cls) -> None:
+    """Compile `__init__` and `_values` onto the class that declares
+    `_fields`, as `_compile_show` compiles `_show`.  Both read and write
+    each slot by name, as fast as hand-written ones; a loop over setattr
+    would build a node three times as slowly."""
+    owner = next(c for c in cls.__mro__ if "_fields" in vars(c))
+    fields = owner._fields
+    namespace: dict = {}
+    exec("def __init__(self, %s):\n%s    self._hash = None\n"
+         "def _values(self):\n    return (%s)\n"
+         % (", ".join(fields), "".join("    self.%s = %s\n" % (f, f) for f in fields),
+            "".join("self.%s, " % f for f in fields)), namespace)
+    owner.__init__, owner._values = namespace["__init__"], namespace["_values"]
 
 
 def print_node(node: Node) -> str:
@@ -218,10 +233,16 @@ KEY = 8
 # most SHARED groups, so a file of groups that share their first
 # characters is still read in linear time
 SHARED = 8
-_NO_GROUPS: dict = {}
 # where a memo's group may start: a `(` right after a letter opens an
-# argument list or a run of S, never a group
-_OPEN = re.compile(r"(?<![A-Za-z])\(")
+# argument list or a run of S, never a group.  The `(` is matched before
+# the look-behind, which is then tried only where a `(` stands
+_OPEN = re.compile(r"\((?<![A-Za-z]\()")
+# a syntax accepts at most this many tokens without checking them again
+ACCEPTED = 4096
+# int() converts a numeral of this many digits under any limit Python
+# allows (`sys.set_int_max_str_digits` takes no other limit below 640
+# but 0, no limit)
+SAFE_DIGITS = 640
 
 
 def is_natural(text: str) -> bool:
@@ -239,9 +260,10 @@ def natural(digits: str) -> int:
     parse error, not a ValueError."""
     if not is_natural(digits):
         raise ParseError("not a decimal numeral: %r" % digits)
-    limit = sys.get_int_max_str_digits()
-    if limit and len(digits) > limit:
-        raise ParseError(_TOO_LONG % (len(digits), limit))
+    if len(digits) > SAFE_DIGITS:
+        limit = sys.get_int_max_str_digits()
+        if limit and len(digits) > limit:
+            raise ParseError(_TOO_LONG % (len(digits), limit))
     return int(digits)
 
 
@@ -270,6 +292,8 @@ def remember(memo: dict, text: str, node: Node) -> None:
 # binary connective -> (its binding level, the level of its right operand);
 # a right operand at the connective's own level groups it to the right
 _BINARY = {"<->": (0, 0), "->": (1, 1), "|": (2, 3), "&": (3, 4)}
+# the level of a prefix operator's operand: tighter than every connective
+PREFIX = 5
 
 
 class Cursor:
@@ -278,8 +302,9 @@ class Cursor:
     `<->`, `->`, `|`, `&`, then `~`, the syntax's other prefix operators
     and parentheses; `<->` and `->` group to the right, `|` and `&` to the
     left.  `formula` reads all four binary connectives by precedence
-    climbing, so a parenthesis or quantifier costs two or three calls of
-    nesting, not one per precedence level.
+    climbing, and an operand at its start, so a parenthesis or prefix
+    operator costs one call of nesting and a quantifier two, not one per
+    precedence level.
 
     A subclass sets `lexeme` to the regular expression of one token of
     its syntax (with no group of its own), `neg` and `imp` to its AST's
@@ -290,12 +315,13 @@ class Cursor:
     The text is scanned once, by one `findall`; whitespace between tokens
     is skipped.  A lexical fault (a character no token starts with, or a
     token `fault` rejects) is reported before any parse error, the first
-    one in the text.  A token's position is found only when an error
-    names it.
+    one in the text.  `fault` sees each token once per syntax: the tokens
+    it passed are kept in `accepted`, up to ACCEPTED of them.  A token's
+    position is found only when an error names it.
 
     Given a memo (see `remember`), a group of the memo found at a `(` of
-    the text is not scanned: it becomes one token, GROUP, and `unary`
-    returns its node.  Anywhere else GROUP is a parse error.  A group
+    the text is not scanned: it becomes one token, GROUP, which `formula`
+    reads as its node.  Anywhere else GROUP is a parse error.  A group
     counts as one token where an error's position counts all of its
     tokens, so a caller that gets a ParseError reads the text again
     without the memo, for the error of the text alone.  `one_group`
@@ -309,42 +335,66 @@ class Cursor:
     one_group = False
 
     def __init_subclass__(cls):
-        # a token, or any other visible character: a lexical fault, which
-        # findall returns as "" and finditer as a match without group 1
-        cls.scanner = re.compile(r"(%s)|\S" % cls.lexeme)
+        cls.scanner = None  # compiled when the syntax first reads a text
+        # the tokens `fault` has passed, per syntax: a word one syntax
+        # accepts may be unknown to another
+        cls.accepted = set()
 
     def __init__(self, text: str, memo: dict | None = None):
         self.text = text
-        self.tokens = tokens = []
+        scanner = self.scanner
+        if scanner is None:
+            # a token, or any other visible character: a lexical fault, which
+            # findall returns as "" and finditer as a match without group 1
+            scanner = type(self).scanner = re.compile(r"(%s)|\S" % self.lexeme)
+        scan = scanner.findall
         # token index -> the node of a group read from the memo
-        self.reused = {}
-        at = 0  # the end of the last group read from the memo
+        self.reused = reused = {}
         if memo:
-            m = _OPEN.search(text)
+            tokens = []
+            at = 0  # the end of the last group read from the memo
+            search = _OPEN.search
+            m = search(text)
             while m:
                 a = m.start()
-                # at most one group of the memo starts at a: it ends where
-                # the `(` at a closes
-                for group, node in memo.get(text[a:a + KEY], _NO_GROUPS).items():
-                    if text.startswith(group, a):
-                        tokens += self.scanner.findall(text, at, a)
-                        self.reused[len(tokens)] = node
-                        tokens.append(GROUP)
-                        at = a + len(group)
-                        break
-                m = _OPEN.search(text, max(a + 1, at))
-        tokens += self.scanner.findall(text, at)
-        # faults are rare and most tokens repeat: check each distinct one once
-        for tok in set(self.tokens):
+                groups = memo.get(text[a:a + KEY])
+                if groups:
+                    # at most one group of the memo starts at a: it ends
+                    # where the `(` at a closes
+                    for group, node in groups.items():
+                        if text.startswith(group, a):
+                            tokens += scan(text, at, a)
+                            reused[len(tokens)] = node
+                            tokens.append(GROUP)
+                            at = a + len(group)
+                            break
+                m = search(text, at if at > a else a + 1)
+            tokens += scan(text, at)
+        else:
+            tokens = scan(text)
+        # faults are rare and most tokens repeat: check each token the
+        # syntax has not accepted before, once
+        if not self.accepted.issuperset(tokens):
+            self._check(tokens)
+        tokens.append(END)
+        self.tokens = tokens
+        self.i = 0
+
+    def _check(self, tokens: list) -> None:
+        """Raise the first lexical fault of the text, if tokens has one;
+        else accept each of them."""
+        accepted = self.accepted
+        for tok in set(tokens) - accepted:
             if not tok or self.fault(tok) is not None:
-                for m in self.scanner.finditer(text):
+                for m in self.scanner.finditer(self.text):
                     tok = m.group(1)
                     message = ("unexpected character %r" % m.group() if tok is None
                                else self.fault(tok))
                     if message is not None:
                         raise ParseError(message, m.start())
-        self.tokens.append(END)
-        self.i = 0
+            if len(accepted) >= ACCEPTED:
+                accepted.clear()
+            accepted.add(tok)
 
     def fault(self, tok: str) -> str | None:
         """The message for a token that the syntax's pattern matches but
@@ -378,9 +428,10 @@ class Cursor:
     def number(self, digits: str, i: int) -> int:
         """The value of digits, which the scanner matched as ASCII digits;
         more of them than int() converts is a fault at token i."""
-        limit = sys.get_int_max_str_digits()
-        if limit and len(digits) > limit:
-            self.fail(_TOO_LONG % (len(digits), limit), i)
+        if len(digits) > SAFE_DIGITS:
+            limit = sys.get_int_max_str_digits()
+            if limit and len(digits) > limit:
+                self.fail(_TOO_LONG % (len(digits), limit), i)
         return int(digits)
 
     def iff(self, a, b):
@@ -389,14 +440,38 @@ class Cursor:
 
     def formula(self, level: int = 0):
         """A formula whose connectives outside parentheses bind at `level`
-        or tighter."""
-        left = self.unary()
+        or tighter; at level PREFIX, one operand of a prefix operator."""
+        # the token at self.i is read inline here and in the subclasses'
+        # rules: a call of `peek` or `next` per token costs a tenth of a
+        # proof file's reading
+        tokens = self.tokens
+        i = self.i
+        tok = tokens[i]
+        if tok == "(":
+            self.i = i + 1
+            left = self.formula()
+            if tokens[self.i] != ")":
+                self.expect(")")
+            self.i += 1
+            if not i:
+                self.one_group = tokens[self.i] == END
+        elif tok == GROUP:
+            self.i = i + 1
+            left = self.reused[i]
+        elif tok == "~":
+            self.i = i + 1
+            left = self.neg(self.formula(PREFIX))
+        elif tok in self.prefixes:
+            self.i = i + 1
+            left = self.prefixes[tok](self.formula(PREFIX))
+        else:
+            left = self.atom()
         while True:
-            tok = self.peek()
+            tok = tokens[self.i]
             op = _BINARY.get(tok)
             if op is None or op[0] < level:
                 return left
-            self.next()
+            self.i += 1
             right = self.formula(op[1])
             if tok == "->":
                 left = self.imp(left, right)
@@ -406,28 +481,6 @@ class Cursor:
                 left = self.imp(self.neg(left), right)
             else:
                 left = self.iff(left, right)
-
-    def unary(self):
-        tok = self.peek()
-        if tok == "~":
-            self.next()
-            return self.neg(self.unary())
-        wrap = self.prefixes.get(tok)
-        if wrap is not None:
-            self.next()
-            return wrap(self.unary())
-        if tok == "(":
-            opened = self.i
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            if not opened:
-                self.one_group = self.tokens[self.i] == END
-            return f
-        if tok == GROUP:
-            self.i += 1
-            return self.reused[self.i - 1]
-        return self.atom()
 
     def parse(self, rule):
         """Apply a grammar rule that must consume the whole input."""
