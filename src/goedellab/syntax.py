@@ -360,8 +360,9 @@ class Cursor:
                 groups = memo.get(text[a:a + KEY])
                 if groups:
                     # at most one group of the memo starts at a: it ends
-                    # where the `(` at a closes
-                    for group, node in groups.items():
+                    # where the `(` at a closes.  Mostly it is the last
+                    # one recorded, so the newest are tried first
+                    for group, node in reversed(groups.items()):
                         if text.startswith(group, a):
                             tokens += scan(text, at, a)
                             reused[len(tokens)] = node

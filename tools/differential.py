@@ -7,8 +7,8 @@ print where their answers differ.
 answers in a child process of its own (this file, run with `--child` and
 that tree's `src` first on the path, under PYTHONHASHSEED=0), and the two
 answer lists are compared line by line.  The inputs come from the
-generators below, which both children share, so they are the same text for
-both trees.  Four families of K cases each:
+generators below and the benchmark's, which both children share, so they
+are the same text for both trees.  Five families of K cases each:
 
 - meta: a meta formula, as text.  The answer is its printed form and that
   of its negation, `satisfiable` of it with the case before it, and
@@ -28,6 +28,12 @@ both trees.  Four families of K cases each:
   replaced, one dropped and one appended.  The answer is the formula's
   printed text, or the error.  After each four such cases comes a modal
   formula's text, and the answer is `modal.print_modal` of it as parsed.
+- proof: a proof file, a chain of 8-48 steps or the identity derivation
+  of a random formula, built and printed by the benchmark's own
+  `perfbench/wl_proof.py`; then that file with one step negated, with one
+  restated group respaced, and with one character dropped.  The answer
+  is each step's printed formula and justification, the premises and
+  `kernel.check_proof`'s verdict, or the error that ends the reading.
 
 The exit status is 0 when every answer agrees, and 1 otherwise.
 """
@@ -46,6 +52,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHOWN = 5  # differing cases printed per family
+SHOWN_INPUT = 600  # characters printed of each one's input (a proof file is long)
 
 # --- inputs --------------------------------------------------------------
 
@@ -231,6 +238,47 @@ def modal_text(rng: random.Random, depth: int) -> str:
     return "(%s)" % text if kind < 4 else text
 
 
+def _group_at(text: str, a: int) -> str | None:
+    """The parenthesized group that opens at text[a], or None."""
+    depth = 0
+    for b in range(a, len(text)):
+        depth += {"(": 1, ")": -1}.get(text[b], 0)
+        if depth == 0:
+            return text[a:b + 1]
+    return None
+
+
+def _respaced(rng: random.Random, text: str) -> str:
+    """text with one group that it restates written with other spaces: no
+    space around each `->`, and one after the `(`."""
+    starts = [a for a in range(len(text)) if text[a] == "(" and not text[a - 1:a].isalpha()]
+    rng.shuffle(starts)
+    for a in starts:
+        group = _group_at(text, a)
+        if group is not None and " -> " in group and text.count(group) > 1:
+            return text[:a] + "( " + group[1:].replace(" -> ", "->") + text[a + len(group):]
+    return text
+
+
+def proof_texts(rng: random.Random) -> list[str]:
+    """A proof file printed as the benchmark prints it, then the same with
+    one step negated, one restated group respaced and one character
+    dropped."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import wl_proof
+    from common import sized_formula
+    if rng.random() < 0.5:
+        steps = wl_proof.identity_steps(sized_formula(rng, 3))
+    else:
+        steps = wl_proof.chain_steps(rng, rng.choice([8, 16, 32, 48]))
+    text = wl_proof.proof_text(steps)
+    negated = list(steps)
+    k = rng.randrange(1, len(steps))
+    negated[k] = (("not", steps[k][0]), steps[k][1])
+    drop = rng.randrange(len(text))
+    return [text, wl_proof.proof_text(negated), _respaced(rng, text), text[:drop] + text[drop + 1:]]
+
+
 # --- one tree's answers --------------------------------------------------
 #
 # goedellab is imported only in a child, from the tree whose `src` is first
@@ -307,8 +355,32 @@ def print_answers(seed: int, count: int):
     yield from itertools.islice(cases(), count)
 
 
+def proof_answers(seed: int, count: int):
+    from goedellab import formulas, kernel
+    from goedellab.syntax import Node
+    rng = random.Random(seed)
+
+    def shown(v):
+        return formulas.print_formula(v) if isinstance(v, Node) else v
+
+    def answer(text: str):
+        proof, premises = kernel.parse_proof_file(text)
+        steps = [[shown(f), type(j).__name__, [[k, shown(v)] for k, v in j.binding]
+                  if isinstance(j, kernel.Axiom) else list(j._values())] for f, j in proof.steps]
+        verdict = kernel.check_proof(proof, premises)
+        return [steps, sorted([k, shown(f)] for k, f in premises.items()),
+                [verdict.ok, verdict.step, verdict.reason]]
+
+    def cases():
+        while True:
+            for text in proof_texts(rng):
+                yield text, [_answer(lambda: answer(text))]
+
+    yield from itertools.islice(cases(), count)
+
+
 FAMILIES = {"meta": meta_answers, "audit": audit_answers, "codec": codec_answers,
-            "print": print_answers}
+            "print": print_answers, "proof": proof_answers}
 
 
 def child(family: str, seed: int, count: int, tree: str) -> None:
@@ -345,7 +417,7 @@ def compare(parent: str, seed: int, count: int) -> int:
             diffs = [(o, n) for o, n in zip(old, new) if o != n]
             print("%s: %d cases, %d differ" % (family, len(new), len(diffs)))
             for (text, o), (_, n) in diffs[:SHOWN]:
-                print("  input:  %s" % json.dumps(text))
+                print("  input:  %s" % json.dumps(text)[:SHOWN_INPUT])
                 print("  parent: %s" % json.dumps(o))
                 print("  this:   %s" % json.dumps(n))
             differing += len(diffs)
