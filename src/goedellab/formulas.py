@@ -267,8 +267,9 @@ class _Parser(Cursor):
 def parse_formula(text: str, memo: dict | None = None) -> Formula:
     """The formula of text.  A memo holds the groups of one file (see
     `syntax.remember`): a group of it that text restates is read as the
-    node recorded, unscanned, and text is recorded in it as `(text)`, and
-    as itself when it is one group.  Errors, and the formula, are those
+    node recorded, unscanned, and text is recorded in it as itself when it
+    is one group, else as `(text)`: a printed formula never wraps a group
+    in a second pair of parentheses.  Errors, and the formula, are those
     of text read alone."""
     if memo is None:
         p = _Parser(text)
@@ -278,9 +279,7 @@ def parse_formula(text: str, memo: dict | None = None) -> Formula:
         f = p.parse(p.formula)
     except ParseError:
         return parse_formula(text)
-    remember(memo, "(" + text + ")", f)
-    if p.one_group:
-        remember(memo, text, f)
+    remember(memo, text if p.one_group else "(" + text + ")", f)
     return f
 
 

@@ -186,8 +186,8 @@ def _file_text(lines) -> str:
 
 def _read_alone(lines):
     """What the file must give: each text parsed alone, in the order the
-    kernel reads them (a step's formula, then its binding), as the reprs of
-    the steps and premises, or the first error, with its line."""
+    kernel reports their errors (a step's formula, then its binding), as
+    the reprs of the steps and premises, or the first error, with its line."""
     steps, premises = [], {}
     for n, line in enumerate(lines, start=1):
         if line == "":
@@ -335,3 +335,29 @@ def test_a_memo_keeps_the_last_groups_that_share_a_start():
     # the last ones recorded are kept: restating the last text reuses it
     last = F.parse_formula(texts[-1], memo)
     assert F.parse_formula("~" + texts[-1], memo).sub is last
+
+
+def test_a_formula_restated_whole_is_read_once():
+    text = ("premise H : 0 = 0 -> 0 = 0\n"
+            "1. 0 = 0 -> 0 = 0 ; PREMISE H\n"
+            "2. (0 = 0 -> 0 = 0) -> (x1 = x1 -> (0 = 0 -> 0 = 0)) ; P1[A := 0 = 0 -> 0 = 0; B := x1 = x1]\n"
+            "3. x1 = x1 -> (0 = 0 -> 0 = 0) ; MP 2 1\n")
+    proof, premises = kernel.parse_proof_file(text)
+    assert kernel.check_proof(proof, premises) == kernel.VALID
+    h = premises["H"]
+    assert proof.steps[0][0] is h and proof.steps[1][1].bound()["A"] is h
+    # the binding is read before its formula, which restates it as a group
+    assert proof.steps[1][0].left is h and proof.steps[1][0].right.right is h
+
+
+@pytest.mark.parametrize("line, message", [
+    # an error in a step's formula is reported before one in its justification
+    ("1. 0 = ) ; P1[A := $; B := 0 = 0]", "line 1: expected a term, found ')' (at position 4)"),
+    ("1. 0 = ) ; INST[x := y; A := 0 = 0; t := 0]", "line 1: expected a term, found ')' (at position 4)"),
+    ("1. 0 = 0 ; P1[A := $; B := 0 = )]", "line 1: unexpected character '$' (at position 0)"),
+    ("1. 0 = 0 ; INST[x := y; A := 0 = 0; t := 0]", "binding x needs a variable, got 'y'"),
+])
+def test_a_step_reports_the_error_of_its_formula_first(line, message):
+    with pytest.raises(ParseError) as exc:
+        kernel.parse_proof_file(line + "\n")
+    assert str(exc.value) == message

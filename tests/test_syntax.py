@@ -4,6 +4,7 @@ and the one-`findall` scanner against the per-position one it replaced."""
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import random_formula, random_meta, random_modal, random_term
 from goedellab import formulas as F, meta as M, modal as Mo
 from goedellab.errors import ParseError
-from goedellab.syntax import END
+from goedellab.formulas import NUMERAL_TOKEN
+from goedellab.syntax import _OPEN, ACCEPTED, END, SAFE_DIGITS, natural
 
 
 def _connectives(neg, imp, iff=None):
@@ -255,3 +257,100 @@ def test_scanner_agrees_with_the_referee_on_deep_numerals():
             text = "x0 = " + "S" + " (" * rng.randrange(2) + "(S(" * (depth - 1) + inner + ")" * close
             assert _outcome(_scanned, F._Parser, text) == _outcome(
                 _referee_tokens, *SCANNERS["formulas"][1:], text)
+
+
+# --- the scanner's fast paths --------------------------------------------
+
+
+def test_a_word_stays_unknown_after_many_valid_parses():
+    # the tokens a syntax has accepted are not checked again; a word never is
+    for k in range(300):
+        F.parse_formula("(x%d = S(%d) -> forall x1. Dem(diag(x1)))" % (k, k))
+    with pytest.raises(ParseError) as exc:
+        F.parse_formula("y = 0")
+    assert str(exc.value) == "unknown identifier 'y' (at position 0)"
+
+
+def test_a_word_one_syntax_accepts_stays_unknown_to_another():
+    M.parse_meta("all n. InE(n) -> Dem[App(n,n)]")
+    with pytest.raises(ParseError) as exc:
+        F.parse_formula("InE(x0) = 0")
+    assert str(exc.value) == "unknown identifier 'InE' (at position 0)"
+
+
+def test_the_accepted_tokens_stay_bounded():
+    for k in range(ACCEPTED + 10):
+        F.parse_formula("x%d = 0" % k)
+    assert len(F._Parser.accepted) <= ACCEPTED
+    with pytest.raises(ParseError) as exc:
+        F.parse_formula("x0 = x1 -> y")
+    assert str(exc.value) == "unknown identifier 'y' (at position 11)"
+
+
+def test_the_group_search_finds_each_open_parenthesis_not_after_a_letter():
+    lookbehind_first = re.compile(r"(?<![A-Za-z])\(")
+    rng = random.Random(2201)
+    for _ in range(2000):
+        text = "".join(rng.choice("((()) aSx0-é_[") for _ in range(rng.randrange(30)))
+        assert ([m.start() for m in _OPEN.finditer(text)]
+                == [m.start() for m in lookbehind_first.finditer(text)]), text
+
+
+def test_a_long_numeral_keeps_its_message():
+    for text, message in (
+        ("0 = " + "1" * 4301, "numeral of 4301 digits exceeds the limit of 4300 (at position 4)"),
+        ("Dem(x" + "1" * 4301 + ")", "numeral of 4301 digits exceeds the limit of 4300 (at position 4)"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            F.parse_formula(text)
+        assert str(exc.value) == message
+    with pytest.raises(ParseError) as exc:
+        natural("1" * 4301)
+    assert str(exc.value) == "numeral of 4301 digits exceeds the limit of 4300"
+
+
+def test_the_digit_limit_is_read_above_the_least_one_python_allows():
+    # below SAFE_DIGITS no limit is read; at the least limit Python allows,
+    # one digit more is still refused
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(SAFE_DIGITS)
+    try:
+        assert F.parse_term("9" * SAFE_DIGITS) == F.Num(int("9" * SAFE_DIGITS))
+        assert natural("9" * SAFE_DIGITS) == int("9" * SAFE_DIGITS)
+        with pytest.raises(ParseError) as exc:
+            F.parse_term("9" * (SAFE_DIGITS + 1))
+        assert str(exc.value) == "numeral of 641 digits exceeds the limit of 640 (at position 0)"
+        with pytest.raises(ParseError) as exc:
+            natural("9" * (SAFE_DIGITS + 1))
+        assert str(exc.value) == "numeral of 641 digits exceeds the limit of 640"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class _RunsOnly(F._Parser):
+    """The formula parser without its printed-numeral token: every run of
+    `S(` is read as successors of the term after it, up to its `)`."""
+    lexeme = r"[()~&|.,=]|(?:S\s*\(\s*)+|->|<->|x[0-9]+|[0-9]+|[A-Za-z_]+"
+
+
+def _read(cursor_class, text):
+    try:
+        p = cursor_class(text)
+        return p.parse(p.formula)
+    except ParseError as e:
+        return str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_printed_numeral_reads_as_its_runs_read(rng):
+    depth = rng.choice((0, 1, 2, 5, NUMERAL_TOKEN - 1, NUMERAL_TOKEN, NUMERAL_TOKEN + 1))
+    numeral = "S(" * depth + "0" + ")" * depth
+    text = rng.choice(("%s = x1", "Dem(%s)", "x0 = S(%s)", "(Dem(x0) -> diag(%s) = 0)",
+                       "sub(%s,x1) = %s", "~(%s = 0)", "forall x1. %s = S(S(%s))")).replace(
+        "%s", numeral)
+    for _ in range(rng.randrange(3)):
+        # a parenthesis or an S dropped, doubled or moved, a space put in
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(("", ")", "(", "S", " ", "0")) + text[i + rng.randrange(2):]
+    assert _read(F._Parser, text) == _read(_RunsOnly, text), text
