@@ -207,10 +207,8 @@ class _Parser(Cursor):
             self.expect("=")
             return Eq(left, self.term())
         if tok == "Dem":
-            if self.tokens[i + 1] != "(":
-                self.i = i + 1
-                self.expect("(")
-            self.i = i + 2
+            self.i = i + 1
+            self.expect("(")
             t = self.term()
             self.expect(")")
             return Dem(t)

@@ -289,7 +289,7 @@ def _parse_line(line: str, premises: dict, steps: list, formula) -> None:
     # operands whole, and the step's formula restates them as groups
     try:
         just = _parse_justification(just_text, formula)
-    except Exception:
+    except (ParseError, RecursionError):
         formula(formula_text)  # an error in the formula is reported first
         raise
     steps.append((formula(formula_text), just))

@@ -375,27 +375,22 @@ class Cursor:
             tokens = scan(text)
         # faults are rare and most tokens repeat: check each token the
         # syntax has not accepted before, once
-        if not self.accepted.issuperset(tokens):
-            self._check(tokens)
+        accepted = self.accepted
+        if not accepted.issuperset(tokens):
+            for tok in set(tokens) - accepted:
+                if not tok or self.fault(tok) is not None:
+                    for m in scanner.finditer(text):
+                        tok = m.group(1)
+                        message = ("unexpected character %r" % m.group() if tok is None
+                                   else self.fault(tok))
+                        if message is not None:
+                            raise ParseError(message, m.start())
+                if len(accepted) >= ACCEPTED:
+                    accepted.clear()
+                accepted.add(tok)
         tokens.append(END)
         self.tokens = tokens
         self.i = 0
-
-    def _check(self, tokens: list) -> None:
-        """Raise the first lexical fault of the text, if tokens has one;
-        else accept each of them."""
-        accepted = self.accepted
-        for tok in set(tokens) - accepted:
-            if not tok or self.fault(tok) is not None:
-                for m in self.scanner.finditer(self.text):
-                    tok = m.group(1)
-                    message = ("unexpected character %r" % m.group() if tok is None
-                               else self.fault(tok))
-                    if message is not None:
-                        raise ParseError(message, m.start())
-            if len(accepted) >= ACCEPTED:
-                accepted.clear()
-            accepted.add(tok)
 
     def fault(self, tok: str) -> str | None:
         """The message for a token that the syntax's pattern matches but
