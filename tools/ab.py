@@ -92,7 +92,7 @@ def compare(trees: dict, seed: int, rounds_run: int) -> int:
     from wl_lib import Lib
 
     libs = {name: Lib(package) for name, package in trees.items()}
-    for name, lib in libs.items():
+    for lib in libs.values():
         for op in lib.warmup(round_rng(seed, "warmup", 0)):
             timed(op)
 

@@ -51,6 +51,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")  # the proof family's generators
 SHOWN = 5  # differing cases printed per family
 SHOWN_INPUT = 600  # characters printed of each one's input (a proof file is long)
 
@@ -264,7 +265,8 @@ def proof_texts(rng: random.Random) -> list[str]:
     """A proof file printed as the benchmark prints it, then the same with
     one step negated, one restated group respaced and one character
     dropped."""
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    if PERFBENCH not in sys.path:
+        sys.path.insert(0, PERFBENCH)
     import wl_proof
     from common import sized_formula
     if rng.random() < 0.5:
