@@ -437,9 +437,9 @@ class Cursor:
     def formula(self, level: int = 0):
         """A formula whose connectives outside parentheses bind at `level`
         or tighter; at level PREFIX, one operand of a prefix operator."""
-        # the token at self.i is read inline here and in the subclasses'
-        # rules: a call of `peek` or `next` per token costs a tenth of a
-        # proof file's reading
+        # the token at self.i is read inline, here and in the formula
+        # parser's rules: a call of `peek` or `next` per token would cost
+        # more than the read itself
         tokens = self.tokens
         i = self.i
         tok = tokens[i]
