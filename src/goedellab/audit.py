@@ -18,7 +18,7 @@ import re
 
 from . import meta as M
 from .errors import ParseError, WorkbenchError
-from .syntax import Node, is_natural, natural, walk
+from .syntax import Node, decimal, is_natural, walk
 
 # --- assumptions -------------------------------------------------------
 
@@ -560,7 +560,7 @@ def _parse_rule(
         parts = rest.split()
         if len(parts) != 3 or not (parts[2] == "q" or is_natural(parts[2])):
             raise ParseError("inst needs: inst REF VAR CONST")
-        value = M.Q if parts[2] == "q" else M.Const(natural(parts[2]))
+        value = M.Q if parts[2] == "q" else M.Const(decimal(parts[2]))
         return "Instantiate", (parts[0], parts[1], value)
     if head == "suppose":
         return "Suppose", (M.parse_meta(rest),)

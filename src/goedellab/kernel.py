@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import codec
 from . import formulas as F
 from .errors import NotClosed, ParseError, ResourceBound
-from .syntax import Node, is_natural, natural
+from .syntax import Node, decimal, is_natural
 
 # eval_term refuses to enumerate past this index
 MAX_EVAL_INDEX = 10_000
@@ -181,7 +181,7 @@ def _parse_binding(text: str, formula) -> tuple[tuple[str, object], ...]:
         if name == "x":
             if not value.startswith("x") or not is_natural(value[1:]):
                 raise ParseError("binding x needs a variable, got %r" % value)
-            entries[name] = natural(value[1:])
+            entries[name] = decimal(value[1:])
         elif name == "t":
             entries[name] = F.parse_term(value)
         else:
@@ -213,7 +213,7 @@ def _parse_justification(text: str, formula) -> Justification:
     if keyword == "MP":
         if len(parts) != 3 or not (is_natural(parts[1]) and is_natural(parts[2])):
             raise ParseError("MP cites two steps")
-        return ModusPonens(natural(parts[1]), natural(parts[2]))
+        return ModusPonens(decimal(parts[1]), decimal(parts[2]))
     if keyword == "GEN":
         if not (
             len(parts) == 3
@@ -222,7 +222,7 @@ def _parse_justification(text: str, formula) -> Justification:
             and is_natural(parts[2][1:])
         ):
             raise ParseError("GEN cites a step and a variable")
-        return Generalize(natural(parts[1]), natural(parts[2][1:]))
+        return Generalize(decimal(parts[1]), decimal(parts[2][1:]))
     raise ParseError("unrecognized justification %r" % text)
 
 
@@ -278,7 +278,7 @@ def _parse_line(line: str, premises: dict, steps: list, formula) -> None:
     digits = num_text.strip()
     if not is_natural(digits):
         raise ParseError("step line needs a leading number, got %r" % num_text)
-    k = natural(digits)
+    k = decimal(digits)
     if k != len(steps) + 1:
         raise ParseError("step numbered %d, expected %d" % (k, len(steps) + 1))
     formula_text, semicolon, just_text = rest.partition(";")

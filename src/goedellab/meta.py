@@ -16,8 +16,7 @@ it was parsed or rebuilt, has no double negation and no negated assertion.
 
 from __future__ import annotations
 
-import re
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_
 
 from .errors import ResourceBound
@@ -124,13 +123,16 @@ def desig_metavars(d: Designator) -> set[str]:
 
 
 def free_metavars(phi: MetaFormula) -> set[str]:
-    if isinstance(phi, (Assert, DemOf)):
-        return desig_metavars(phi.desig)
-    if isinstance(phi, MNot):
-        return free_metavars(phi.sub)
-    if isinstance(phi, (MImplies, MIff)):
-        return free_metavars(phi.left) | free_metavars(phi.right)
-    return free_metavars(phi.body) - {phi.var}
+    free, stack = set(), [(phi, frozenset())]  # (formula, the names bound around it)
+    while stack:
+        x, bound = stack.pop()
+        if isinstance(x, (Assert, DemOf)):
+            free |= desig_metavars(x.desig) - bound
+        elif isinstance(x, ForAllIndex):
+            stack.append((x.body, bound | {x.var}))
+        else:
+            stack += ((getattr(x, f), bound) for f in x._children)
+    return free
 
 
 def has_dvar(x) -> bool:
@@ -230,57 +232,96 @@ def print_meta(phi: MetaFormula) -> str:
 
 # --- parsing -----------------------------------------------------------
 
+# an index term inside a designator scanned as one token: a numeral that
+# int() converts at once, or an index variable (q has a variable's shape)
+_ITERM = r"(?:[0-9]{1,18}|[a-z][A-Za-z0-9_]*)"
+
+
+def _is_index_var(tok: str) -> bool:
+    # the lexeme makes a word [A-Za-z_][A-Za-z0-9_]* and an optional `*`,
+    # so this is [a-z][A-Za-z0-9_]* on the tokens of `_MetaParser`
+    return "a" <= tok[0] <= "z" and tok[-1] != "*"
+
+
+@lru_cache(maxsize=4096)
+def _designator(tok: str) -> Designator:
+    """The designator of a designator token.  Nodes are immutable, so the
+    texts that repeat a designator can share its node."""
+    terms = [Q if t == "q" else Const(int(t)) if t[0] <= "9" else MetaVar(t)
+             for t in tok[4:-1].split(",")]
+    return App(*terms) if tok[0] == "A" else InE(*terms)
+
+
 class _MetaParser(Cursor):
-    # the meta lexer has no `&` or `|` token
-    lexeme = r"<->|->|[~().,\[\]]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*\*?"
+    # the meta lexer has no `&` or `|` token.  A designator App(i,j) or
+    # InE(j) written as printed, over short index terms, is one token; any
+    # other, spaced or malformed, is read from its words and punctuation
+    lexeme = (r"[~().,\[\]]|(?:App\(%s,|InE\()%s\)|<->|->|[0-9]+|[A-Za-z_][A-Za-z0-9_]*\*?"
+              % (_ITERM, _ITERM))
     neg, imp, iff = MNot, MImplies, MIff
 
+    def shown(self, tok: str) -> str:
+        # a designator token is named by its first word
+        return tok[:3] if tok[3:4] == "(" else tok
+
     def atom(self) -> MetaFormula:
-        tok = self.peek()
+        tokens = self.tokens
+        i = self.i
+        tok = tokens[i]
+        if tok == "Dem":
+            if tokens[i + 1] != "[":
+                self.i = i + 1
+                self.expect("[")
+            self.i = i + 2
+            d = self.desig()
+            if tokens[self.i] != "]":
+                self.expect("]")
+            self.i += 1
+            return DemOf(d)
         if tok == "all":
-            self.next()
-            name = self.next()
-            if not re.fullmatch(r"[a-z][A-Za-z0-9_]*", name):
-                self.fail("expected an index variable, got %r" % name, self.i - 1)
+            name = tokens[i + 1]
+            if not _is_index_var(name):
+                self.fail("expected an index variable, got %r" % self.shown(name), i + 1)
+            self.i = i + 2
             self.expect(".")
             return ForAllIndex(name, self.formula())
-        if tok == "Dem":
-            self.next()
-            self.expect("[")
-            d = self.desig()
-            self.expect("]")
-            return DemOf(d)
         return Assert(self.desig())
 
     def desig(self) -> Designator:
-        tok = self.next()
+        i = self.i
+        tok = self.tokens[i]
+        self.i = i + 1
+        if tok[3:4] == "(":
+            return _designator(tok)
         if tok == "~":
             return NegD(self.desig())
         if tok == "App":
             self.expect("(")
-            i = self.iterm()
+            func = self.iterm()
             self.expect(",")
-            j = self.iterm()
+            arg = self.iterm()
             self.expect(")")
-            return App(i, j)
+            return App(func, arg)
         if tok == "InE":
             self.expect("(")
-            j = self.iterm()
+            arg = self.iterm()
             self.expect(")")
-            return InE(j)
+            return InE(arg)
         if tok.endswith("*"):
             return DVar(tok)
-        self.fail("expected a designator, found %r" % tok, self.i - 1)
+        self.fail("expected a designator, found %r" % tok, i)
 
     def iterm(self) -> IndexTerm:
-        tok = self.next()
+        i = self.i
+        tok = self.tokens[i]
+        self.i = i + 1
         if tok == "q":
             return Q
         if tok.isdigit():
-            return Const(self.number(tok, self.i - 1))
-        if re.fullmatch(r"[a-z][A-Za-z0-9_]*", tok):
+            return Const(self.number(tok, i))
+        if _is_index_var(tok):
             return MetaVar(tok)
-        self.fail("expected an index term, found %r" % tok, self.i - 1)
+        self.fail("expected an index term, found %r" % self.shown(tok), i)
 
 
 def parse_meta(text: str) -> MetaFormula:
@@ -296,61 +337,66 @@ def parse_desig(text: str) -> Designator:
 # --- propositional engine over modal atoms -----------------------------
 
 MAX_ATOMS = 14
-_ATOMS = (Assert, DemOf, ForAllIndex)
-
-
-def _prepare(formulas: list[MetaFormula]) -> list[MetaFormula]:
-    """Strip quantifier prefixes and expand InE for atom identity.
-
-    Distinct DemOf/Assert atoms over distinct designators are mutually
-    independent: no theory of provability is baked in here.
-    """
-    out = []
-    for phi in formulas:
-        while isinstance(phi, ForAllIndex):
-            phi = phi.body
-        out.append(expand_ine(phi))
-    return out
 
 
 def _truth_rows(formulas: list[MetaFormula]) -> tuple[int, list[int]]:
     """(full, one int per formula whose bit r says it holds in row r of
-    the truth table over the formulas' atoms).  An atom is an Assert, a
-    DemOf, or a quantified formula under a connective, which is opaque:
-    keyed by its printed text, its body's atoms are not counted."""
-    keys = set()
-    stack = list(formulas)
-    while stack:
-        phi = stack.pop()
-        if isinstance(phi, _ATOMS):
-            keys.add(print_meta(phi))
-        else:
-            stack += (getattr(phi, f) for f in phi._children)
+    the truth table over the formulas' atoms, sorted by key), each
+    formula's quantifier prefix stripped.  An atom is an Assert, a DemOf,
+    or a quantified formula under a connective, which is opaque: its
+    body's atoms are not counted.  Its key is its printed text with InE(t)
+    written App(q,t), the same proposition; distinct atoms are
+    independent: no theory of provability is baked in here.
+
+    Each formula is walked once into a program of atom keys and
+    connectives, node before operands, right operand first: read
+    backwards, it is the formula in postfix, which one loop evaluates."""
+    program, keys = [], set()
+    for phi in formulas:
+        while type(phi) is ForAllIndex:
+            phi = phi.body
+        stack = [phi]
+        while stack:
+            x = stack.pop()
+            t = type(x)
+            if t is MNot:
+                stack.append(x.sub)
+            elif t is MImplies or t is MIff:
+                stack += (x.left, x.right)
+            else:  # an atom, as its key.  `InE(` is printed only as that
+                # designator: an index variable starts with a lowercase
+                # letter, and a DVar ends in *
+                t = print_meta(x).replace("InE(", "App(q,")
+                keys.add(t)
+            program.append(t)
     if len(keys) > MAX_ATOMS:
         raise ResourceBound("%d modal atoms exceed the truth-table bound" % len(keys))
     full, cols = truth_columns(len(keys))
     column = dict(zip(sorted(keys), cols))
-
-    def rows(phi: MetaFormula) -> int:
-        if isinstance(phi, _ATOMS):
-            return column[print_meta(phi)]
-        if isinstance(phi, MNot):
-            return full ^ rows(phi.sub)
-        if isinstance(phi, MImplies):
-            return (full ^ rows(phi.left)) | rows(phi.right)
-        return full ^ rows(phi.left) ^ rows(phi.right)
-
-    return full, [rows(phi) for phi in formulas]
+    values = []  # the last formulas' values first
+    for t in reversed(program):
+        if t is MNot:
+            values[-1] ^= full
+        elif t is MImplies:
+            right = values.pop()
+            values[-1] = (full ^ values[-1]) | right
+        elif t is MIff:
+            right = values.pop()
+            values[-1] ^= full ^ right
+        else:
+            values.append(column[t])
+    values.reverse()
+    return full, values
 
 
 def tautological_consequence(
     premises: list[MetaFormula], conclusion: MetaFormula
 ) -> bool:
     """Truth-table check over the modal atoms of premises and conclusion."""
-    full, values = _truth_rows(_prepare(premises + [conclusion]))
+    full, values = _truth_rows(premises + [conclusion])
     return reduce(and_, values[:-1], full) & ~values[-1] == 0
 
 
 def satisfiable(formulas: list[MetaFormula]) -> bool:
-    full, values = _truth_rows(_prepare(list(formulas)))
+    full, values = _truth_rows(formulas)
     return reduce(and_, values, full) != 0

@@ -4,9 +4,10 @@ three concrete syntaxes: object formulas (`formulas`), meta schemas
 other record: proof steps and verdicts, audit steps and reports, codes,
 certificates and Kripke models.  Each parser supplies its token
 pattern, its AST constructors and the rules of its own operands.
-`natural` converts a decimal literal of a proof file or an audit script
-outside a formula, and `Cursor.number` one that a scanner matched;
-`is_natural` is the rule for what a decimal literal is.  `remember`
+`is_natural` is the rule for what a decimal literal is: `decimal`
+converts a literal that it has accepted, as a proof file or an audit
+script reads one outside a formula, `natural` checks and converts, and
+`Cursor.number` converts one that a scanner matched.  `remember`
 records a parsed group in a memo, the table through which `Cursor`
 reads a group restated in one file once.  `print_node` prints object
 and modal formulas from the `_pieces` their classes declare.
@@ -260,6 +261,12 @@ def natural(digits: str) -> int:
     parse error, not a ValueError."""
     if not is_natural(digits):
         raise ParseError("not a decimal numeral: %r" % digits)
+    return decimal(digits)
+
+
+def decimal(digits: str) -> int:
+    """The value of digits that `is_natural` accepted, so a caller with a
+    message of its own for a text that is no numeral checks it once."""
     if len(digits) > SAFE_DIGITS:
         limit = sys.get_int_max_str_digits()
         if limit and len(digits) > limit:
@@ -401,9 +408,6 @@ class Cursor:
         """A token as an error message names it."""
         return tok
 
-    def peek(self) -> str:
-        return self.tokens[self.i]
-
     def next(self) -> str:
         tok = self.tokens[self.i]
         self.i += 1
@@ -437,9 +441,9 @@ class Cursor:
     def formula(self, level: int = 0):
         """A formula whose connectives outside parentheses bind at `level`
         or tighter; at level PREFIX, one operand of a prefix operator."""
-        # the token at self.i is read inline, here and in the formula
-        # parser's rules: a call of `peek` or `next` per token would cost
-        # more than the read itself
+        # the token at self.i is read inline, here and in the formula and
+        # meta parsers' rules: a method call per token would cost more
+        # than the read itself
         tokens = self.tokens
         i = self.i
         tok = tokens[i]

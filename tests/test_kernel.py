@@ -163,6 +163,25 @@ def test_proof_file_rejects_bad_numbering():
         kernel.parse_proof_file("2. 0 = 0 ; EVAL")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("١. 0 = 0 ; EVAL", "step line needs a leading number, got '١'"),
+    ("9" * 5000 + ". 0 = 0 ; EVAL", "numeral of 5000 digits exceeds the limit of 4300"),
+    ("01. 0 = 0 ; EVAL\n2. 0 = 0 ; MP 1 x1", "MP cites two steps"),
+    # the literals are all checked before either is converted
+    ("1. 0 = 0 ; EVAL\n2. 0 = 0 ; MP %s +1" % ("9" * 5000), "MP cites two steps"),
+    ("1. 0 = 0 ; EVAL\n2. 0 = 0 ; MP 1 %s" % ("9" * 5000),
+     "numeral of 5000 digits exceeds the limit of 4300"),
+    ("1. 0 = 0 ; EVAL\n2. 0 = 0 ; GEN 1 ١", "GEN cites a step and a variable"),
+    ("1. 0 = 0 ; EVAL\n2. 0 = 0 ; GEN 1 x" + "9" * 5000,
+     "numeral of 5000 digits exceeds the limit of 4300"),
+    ("1. 0 = 0 ; INST[x := x١; A := 0 = 0; t := 0]", "binding x needs a variable, got 'x١'"),
+])
+def test_the_literals_of_a_proof_line_keep_their_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        kernel.parse_proof_file(text)
+    assert str(exc.value) == message
+
+
 # --- a group restated in a file is read once ------------------------------
 #
 # A file is a list of lines: ("premise", label, text), ("step", text, just)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +10,8 @@ from conftest import random_meta
 from goedellab import meta as M
 from goedellab.errors import ParseError, ResourceBound
 from goedellab.syntax import walk
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_parse_print_round_trip():
@@ -74,6 +80,35 @@ def test_substitution():
     f = M.parse_meta("all n. (InE(n) -> Dem[App(n,n)])")
     inst = M.subst_index(f.body, "n", M.Q)
     assert M.print_meta(inst) == "(InE(q) -> Dem[App(q,q)])"
+
+
+def test_free_metavars_of_deep_quantifiers():
+    # in a fresh interpreter, where a RecursionError is a plain traceback.
+    # The nodes are built directly, because the parser cannot read 1,500
+    # nested quantifiers yet
+    probe = (
+        "from goedellab import meta as M\n"
+        "phi = M.MImplies(M.DemOf(M.App(M.MetaVar('n'), M.MetaVar('m'))), M.Assert(M.DVar('d*')))\n"
+        "ground = M.DemOf(M.InE(M.MetaVar('n')))\n"
+        "for k in range(1500):\n"
+        "    phi = M.ForAllIndex('n' if k % 2 else 'k', phi)\n"
+        "    ground = M.ForAllIndex('n', ground)\n"
+        "print(sorted(M.free_metavars(phi)), M.is_ground(phi))\n"
+        "print(sorted(M.free_metavars(M.ForAllIndex('m', M.MNot(phi)))), M.is_ground(ground))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "['m'] False\n[] True\n"
+
+
+def test_free_metavars_respect_each_binding():
+    for text, free in (("all n. (App(n,m) -> all m. InE(m))", {"m"}),
+                       ("(all n. InE(n)) -> InE(n)", {"n"}),
+                       ("all n. all n. App(n,q)", set()),
+                       ("all n. (all n. InE(n)) -> Dem[App(n,k)]", {"k"})):
+        assert M.free_metavars(M.parse_meta(text)) == free, text
 
 
 def test_tautological_consequence_of_the_reconstruction():

@@ -193,8 +193,9 @@ def _referee_tokens(pattern, keywords, text):
 
 def _scanned(cursor_class, text):
     """The tokens of the scanner at their positions, with each run of `S(`
-    spelled out as its S and ( tokens.  An error at the first, middle or
-    last token reports that token's position."""
+    spelled out as its S and ( tokens, and each meta designator token as
+    its words and punctuation.  An error at the first, middle or last
+    token reports that token's position."""
     cursor = cursor_class(text)
     starts = [m.start() for m in cursor.scanner.finditer(text)] + [len(text)]
     assert len(starts) == len(cursor.tokens)
@@ -206,6 +207,8 @@ def _scanned(cursor_class, text):
     for tok, pos in zip(cursor.tokens, starts):
         if tok[0] == "S" and "(" in tok:
             out += [(c, pos + k) for k, c in enumerate(tok) if not c.isspace()]
+        elif tok[3:4] == "(":  # App(i,j) or InE(j)
+            out += [(m.group(), pos + m.start()) for m in re.finditer(r"\w+|\S", tok)]
         else:
             out.append((tok, pos))
     return out
@@ -354,3 +357,29 @@ def test_a_printed_numeral_reads_as_its_runs_read(rng):
         i = rng.randrange(len(text) + 1)
         text = text[:i] + rng.choice(("", ")", "(", "S", " ", "0")) + text[i + rng.randrange(2):]
     assert _read(F._Parser, text) == _read(_RunsOnly, text), text
+
+
+class _WordsOnly(M._MetaParser):
+    """The meta parser without its designator token: App(i,j) and InE(j)
+    are read from their words and punctuation."""
+    lexeme = r"<->|->|[~().,\[\]]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*\*?"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_designator_token_reads_as_its_words_read(rng):
+    term = lambda: rng.choice(("q", "0", "7", "n", "xInE", "q_1", "9" * 18, "9" * 19, "00"))
+    text = rng.choice((
+        M.print_meta(random_meta(rng, rng.randrange(4))),
+        "Dem[App(%s,%s)] -> ~InE(%s)" % (term(), term(), term()),
+        "all %s. (InE(%s) <-> ~Dem[~App(%s,%s)])" % (term(), term(), term(), term()),
+        # a designator where none is due
+        "all %s. InE(%s) App(%s,%s)" % (term(), term(), term(), term()),
+    ))
+    for _ in range(rng.randrange(1, 4)):
+        # a character dropped, a stray `)` or `,` put in, or a span reversed
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randrange(1, 12))
+        text = rng.choice((text[:i] + text[i + 1:], text[:i] + rng.choice("),") + text[i:],
+                           text[:i] + text[i:j][::-1] + text[j:]))
+    assert _read(M._MetaParser, text) == _read(_WordsOnly, text), text

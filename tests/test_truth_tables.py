@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goedellab import meta as M
 from goedellab import modal as Md
+from goedellab.errors import ResourceBound
 from goedellab.syntax import walk
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -68,6 +70,10 @@ _DESIGNATORS = [
     M.App(M.Q, M.Const(1)),
     M.InE(M.Const(1)),  # the same proposition as App(q,1)
     M.NegD(M.App(M.Const(1), M.Const(2))),
+    M.App(M.MetaVar("n"), M.Const(1)),
+    M.App(M.Q, M.MetaVar("xInE")),
+    M.InE(M.MetaVar("xInE")),  # `InE` in a variable's name is no designator
+    M.DVar("d*"),
 ]
 
 
@@ -76,21 +82,33 @@ def _meta(draw, depth=3):
     if depth == 0 or draw(st.integers(0, 3)) == 0:
         d = draw(st.sampled_from(_DESIGNATORS))
         return draw(st.sampled_from([M.Assert(d), M.DemOf(d)]))
-    kind = draw(st.integers(0, 2))
+    kind = draw(st.integers(0, 3))
     if kind == 0:
         return M.MNot(draw(_meta(depth=depth - 1)))
+    if kind == 3:  # a prefix of the formula, or an atom under a connective
+        return M.ForAllIndex(draw(st.sampled_from(["n", "xInE"])), draw(_meta(depth=depth - 1)))
     cls = M.MImplies if kind == 1 else M.MIff
     return cls(draw(_meta(depth=depth - 1)), draw(_meta(depth=depth - 1)))
 
 
 def _oracle_rows(formulas):
-    """Each assignment to the atoms as a list of the formulas' values."""
-    prepared = [M.expand_ine(phi) for phi in formulas]
+    """Each assignment to the atoms as a list of the formulas' values, each
+    formula's quantifier prefix stripped; None beyond `meta.MAX_ATOMS`
+    atoms.  An atom is an Assert, a DemOf or a quantified formula under a
+    connective, keyed by the printed text of its InE expansion."""
+    prepared = []
+    for phi in formulas:
+        while isinstance(phi, M.ForAllIndex):
+            phi = phi.body
+        prepared.append(phi)
     keys = set()
 
+    def key(phi):
+        return M.print_meta(M.expand_ine(phi))
+
     def atoms(phi):
-        if isinstance(phi, (M.Assert, M.DemOf)):
-            keys.add(M.print_meta(phi))
+        if isinstance(phi, (M.Assert, M.DemOf, M.ForAllIndex)):
+            keys.add(key(phi))
         elif isinstance(phi, M.MNot):
             atoms(phi.sub)
         else:
@@ -98,8 +116,8 @@ def _oracle_rows(formulas):
             atoms(phi.right)
 
     def ev(phi, a):
-        if isinstance(phi, (M.Assert, M.DemOf)):
-            return a[M.print_meta(phi)]
+        if isinstance(phi, (M.Assert, M.DemOf, M.ForAllIndex)):
+            return a[key(phi)]
         if isinstance(phi, M.MNot):
             return not ev(phi.sub, a)
         if isinstance(phi, M.MImplies):
@@ -108,16 +126,24 @@ def _oracle_rows(formulas):
 
     for phi in prepared:
         atoms(phi)
+    if len(keys) > M.MAX_ATOMS:
+        return None
     names = sorted(keys)
+    rows = []
     for values in itertools.product((False, True), repeat=len(names)):
         a = dict(zip(names, values))
-        yield [ev(phi, a) for phi in prepared]
+        rows.append([ev(phi, a) for phi in prepared])
+    return rows
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_meta(), min_size=1, max_size=3), _meta())
 def test_meta_engine_agrees_with_row_by_row_oracle(premises, conclusion):
-    rows = list(_oracle_rows(premises + [conclusion]))
+    rows = _oracle_rows(premises + [conclusion])
+    if rows is None:
+        with pytest.raises(ResourceBound):
+            M.satisfiable(premises + [conclusion])
+        return
     assert M.satisfiable(premises) == any(all(row[:-1]) for row in rows)
     assert M.tautological_consequence(premises, conclusion) == all(
         row[-1] for row in rows if all(row[:-1])

@@ -12,9 +12,11 @@ are the same text for both trees.  Five families of K cases each:
 
 - meta: a meta formula, as text.  The answer is its printed form and that
   of its negation, `satisfiable` of it with the case before it, and
-  whether it is a `tautological_consequence` of that case.  The forms are
-  the ones the engines read: a tree that still has `meta.normalize`
-  applies it, and negates through `meta.neg`.
+  whether it is a `tautological_consequence` of that case; then the
+  printed form, or the error, of the text with a character dropped, with
+  a stray `)` or `,` put in, and with a span reversed.  The forms are the
+  ones the engines read: a tree that still has `meta.normalize` applies
+  it, and negates through `meta.neg`.
 - audit: a shipped audit script with lines dropped, duplicated or swapped,
   or a negation doubled.  The answer is the report's JSON and the minimal
   inconsistent subsets, or the error that ends either.
@@ -57,7 +59,9 @@ SHOWN_INPUT = 600  # characters printed of each one's input (a proof file is lon
 
 # --- inputs --------------------------------------------------------------
 
-_TERMS = ["q", "0", "1", "n", "m"]
+# `xInE` holds the letters of a designator, and 20 digits are more than the
+# meta scanner reads as part of one
+_TERMS = ["q", "0", "1", "n", "m", "xInE", "12345678901234567890"]
 
 
 def _desig(rng: random.Random) -> str:
@@ -85,6 +89,15 @@ def meta_text(rng: random.Random, depth: int) -> str:
         op = "->" if kind == 3 else "<->"
         text = "(%s %s %s)" % (meta_text(rng, depth - 1), op, meta_text(rng, depth - 1))
     return "~" * rng.choice([0, 0, 0, 1, 2]) + text
+
+
+def mutations(rng: random.Random, text: str) -> list[str]:
+    """text with a character dropped, with a stray `)` or `,` put in, and
+    with a span of up to 12 characters reversed."""
+    i, j, k = (rng.randrange(len(text) + 1) for _ in range(3))
+    end = k + rng.randrange(2, 13)
+    return [text[:i] + text[i + 1:], text[:j] + rng.choice("),") + text[j:],
+            text[:k] + text[k:end][::-1] + text[end:]]
 
 
 def _script_bases() -> list[list[str]]:
@@ -302,16 +315,18 @@ def meta_answers(seed: int, count: int):
     previous = None
     for _ in range(count):
         text = meta_text(rng, rng.randrange(5))
+        misread = [_answer(lambda: M.print_meta(canon(M.parse_meta(m))))
+                   for m in mutations(rng, text)]
         phi = _answer(lambda: canon(M.parse_meta(text)))
         if isinstance(phi, str):
-            yield text, [phi]
+            yield text, [phi] + misread
             continue
         answer = [M.print_meta(phi), M.print_meta(negate(phi))]
         if previous is not None:
             answer += [_answer(lambda: M.satisfiable([previous, phi])),
                        _answer(lambda: M.tautological_consequence([previous], phi))]
         previous = phi
-        yield text, answer
+        yield text, answer + misread
 
 
 def audit_answers(seed: int, count: int):
