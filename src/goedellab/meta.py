@@ -291,7 +291,7 @@ class _MetaParser(Cursor):
         i = self.i
         tok = self.tokens[i]
         self.i = i + 1
-        if tok[3:4] == "(":
+        if tok[3:4] == "(":  # App(i,j) or InE(j), one token
             return _designator(tok)
         if tok == "~":
             return NegD(self.desig())

@@ -14,9 +14,10 @@ are the same text for both trees.  Five families of K cases each:
   of its negation, `satisfiable` of it with the case before it, and
   whether it is a `tautological_consequence` of that case; then the
   printed form, or the error, of the text with a character dropped, with
-  a stray `)` or `,` put in, and with a span reversed.  The forms are the
-  ones the engines read: a tree that still has `meta.normalize` applies
-  it, and negates through `meta.neg`.
+  a stray `)` or `,` put in, with a span reversed, and with a designator
+  copied to another place.  The forms are the ones the engines read: a
+  tree that still has `meta.normalize` applies it, and negates through
+  `meta.neg`.
 - audit: a shipped audit script with lines dropped, duplicated or swapped,
   or a negation doubled.  The answer is the report's JSON and the minimal
   inconsistent subsets, or the error that ends either.
@@ -48,6 +49,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -92,12 +94,15 @@ def meta_text(rng: random.Random, depth: int) -> str:
 
 
 def mutations(rng: random.Random, text: str) -> list[str]:
-    """text with a character dropped, with a stray `)` or `,` put in, and
-    with a span of up to 12 characters reversed."""
-    i, j, k = (rng.randrange(len(text) + 1) for _ in range(3))
+    """text with a character dropped, with a stray `)` or `,` put in, with
+    a span of up to 12 characters reversed, and with one of its designators
+    copied to where none is due."""
+    i, j, k, m = (rng.randrange(len(text) + 1) for _ in range(4))
     end = k + rng.randrange(2, 13)
+    designators = re.findall(r"(?:App|InE)\([^()]*\)", text) or ["App(q,q)"]
     return [text[:i] + text[i + 1:], text[:j] + rng.choice("),") + text[j:],
-            text[:k] + text[k:end][::-1] + text[end:]]
+            text[:k] + text[k:end][::-1] + text[end:],
+            text[:m] + rng.choice(designators) + text[m:]]
 
 
 def _script_bases() -> list[list[str]]:
