@@ -342,7 +342,7 @@ def _facts(steps: list[CheckedStep]) -> list[tuple[CheckedStep, bool]]:
 
 def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]:
     findings: list[Finding] = []
-    # printed canonical formula -> (step id, formula)
+    # canonical text of a ground fact -> (step id, formula)
     ground_seen: dict[str, tuple[str, M.MetaFormula]] = {}
     for s, ground in facts:
         m = _strip_prefix(s.formula)[1]
@@ -371,9 +371,10 @@ def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]
                         )
                     )
         if ground:
-            canon = M.expand_ine(s.formula)
-            key = M.print_meta(canon)
-            neg_key = M.print_meta(M.MNot(canon))
+            key = M.canonical_text(s.formula)
+            # a meta text starts with `~` exactly when its formula is an
+            # MNot or an Assert(NegD(d)), the two forms MNot unfolds
+            neg_key = key[1:] if key[0] == "~" else "~" + key
             if neg_key in ground_seen:
                 other_id, other = ground_seen[neg_key]
                 findings.append(
@@ -382,10 +383,10 @@ def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]
                         "contradictory-pair",
                         False,
                         "contradicts step %s" % other_id,
-                        not M.satisfiable([canon, other]),
+                        not M.satisfiable([s.formula, other]),
                     )
                 )
-            ground_seen.setdefault(key, (s.id, canon))
+            ground_seen.setdefault(key, (s.id, s.formula))
     return findings
 
 

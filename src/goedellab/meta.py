@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 from operator import and_
 
 from .errors import ResourceBound
-from .syntax import Cursor, Node, extends_right, truth_columns, walk
+from .syntax import Cursor, Node, extends_right, print_node, truth_columns, walk
 
 # --- index terms -------------------------------------------------------
 
@@ -45,9 +45,20 @@ Q = Const("q")
 class App(Node):
     __slots__ = _fields = ("func", "arg")
 
+    def _show(self, parts, stack):
+        # by hand, as `formulas.Num`'s: every atom's key prints a
+        # designator, and from `_pieces` the meta ops ran about 5% slower
+        f, a = self.func, self.arg
+        parts.append("App(%s,%s)" % (f.name if type(f) is MetaVar else f.value,
+                                     a.name if type(a) is MetaVar else a.value))
+
 
 class InE(Node):
     __slots__ = _fields = ("arg",)
+
+    def _show(self, parts, stack):
+        a = self.arg
+        parts.append("InE(%s)" % (a.name if type(a) is MetaVar else a.value))
 
 
 class NegD(Node):
@@ -55,6 +66,7 @@ class NegD(Node):
     built: NegD(NegD(d)) is d, so the operand of a NegD is never a NegD."""
 
     __slots__ = _fields = ("sub",)
+    _pieces = ("~", 0)
 
     def __new__(cls, sub):
         if isinstance(sub, NegD):
@@ -67,6 +79,7 @@ class DVar(Node):
 
     __slots__ = _fields = ("name",)
     _data = ("name",)
+    _pieces = (0,)
 
 
 Designator = App | InE | NegD | DVar
@@ -76,10 +89,12 @@ Designator = App | InE | NegD | DVar
 
 class Assert(Node):
     __slots__ = _fields = ("desig",)
+    _pieces = (0,)
 
 
 class DemOf(Node):
     __slots__ = _fields = ("desig",)
+    _pieces = ("Dem[", 0, "]")
 
 
 class MNot(Node):
@@ -89,6 +104,7 @@ class MNot(Node):
 
     __slots__ = _fields = ("sub",)
     _prefix = True
+    _pieces = ("~", 0)
 
     def __new__(cls, sub):
         if isinstance(sub, MNot):
@@ -100,19 +116,23 @@ class MNot(Node):
 
 class MImplies(Node):
     __slots__ = _fields = ("left", "right")
+    _pieces = ("(", (0, extends_right), " -> ", 1, ")")
 
 
 class MIff(Node):
     __slots__ = _fields = ("left", "right")
+    _pieces = ("(", (0, extends_right), " <-> ", 1, ")")
 
 
 class ForAllIndex(Node):
     __slots__ = _fields = ("var", "body")
     _data = ("var",)
     _quantifier = True
+    _pieces = ("all ", 0, ". ", 1)
 
 
 MetaFormula = Assert | DemOf | MNot | MImplies | MIff | ForAllIndex
+print_meta = print_desig = print_node
 
 
 # --- structural helpers ------------------------------------------------
@@ -197,37 +217,13 @@ def expand_ine(phi: MetaFormula) -> MetaFormula:
     return map_atoms(phi, _expand_leaf, None)
 
 
-# --- printing ----------------------------------------------------------
-
-
-def print_iterm(t: IndexTerm) -> str:
-    return t.name if isinstance(t, MetaVar) else str(t.value)
-
-
-def print_desig(d: Designator) -> str:
-    if isinstance(d, App):
-        return "App(%s,%s)" % (print_iterm(d.func), print_iterm(d.arg))
-    if isinstance(d, InE):
-        return "InE(%s)" % print_iterm(d.arg)
-    if isinstance(d, NegD):
-        return "~" + print_desig(d.sub)
-    return d.name
-
-
-def print_meta(phi: MetaFormula) -> str:
-    if isinstance(phi, Assert):
-        return print_desig(phi.desig)
-    if isinstance(phi, DemOf):
-        return "Dem[%s]" % print_desig(phi.desig)
-    if isinstance(phi, MNot):
-        return "~" + print_meta(phi.sub)
-    if isinstance(phi, (MImplies, MIff)):
-        left = print_meta(phi.left)
-        if extends_right(phi.left):
-            left = "(" + left + ")"
-        op = "->" if isinstance(phi, MImplies) else "<->"
-        return "(%s %s %s)" % (left, op, print_meta(phi.right))
-    return "all %s. %s" % (phi.var, print_meta(phi.body))
+def canonical_text(phi: MetaFormula) -> str:
+    """The text of `expand_ine(phi)`, without the rebuild: the printed text
+    with each InE(t) written App(q,t).  This is exact because `InE(` is
+    printed only as that designator: every other `(` opens `App(` or an
+    implication or equivalence, whose `(` follows the start of the text,
+    `~`, a space or another `(`."""
+    return print_meta(phi).replace("InE(", "App(q,")
 
 
 # --- parsing -----------------------------------------------------------
@@ -344,8 +340,8 @@ def _truth_rows(formulas: list[MetaFormula]) -> tuple[int, list[int]]:
     the truth table over the formulas' atoms, sorted by key), each
     formula's quantifier prefix stripped.  An atom is an Assert, a DemOf,
     or a quantified formula under a connective, which is opaque: its
-    body's atoms are not counted.  Its key is its printed text with InE(t)
-    written App(q,t), the same proposition; distinct atoms are
+    body's atoms are not counted.  Its key is its `canonical_text`, which
+    writes InE(t) as App(q,t), the same proposition; distinct atoms are
     independent: no theory of provability is baked in here.
 
     Each formula is walked once into a program of atom keys and
@@ -363,10 +359,8 @@ def _truth_rows(formulas: list[MetaFormula]) -> tuple[int, list[int]]:
                 stack.append(x.sub)
             elif t is MImplies or t is MIff:
                 stack += (x.left, x.right)
-            else:  # an atom, as its key.  `InE(` is printed only as that
-                # designator: an index variable starts with a lowercase
-                # letter, and a DVar ends in *
-                t = print_meta(x).replace("InE(", "App(q,")
+            else:  # an atom, as its key
+                t = canonical_text(x)
                 keys.add(t)
             program.append(t)
     if len(keys) > MAX_ATOMS:

@@ -28,7 +28,6 @@ them raises ResourceBound rather than returning a silently wrong answer.
 from __future__ import annotations
 
 import json
-import re
 from functools import cache, reduce
 from operator import and_, or_
 
@@ -91,10 +90,12 @@ class _Parser(Cursor):
     prefixes = {"[]": Box, "<>": Dia}
 
     def atom(self) -> ModalFormula:
-        tok = self.next()
-        if re.fullmatch(r"[a-z][a-z0-9_]*", tok):
+        # the lexeme's one word token is [a-z][a-z0-9_]*, and END starts with <
+        tok = self.tokens[self.i]
+        if "a" <= tok[0] <= "z":
+            self.i += 1
             return Atom(tok)
-        self.fail("expected a formula, found %r" % tok, self.i - 1)
+        self.fail("expected a formula, found %r" % tok)
 
 
 def parse_modal(text: str) -> ModalFormula:

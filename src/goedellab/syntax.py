@@ -6,11 +6,12 @@ certificates and Kripke models.  Each parser supplies its token
 pattern, its AST constructors and the rules of its own operands.
 `is_natural` is the rule for what a decimal literal is: `decimal`
 converts a literal that it has accepted, as a proof file or an audit
-script reads one outside a formula, `natural` checks and converts, and
-`Cursor.number` converts one that a scanner matched.  `remember`
-records a parsed group in a memo, the table through which `Cursor`
-reads a group restated in one file once.  `print_node` prints object
-and modal formulas from the `_pieces` their classes declare.
+script reads one outside a formula, and `Cursor.number` converts one
+that a scanner matched.  `remember` records a parsed group in a memo,
+the table through which `Cursor` reads a group restated in one file
+once.  `print_node` is the one printer of all three syntaxes: it prints
+any node, on an explicit stack, from the `_pieces` its class declares
+or, for a hot leaf such as a numeral or a designator, its own `_show`.
 `read_text` reads every input file, and `truth_columns` is the truth
 table that the modal and meta engines sweep."""
 
@@ -255,18 +256,10 @@ def is_natural(text: str) -> bool:
 _TOO_LONG = "numeral of %d digits exceeds the limit of %d"
 
 
-def natural(digits: str) -> int:
-    """The value of a decimal numeral.  Anything but ASCII digits, or more
-    of them than int() converts (`sys.get_int_max_str_digits()`), is a
-    parse error, not a ValueError."""
-    if not is_natural(digits):
-        raise ParseError("not a decimal numeral: %r" % digits)
-    return decimal(digits)
-
-
 def decimal(digits: str) -> int:
-    """The value of digits that `is_natural` accepted, so a caller with a
-    message of its own for a text that is no numeral checks it once."""
+    """The value of digits that `is_natural` accepted.  More of them than
+    int() converts (`sys.get_int_max_str_digits()`) is a parse error, not
+    a ValueError."""
     if len(digits) > SAFE_DIGITS:
         limit = sys.get_int_max_str_digits()
         if limit and len(digits) > limit:
@@ -406,11 +399,6 @@ class Cursor:
 
     def shown(self, tok: str) -> str:
         """A token as an error message names it."""
-        return tok
-
-    def next(self) -> str:
-        tok = self.tokens[self.i]
-        self.i += 1
         return tok
 
     def expect(self, want: str) -> None:

@@ -139,14 +139,16 @@ SHIPPED = [
     audit.GOEDEL_SCRIPT_TEXT + audit.GOEDEL_EXTENSION_TEXT,
 ]
 # every formula a shipped script derives, and the negation of each
-# unquantified one, to restate as an extra assumption
+# unquantified one, to restate as an extra assumption, each also with
+# InE(t) written App(q,t), so a pair may meet across the two forms
 DERIVED = {
     M.print_meta(s.formula)
     for text in SHIPPED
     for s in audit.check_script(audit.parse_script(text)).steps
     if s.ok
 }
-RESTATED = sorted(DERIVED | {"~" + text for text in DERIVED if not text.startswith("all ")})
+RESTATED = DERIVED | {"~" + text for text in DERIVED if not text.startswith("all ")}
+RESTATED = sorted(RESTATED | {text.replace("InE(", "App(q,") for text in RESTATED})
 
 
 @st.composite
@@ -180,11 +182,22 @@ step 2 := assume B
 step 3 := assume C
 """
 
+# a pair across the two forms of one designator, met from either side
+ACROSS_INE = """\
+assume A : ~InE(3)
+assume B : App(q,3)
+assume C : ~InE(3)
+step 1 := assume A
+step 2 := assume B
+step 3 := assume C
+"""
+
 
 @pytest.mark.parametrize("text, cores", [
     (TWO_DERIVATIONS, [["A", "C"], ["B", "C"]]),
     (CANONICAL_WITH_CONS, [["COMP_E", "DEF_E", "REFL"], ["CONS", "DEF_E", "NEC_DEF", "REFL"]]),
-], ids=["two-derivations", "canonical-with-cons"])
+    (ACROSS_INE, [["A", "B"], ["B", "C"]]),
+], ids=["two-derivations", "canonical-with-cons", "across-ine"])
 def test_known_cores(text, cores):
     assert audit.minimal_inconsistent_subsets(audit.parse_script(text)) == cores
 

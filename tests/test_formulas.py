@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_formula
 from goedellab import formulas as F
 from goedellab.errors import NotClosed, ParseError
-from goedellab.syntax import natural
+from goedellab.syntax import decimal, is_natural
 
 
 def test_parse_core_connectives():
@@ -99,11 +99,10 @@ def test_parse_errors_carry_position():
 
 
 def test_decimal_literals_are_ascii_digits_only():
-    assert natural("0012") == 12
+    assert is_natural("0012") and decimal("0012") == 12
     # Arabic-Indic, fullwidth and superscript digits; int() reads the first two
     for text in ("\u0661\u0662", "\uff11", "\u00b2", "", "+1"):
-        with pytest.raises(ParseError, match="not a decimal numeral"):
-            natural(text)
+        assert not is_natural(text), text
     with pytest.raises(ParseError, match="unexpected character"):
         F.parse_formula("x0 = \u0661\u0662")
 

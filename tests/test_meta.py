@@ -85,7 +85,7 @@ def test_substitution():
 def test_free_metavars_of_deep_quantifiers():
     # in a fresh interpreter, where a RecursionError is a plain traceback.
     # The nodes are built directly, because the parser cannot read 1,500
-    # nested quantifiers yet
+    # nested quantifiers yet.  The truth table prints the quantified atom
     probe = (
         "from goedellab import meta as M\n"
         "phi = M.MImplies(M.DemOf(M.App(M.MetaVar('n'), M.MetaVar('m'))), M.Assert(M.DVar('d*')))\n"
@@ -95,12 +95,13 @@ def test_free_metavars_of_deep_quantifiers():
         "    ground = M.ForAllIndex('n', ground)\n"
         "print(sorted(M.free_metavars(phi)), M.is_ground(phi))\n"
         "print(sorted(M.free_metavars(M.ForAllIndex('m', M.MNot(phi)))), M.is_ground(ground))\n"
+        "print(M.print_meta(phi).count('all '), M.satisfiable([M.MImplies(phi, phi)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "['m'] False\n[] True\n"
+    assert proc.stdout == "['m'] False\n[] True\n1500 True\n"
 
 
 def test_free_metavars_respect_each_binding():

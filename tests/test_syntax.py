@@ -14,7 +14,7 @@ from conftest import random_formula, random_meta, random_modal, random_term
 from goedellab import formulas as F, meta as M, modal as Mo
 from goedellab.errors import ParseError
 from goedellab.formulas import NUMERAL_TOKEN
-from goedellab.syntax import _OPEN, ACCEPTED, END, SAFE_DIGITS, natural
+from goedellab.syntax import _OPEN, ACCEPTED, END, SAFE_DIGITS, decimal
 
 
 def _connectives(neg, imp, iff=None):
@@ -143,6 +143,12 @@ def test_nesting_depth_per_level():
     (M.parse_meta, "all n. InE(n) -> Dem[App(n, $)]", "unexpected character '$' (at position 28)"),
     (Mo.parse_modal, "[]p -> <>q & r!", "unexpected character '!' (at position 14)"),
     (Mo.parse_modal, "p q !", "unexpected character '!' (at position 4)"),
+    # a modal formula missing where one is expected, at the end too
+    (Mo.parse_modal, "", "expected a formula, found '<end>' (at position 0)"),
+    (Mo.parse_modal, "[]", "expected a formula, found '<end>' (at position 2)"),
+    (Mo.parse_modal, "p -> ->", "expected a formula, found '->' (at position 5)"),
+    (Mo.parse_modal, "~<->", "expected a formula, found '<->' (at position 1)"),
+    (Mo.parse_modal, ")", "expected a formula, found ')' (at position 0)"),
     # a numeral too long for int() is reported at its own token
     (M.parse_desig, "App(q, " + "9" * 5000 + ")",
      "numeral of 5000 digits exceeds the limit of 4300 (at position 7)"),
@@ -308,7 +314,7 @@ def test_a_long_numeral_keeps_its_message():
             F.parse_formula(text)
         assert str(exc.value) == message
     with pytest.raises(ParseError) as exc:
-        natural("1" * 4301)
+        decimal("1" * 4301)
     assert str(exc.value) == "numeral of 4301 digits exceeds the limit of 4300"
 
 
@@ -319,12 +325,12 @@ def test_the_digit_limit_is_read_above_the_least_one_python_allows():
     sys.set_int_max_str_digits(SAFE_DIGITS)
     try:
         assert F.parse_term("9" * SAFE_DIGITS) == F.Num(int("9" * SAFE_DIGITS))
-        assert natural("9" * SAFE_DIGITS) == int("9" * SAFE_DIGITS)
+        assert decimal("9" * SAFE_DIGITS) == int("9" * SAFE_DIGITS)
         with pytest.raises(ParseError) as exc:
             F.parse_term("9" * (SAFE_DIGITS + 1))
         assert str(exc.value) == "numeral of 641 digits exceeds the limit of 640 (at position 0)"
         with pytest.raises(ParseError) as exc:
-            natural("9" * (SAFE_DIGITS + 1))
+            decimal("9" * (SAFE_DIGITS + 1))
         assert str(exc.value) == "numeral of 641 digits exceeds the limit of 640"
     finally:
         sys.set_int_max_str_digits(old)

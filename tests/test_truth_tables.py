@@ -139,6 +139,11 @@ def _oracle_rows(formulas):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_meta(), min_size=1, max_size=3), _meta())
 def test_meta_engine_agrees_with_row_by_row_oracle(premises, conclusion):
+    # the atoms' key, and the audit's key of a negation, without the rebuild
+    for phi in premises + [conclusion]:
+        key = M.canonical_text(phi)
+        assert key == M.print_meta(M.expand_ine(phi))
+        assert (key[1:] if key[0] == "~" else "~" + key) == M.print_meta(M.expand_ine(M.MNot(phi)))
     rows = _oracle_rows(premises + [conclusion])
     if rows is None:
         with pytest.raises(ResourceBound):
