@@ -13,7 +13,6 @@ assumption audit meaningful.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from . import meta as M
@@ -340,10 +339,16 @@ def _facts(steps: list[CheckedStep]) -> list[tuple[CheckedStep, bool]]:
     return [(s, M.is_ground(s.formula)) for s in steps if s.ok and not s.hypotheses]
 
 
-def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]:
+def _find_contradictions(facts) -> tuple[list[Finding], list[frozenset[str]]]:
+    """The findings of the facts, in step order, and the label set each
+    needs: its step's assumptions, with CONS where it requires
+    consistency.  A contradictory pair is reported at the later step, but
+    it needs that step's labels with those of each earlier one."""
     findings: list[Finding] = []
-    # canonical text of a ground fact -> (step id, formula)
-    ground_seen: dict[str, tuple[str, M.MetaFormula]] = {}
+    needs: list[frozenset[str]] = []
+    # canonical text of a ground fact -> (first step id, its formula, the
+    # assumptions of each step with that text)
+    ground_seen: dict[str, tuple[str, M.MetaFormula, list[frozenset[str]]]] = {}
     for s, ground in facts:
         m = _strip_prefix(s.formula)[1]
         if isinstance(m, M.MIff):
@@ -358,8 +363,9 @@ def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]
                         not M.satisfiable([m]),
                     )
                 )
+                needs.append(s.assumptions)
             elif isinstance(left, M.DemOf) and isinstance(right, M.DemOf):
-                if M.NegD(M.expand_desig(left.desig)) == M.expand_desig(right.desig):
+                if M.canonical_text(M.NegD(left.desig)) == M.canonical_text(right.desig):
                     findings.append(
                         Finding(
                             s.id,
@@ -370,13 +376,14 @@ def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]
                             False,
                         )
                     )
+                    needs.append(s.assumptions | {"CONS"})
         if ground:
             key = M.canonical_text(s.formula)
             # a meta text starts with `~` exactly when its formula is an
             # MNot or an Assert(NegD(d)), the two forms MNot unfolds
             neg_key = key[1:] if key[0] == "~" else "~" + key
             if neg_key in ground_seen:
-                other_id, other = ground_seen[neg_key]
+                other_id, other, partners = ground_seen[neg_key]
                 findings.append(
                     Finding(
                         s.id,
@@ -386,26 +393,15 @@ def _find_contradictions(facts: list[tuple[CheckedStep, bool]]) -> list[Finding]
                         not M.satisfiable([s.formula, other]),
                     )
                 )
-            ground_seen.setdefault(key, (s.id, s.formula))
-    return findings
-
-
-def _ground_designators(theory: list[M.MetaFormula]) -> list[M.Designator]:
-    seen: dict[str, M.Designator] = {}
-    for phi in theory:
-        for d in walk(phi):
-            if isinstance(d, (M.App, M.InE)):
-                expanded = M.expand_desig(d)
-                if not M.desig_metavars(expanded):
-                    seen.setdefault(M.print_desig(expanded), expanded)
-    return [seen[k] for k in sorted(seen)]
+                needs += (s.assumptions | a for a in partners)
+            ground_seen.setdefault(key, (s.id, s.formula, []))[2].append(s.assumptions)
+    return findings, needs
 
 
 def classify(d: M.Designator, theory: list[M.MetaFormula]) -> str:
     """Provability status of the designated proposition under the ground
     facts of a report: provable, refutable, independent, overdetermined,
     or unknown when neither side is settled."""
-    d = M.expand_desig(d)
     pos = M.DemOf(d)
     neg_side = M.DemOf(M.NegD(d))
 
@@ -430,35 +426,32 @@ def classify(d: M.Designator, theory: list[M.MetaFormula]) -> str:
 def check_script(script: DerivationScript) -> AuditReport:
     steps = _Engine(script).run()
     facts = _facts(steps)
-    findings = _find_contradictions(facts)
+    findings = _find_contradictions(facts)[0]
     # the formulas of the valid, hypothesis-free ground steps
     theory = [s.formula for s, ground in facts if ground]
-    classification = {
-        M.print_desig(d): classify(d, theory) for d in _ground_designators(theory)
-    }
+    # its ground App and InE designators, by canonical text
+    designators = {M.canonical_text(d): d for phi in theory for d in walk(phi)
+                   if isinstance(d, (M.App, M.InE)) and not M.desig_metavars(d)}
+    classification = {k: classify(designators[k], theory) for k in sorted(designators)}
     consumed = frozenset().union(*(s.assumptions for s in steps if s.ok))
     return AuditReport(steps, findings, classification, consumed, script.labels())
 
 
 def minimal_inconsistent_subsets(script: DerivationScript) -> list[list[str]]:
     """All subset-minimal assumption-label sets from which some
-    contradiction step of the script remains derivable.  One engine run
-    serves every set: the rules are monotone, so a step holds under a set
-    exactly when it holds under all labels and consumes only the set's."""
-    labels = script.labels()
-    if len(labels) > 6:
-        raise WorkbenchError("subset search limited to 6 assumptions")
-    facts = _facts(_Engine(script).run())
-    inconsistent: list[frozenset[str]] = []
-    for r in range(len(labels) + 1):
-        for combo in itertools.combinations(labels, r):
-            s = frozenset(combo)
-            if any(m <= s for m in inconsistent):
-                continue  # a subset already derives the contradiction
-            findings = _find_contradictions([(f, g) for f, g in facts if f.assumptions <= s])
-            if any(not f.requires_consistency or "CONS" in s for f in findings):
-                inconsistent.append(s)
-    return sorted([sorted(s) for s in inconsistent])
+    contradiction of the script remains derivable, read off one engine
+    run.  The rules are monotone, so a step holds under a label set
+    exactly when it holds under all labels and consumes only the set's;
+    a set is then inconsistent exactly when it holds what some finding
+    needs, and the cores are the minimal needs among the script's labels."""
+    labels = frozenset(script.labels())
+    needs = _find_contradictions(_facts(_Engine(script).run()))[1]
+    cores: list[frozenset[str]] = []
+    # by size: a need is a core unless it holds a core found before it
+    for need in sorted({n for n in needs if n <= labels}, key=len):
+        if not any(core < need for core in cores):
+            cores.append(need)
+    return sorted(sorted(core) for core in cores)
 
 
 # --- script text format ------------------------------------------------

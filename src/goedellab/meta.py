@@ -163,29 +163,38 @@ def is_ground(phi: MetaFormula) -> bool:
     return not free_metavars(phi) and not has_dvar(phi)
 
 
-def _map_leaf(d: Designator, fn) -> Designator:
-    """Rebuild d with its innermost, non-negation designator passed
-    through fn."""
-    if isinstance(d, NegD):
-        return NegD(_map_leaf(d.sub, fn))
-    return fn(d)
-
-
 def map_atoms(phi: MetaFormula, fn, bound: str | None) -> MetaFormula:
     """Rebuild phi with the innermost designator of every atom passed
     through fn.  A quantifier over the index variable `bound` (None for
-    none) keeps its body as it is."""
-    if isinstance(phi, Assert):
-        return Assert(_map_leaf(phi.desig, fn))
-    if isinstance(phi, DemOf):
-        return DemOf(_map_leaf(phi.desig, fn))
-    if isinstance(phi, MNot):
-        return MNot(map_atoms(phi.sub, fn, bound))
-    if isinstance(phi, (MImplies, MIff)):
-        return type(phi)(map_atoms(phi.left, fn, bound), map_atoms(phi.right, fn, bound))
-    if phi.var == bound:
-        return phi
-    return ForAllIndex(phi.var, map_atoms(phi.body, fn, bound))
+    none) keeps its body as it is.  On an explicit stack, a connective or
+    quantifier x lies as (x,) under its operands; when (x,) pops, their
+    values are on top of `values`, and x is rebuilt from them."""
+    values, stack = [], [phi]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is Assert or t is DemOf:
+            d = x.desig  # the operand of a NegD is never a NegD
+            values.append(t(NegD(fn(d.sub)) if type(d) is NegD else fn(d)))
+        elif t is tuple:
+            x = x[0]
+            t = type(x)
+            if t is MNot:
+                values[-1] = MNot(values[-1])
+            elif t is ForAllIndex:
+                values[-1] = ForAllIndex(x.var, values[-1])
+            else:
+                right = values.pop()
+                values[-1] = t(values[-1], right)
+        elif t is MImplies or t is MIff:
+            stack += ((x,), x.right, x.left)
+        elif t is MNot:
+            stack += ((x,), x.sub)
+        elif x.var != bound:
+            stack += ((x,), x.body)
+        else:
+            values.append(x)
+    return values[0]
 
 
 def subst_index(phi: MetaFormula, name: str, value: Const) -> MetaFormula:
@@ -204,11 +213,6 @@ def subst_index(phi: MetaFormula, name: str, value: Const) -> MetaFormula:
 
 def _expand_leaf(d: Designator) -> Designator:
     return App(Q, d.arg) if isinstance(d, InE) else d
-
-
-def expand_desig(d: Designator) -> Designator:
-    """Definitional rewrite on a designator: InE(t) -> App(q, t)."""
-    return _map_leaf(d, _expand_leaf)
 
 
 def expand_ine(phi: MetaFormula) -> MetaFormula:

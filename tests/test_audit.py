@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -242,6 +243,66 @@ def test_cores_run_the_engine_once(monkeypatch):
     for expected in (1, 2):
         audit.minimal_inconsistent_subsets(script)
         assert len(runs) == expected
+
+
+# the canonical replay with CONS, a restatement X of its step 10, and P,
+# the negation of step 10 with ~App(q,q) written ~InE(q)
+SEVEN_LABELS = CANONICAL_WITH_CONS + """\
+assume X : Dem[~App(q,q)] <-> Dem[App(q,q)]
+assume P : ~(Dem[~InE(q)] <-> Dem[App(q,q)])
+step x := assume X
+step p := assume P
+"""
+# and N, an equivalence of a statement with its own negation
+EIGHT_LABELS = SEVEN_LABELS + """\
+assume N : Dem[App(q,q)] <-> ~Dem[App(q,q)]
+step n := assume N
+"""
+
+
+@pytest.mark.parametrize("text, cores", [
+    (SEVEN_LABELS, [["COMP_E", "DEF_E", "REFL"], ["CONS", "DEF_E", "NEC_DEF", "REFL"],
+                    ["CONS", "X"], ["DEF_E", "NEC_DEF", "P", "REFL"], ["P", "X"]]),
+    (EIGHT_LABELS, [["COMP_E", "DEF_E", "REFL"], ["CONS", "DEF_E", "NEC_DEF", "REFL"],
+                    ["CONS", "X"], ["DEF_E", "NEC_DEF", "P", "REFL"], ["N"], ["P", "X"]]),
+], ids=["seven-labels", "eight-labels"])
+def test_cores_of_more_than_six_labels_match_one_run_per_label_set(text, cores):
+    script = audit.parse_script(text)
+    assert audit.minimal_inconsistent_subsets(script) == cores == referee_cores(script)
+
+
+def test_forty_and_forty_labels_give_every_pair_at_once():
+    lines = ["assume A%d : Dem[App(1,1)]\nstep a%d := assume A%d" % (k, k, k) for k in range(40)]
+    lines += ["assume B%d : ~Dem[App(1,1)]\nstep b%d := assume B%d" % (k, k, k) for k in range(40)]
+    script = audit.parse_script("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    cores = audit.minimal_inconsistent_subsets(script)
+    assert time.perf_counter() - start < 1
+    assert cores == sorted(["A%d" % i, "B%d" % j] for i in range(40) for j in range(40))
+
+
+# 15 atoms: Dem[App(1,1)] and Dem[App(k,k)] for k = 2..15
+OVER_BOUND = "Dem[App(1,1)]"
+for k in range(2, 16):
+    OVER_BOUND = "(Dem[App(%d,%d)] -> %s)" % (k, k, OVER_BOUND)
+
+
+@pytest.mark.parametrize("text", [
+    "assume C : %s\nassume D : ~%s\nstep 1 := assume C\nstep 2 := assume D\n"
+    % (OVER_BOUND, OVER_BOUND),
+    # the over-bound pair needs A, B, C and D, so it holds the core {A, B}:
+    # a search over label sets that skips every set holding a core found
+    # before never confirms it
+    "assume A : Dem[App(1,1)]\nassume B : ~Dem[App(1,1)]\n"
+    "assume C : Dem[App(1,1)] -> (~Dem[App(1,1)] -> %s)\nassume D : ~%s\n"
+    "step 1 := assume A\nstep 2 := assume B\nstep 3 := assume C\nstep 4 := mp 3 1\n"
+    "step 5 := mp 4 2\nstep 6 := assume D\n" % (OVER_BOUND, OVER_BOUND),
+], ids=["pair", "pair-holding-a-core"])
+def test_cores_confirm_an_over_bound_pair_as_audit_run_does(text):
+    script = audit.parse_script(text)
+    for audit_call in (audit.check_script, audit.minimal_inconsistent_subsets):
+        with pytest.raises(ResourceBound, match="^15 modal atoms"):
+            audit_call(script)
 
 
 # --- the independence replay -------------------------------------------

@@ -104,6 +104,26 @@ def test_free_metavars_of_deep_quantifiers():
     assert proc.stdout == "['m'] False\n[] True\n1500 True\n"
 
 
+def test_substitution_and_rewrite_under_deep_quantifiers():
+    # in a fresh interpreter, as above; 1,500 nested `all m.` over an atom
+    # in n, built as nodes
+    probe = (
+        "from goedellab import meta as M\n"
+        "phi = M.MImplies(M.DemOf(M.NegD(M.InE(M.MetaVar('n')))), M.Assert(M.App(M.Q, M.MetaVar('m'))))\n"
+        "for _ in range(1500):\n"
+        "    phi = M.ForAllIndex('m', phi)\n"
+        "deep = M.subst_index(phi, 'n', M.Const(3))\n"
+        "print(M.print_meta(deep) == 'all m. ' * 1500 + '(Dem[~InE(3)] -> App(q,m))')\n"
+        "print(M.print_meta(M.expand_ine(deep)) == 'all m. ' * 1500 + '(Dem[~App(q,3)] -> App(q,m))')\n"
+        "print(M.subst_index(phi, 'm', M.Q) is phi)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "True\nTrue\nTrue\n"
+
+
 def test_free_metavars_respect_each_binding():
     for text, free in (("all n. (App(n,m) -> all m. InE(m))", {"m"}),
                        ("(all n. InE(n)) -> InE(n)", {"n"}),
