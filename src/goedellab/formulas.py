@@ -113,48 +113,59 @@ def term_free_vars(t: Term) -> set[int]:
 
 
 def free_vars(f: Formula) -> set[int]:
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, Implies):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, ForAll):
-        return free_vars(f.body) - {f.var}
-    if isinstance(f, Eq):
-        return term_free_vars(f.left) | term_free_vars(f.right)
-    return term_free_vars(f.arg)
-
-
-def _subst_term(t: Term, var: int, repl: Term) -> Term:
-    if isinstance(t, Var):
-        return repl if t.index == var else t
-    if isinstance(t, Num):
-        return t
-    if isinstance(t, Succ):
-        return Succ(_subst_term(t.arg, var, repl))
-    if isinstance(t, Diag):
-        return Diag(_subst_term(t.arg, var, repl))
-    return Sub(_subst_term(t.left, var, repl), _subst_term(t.right, var, repl))
+    """The indices of the variables free in f, walked on an explicit stack
+    of (node, the indices bound around it)."""
+    free, stack = set(), [(f, frozenset())]
+    while stack:
+        x, bound = stack.pop()
+        cls = type(x)
+        if cls is Var:
+            if x.index not in bound:
+                free.add(x.index)
+        elif cls is Implies or cls is Eq or cls is Sub:
+            stack += ((x.left, bound), (x.right, bound))
+        elif cls is Not:
+            stack.append((x.sub, bound))
+        elif cls is ForAll:
+            stack.append((x.body, bound | {x.var}))
+        elif cls is not Num:  # Dem, Succ, Diag
+            stack.append((x.arg, bound))
+    return free
 
 
 def substitute(f: Formula, var: int, t: Term) -> Formula:
-    """Replace every free occurrence of x_var by the closed term t."""
+    """Replace every free occurrence of x_var by the closed term t.  A
+    subtree with nothing to replace is returned as itself, so the result
+    shares it with f.  The walk is post-order on an explicit stack: a node
+    lies as (node, its one operand or None) under its operands, and when
+    that pair pops, their results are on top of `done`."""
     if term_free_vars(t):
         raise NotClosed("substituted term must be closed: %s" % print_term(t))
-
-    def go(f: Formula) -> Formula:
-        if isinstance(f, Not):
-            return Not(go(f.sub))
-        if isinstance(f, Implies):
-            return Implies(go(f.left), go(f.right))
-        if isinstance(f, ForAll):
-            if f.var == var:
-                return f
-            return ForAll(f.var, go(f.body))
-        if isinstance(f, Eq):
-            return Eq(_subst_term(f.left, var, t), _subst_term(f.right, var, t))
-        return Dem(_subst_term(f.arg, var, t))
-
-    return go(f)
+    done, stack = [], [f]
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        if cls is tuple:
+            x, operand = x
+            cls = type(x)
+            a = done.pop()
+            if operand is None:  # two operands, a the right one
+                left = done[-1]
+                done[-1] = x if left is x.left and a is x.right else cls(left, a)
+            elif a is operand:
+                done.append(x)
+            else:
+                done.append(ForAll(x.var, a) if cls is ForAll else cls(a))
+        elif cls is Var:
+            done.append(t if x.index == var else x)
+        elif cls is Num or cls is ForAll and x.var == var:
+            done.append(x)
+        elif cls is Implies or cls is Eq or cls is Sub:
+            stack += ((x, None), x.right, x.left)
+        else:  # Not, ForAll, Dem, Succ, Diag
+            operand = x.sub if cls is Not else x.body if cls is ForAll else x.arg
+            stack += ((x, operand), operand)
+    return done[0]
 
 
 # --- parser ------------------------------------------------------------
@@ -272,13 +283,24 @@ def parse_formula(text: str, memo: dict | None = None) -> Formula:
     if memo is None:
         p = _Parser(text)
         return p.parse(p.formula)
+    return read_formula(text, memo)[0]
+
+
+def read_formula(text: str, memo: dict) -> tuple[Formula, bool, bool]:
+    """`parse_formula(text, memo)`, and how text was read (see
+    `syntax.Cursor`): whether it is one operand, and whether the right
+    operand of the last `->` read is, which is the consequent of text's
+    main `->` where it has one.  A text that is one operand and starts
+    with `(` is one group."""
     try:
         p = _Parser(text, memo)
         f = p.parse(p.formula)
     except ParseError:
-        return parse_formula(text)
-    remember(memo, text if p.one_group else "(" + text + ")", f)
-    return f
+        parse_formula(text)  # raises the error of text alone
+        raise
+    one = p.joined != 0
+    remember(memo, text if one and p.tokens[0] == "(" else "(" + text + ")", f)
+    return f, one, p.consequent
 
 
 def parse_term(text: str) -> Term:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import codec
 from . import formulas as F
 from .errors import NotClosed, ParseError, ResourceBound
-from .syntax import Node, decimal, is_natural
+from .syntax import KEY, Node, decimal, extends_right, is_natural, remember
 
 # eval_term refuses to enumerate past this index
 MAX_EVAL_INDEX = 10_000
@@ -133,9 +133,10 @@ def check_proof(p: ProofObject, premises: dict[str, F.Formula] | None = None) ->
             ant = p.steps[just.antecedent - 1][0]
             if not isinstance(imp, F.Implies):
                 return bad("cited step %d is not an implication" % just.implication)
-            if imp.left != ant:
+            # a formula read off its citation is their very node
+            if imp.left is not ant and imp.left != ant:
                 return bad("antecedent mismatch")
-            if imp.right != f:
+            if imp.right is not f and imp.right != f:
                 return bad("consequent mismatch")
         elif isinstance(just, Generalize):
             if not 1 <= just.step < k:
@@ -169,8 +170,10 @@ def check_proof(p: ProofObject, premises: dict[str, F.Formula] | None = None) ->
 #                | INST[x := x0; A := <formula>; t := <term>]
 
 
-def _parse_binding(text: str, formula) -> tuple[tuple[str, object], ...]:
-    entries = {}
+def _parse_binding(text: str, formula) -> tuple[tuple[tuple[str, object], ...], dict]:
+    """The binding's sorted (name, value) pairs, and the text of each
+    formula value by name."""
+    entries, spelled = {}, {}
     for part in text.split(";"):
         name, assign, value = part.partition(":=")
         if not assign:
@@ -186,34 +189,37 @@ def _parse_binding(text: str, formula) -> tuple[tuple[str, object], ...]:
             entries[name] = F.parse_term(value)
         else:
             entries[name] = formula(value)
+            spelled[name] = value
     # the names differ, so the pairs sort by name alone
-    return tuple(sorted(entries.items()))
+    return tuple(sorted(entries.items())), spelled
 
 
 _SCHEMAS = {"P1", "P2", "P3", "INST"}
 
 
-def _parse_justification(text: str, formula) -> Justification:
+def _parse_justification(text: str, formula) -> tuple[Justification, dict | None]:
+    """A justification, and the text of each formula its binding names."""
     text = text.strip()
     # a schema is followed by its binding at once: `P1 [` is no justification
     schema, bracket, inner = text.partition("[")
     if bracket and schema in _SCHEMAS:
         if not inner.endswith("]"):
             raise ParseError("unterminated binding in %r" % text)
-        return Axiom(schema, _parse_binding(inner[:-1], formula))
+        binding, spelled = _parse_binding(inner[:-1], formula)
+        return Axiom(schema, binding), spelled
     if text == "EVAL":
-        return EvalFact()
+        return EvalFact(), None
     parts = text.split()
     # a keyword is the whole first word: PREMISEH or MPX is no justification
     keyword = parts[0] if parts else ""
     if keyword == "PREMISE":
         if len(parts) != 2:
             raise ParseError("PREMISE cites one label")
-        return Premise(parts[1])
+        return Premise(parts[1]), None
     if keyword == "MP":
         if len(parts) != 3 or not (is_natural(parts[1]) and is_natural(parts[2])):
             raise ParseError("MP cites two steps")
-        return ModusPonens(decimal(parts[1]), decimal(parts[2]))
+        return ModusPonens(decimal(parts[1]), decimal(parts[2])), None
     if keyword == "GEN":
         if not (
             len(parts) == 3
@@ -222,33 +228,129 @@ def _parse_justification(text: str, formula) -> Justification:
             and is_natural(parts[2][1:])
         ):
             raise ParseError("GEN cites a step and a variable")
-        return Generalize(decimal(parts[1]), decimal(parts[2][1:]))
+        return Generalize(decimal(parts[1]), decimal(parts[2][1:])), None
     raise ParseError("unrecognized justification %r" % text)
+
+
+class _Reader:
+    """The formulas of one proof file, each text read once.
+
+    `read` maps each formula text read to its node and its shape: a pair
+    (one, consequent), where one tells whether the text is one operand
+    (see `syntax.Cursor`), and consequent is the shape of the consequent
+    of its main `->`, or None where that is not known.
+
+    A step whose text restates the texts it cites is not read: its node is
+    composed from theirs.  An MP step's text t is the consequent of its
+    implication's text, written `(tj -> t)` or `((tj) -> t)` around its
+    antecedent's text tj; a GEN step's is `forall xV. ` and the text it
+    generalizes; a P1 or P2 step's is its instance, with each binding text
+    spelled as `print_node` places a formula.  A cited text stands bare
+    only where it was read as one operand and, left of `->`, does not run
+    on to the end of its group; else it stands in parentheses.  Any other
+    spelling is read as it is.  A composed text is recorded in the memo
+    as `parse_formula` would record it, so later texts read alike."""
+
+    def __init__(self):
+        self.memo: dict = {}
+        self.read: dict[str, tuple] = {}
+        self.texts: list[str] = []  # the text of step k at k - 1
+
+    def formula(self, text: str) -> F.Formula:
+        r = self.read.get(text)
+        if r is None:
+            f, one, consequent = F.read_formula(text, self.memo)
+            r = self.read[text] = f, (one, (consequent, None))
+        return r[0]
+
+    def step(self, text: str, just: Justification, spelled: dict | None, steps: list) -> F.Formula:
+        """The formula of a step's text, which follows steps."""
+        self.texts.append(text)
+        r = self.read.get(text)
+        if r is None:
+            if isinstance(just, ModusPonens):
+                r = self._consequent(text, just.implication, just.antecedent, len(steps))
+            elif isinstance(just, Generalize):
+                s = just.step
+                if 1 <= s <= len(steps) and text == "forall x%d. " % just.var + self.texts[s - 1]:
+                    r = F.ForAll(just.var, steps[s - 1][0]), (True, None)
+            elif isinstance(just, Axiom) and just.schema in ("P1", "P2"):
+                r = self._instance(text, just, spelled)
+            if r is None:
+                return self.formula(text)
+            self.read[text] = r
+            # as parse_formula records it: as itself only if one group
+            # that is not a group of the memo already
+            one_group = r[1][0] and text[0] == "(" and text not in self.memo.get(text[:KEY], ())
+            remember(self.memo, text if one_group else "(" + text + ")", r[0])
+        return r[0]
+
+    def _consequent(self, text: str, i: int, j: int, known: int):
+        """The node and shape of an MP step's text read off the texts of
+        steps i and j, of the known ones, or None."""
+        if not (1 <= i <= known and 1 <= j <= known):
+            return None
+        ti, tj = self.texts[i - 1], self.texts[j - 1]
+        fi, (_, consequent) = self.read[ti]
+        fj, (one, _) = self.read[tj]
+        if consequent is None or type(fi) is not F.Implies:
+            return None
+        if ti == "(" + tj + " -> " + text + ")":
+            if not one or extends_right(fj):
+                return None
+        elif ti != "((" + tj + ") -> " + text + ")":
+            return None
+        # an implication whose antecedent is tj's node: the `->` written
+        # after tj is its main connective, so text is its consequent
+        if fi.left != fj:
+            return None
+        return fi.right, consequent
+
+    def _operand(self, text: str, left: bool) -> tuple[str, tuple]:
+        """The spelling and shape of a binding text as an operand of `->`."""
+        f, shape = self.read[text]
+        if shape[0] and not (left and extends_right(f)):
+            return text, shape
+        return "(" + text + ")", (True, shape[1])
+
+    def _instance(self, text: str, just: Axiom, spelled: dict):
+        """The node and shape of a P1 or P2 step's text composed from its
+        binding's texts, or None."""
+        names = ("A", "B") if just.schema == "P1" else ("A", "B", "C")
+        if not all(name in spelled for name in names):
+            return None
+        a = self._operand(spelled["A"], True)[0]
+        b = self._operand(spelled["B"], True)[0]
+        if just.schema == "P1":
+            a_right, shape = self._operand(spelled["A"], False)
+            composed = "(" + a + " -> (" + b + " -> " + a_right + "))"
+            shape = (True, (True, shape))
+        else:
+            c, shape = self._operand(spelled["C"], False)
+            composed = ("((" + a + " -> (" + b + " -> " + c + ")) -> ((" + a + " -> "
+                        + self._operand(spelled["B"], False)[0] + ") -> (" + a + " -> " + c + ")))")
+            shape = (True, (True, (True, shape)))
+        if text != composed:
+            return None
+        return _schema_formula(just.schema, just.bound()), shape
 
 
 def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
     """The proof and premises of a proof file.  A formula that the file
     restates whole is read once, and so is a formula group that it
     restates: its node is shared by every formula that restates it (see
-    `formulas.parse_formula`).  A parse error inside a formula or term
-    names its 1-based line."""
+    `formulas.parse_formula`).  A step that restates the texts it cites is
+    not read at all (see `_Reader`).  A parse error inside a formula or
+    term names its 1-based line."""
     premises: dict[str, F.Formula] = {}
     steps: list[tuple[F.Formula, Justification]] = []
-    memo: dict = {}
-    read: dict[str, F.Formula] = {}  # each formula text read, whole
-
-    def formula(text: str) -> F.Formula:
-        f = read.get(text)
-        if f is None:
-            f = read[text] = F.parse_formula(text, memo)
-        return f
-
+    reader = _Reader()
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
         try:
-            _parse_line(line, premises, steps, formula)
+            _parse_line(line, premises, steps, reader)
         except ParseError as e:
             # only an error inside a formula or term has a position
             if e.position is not None:
@@ -257,9 +359,9 @@ def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
     return ProofObject(tuple(steps)), premises
 
 
-def _parse_line(line: str, premises: dict, steps: list, formula) -> None:
-    """Add the premise or step of one line, stripped of its comment; formula
-    reads the text of a formula."""
+def _parse_line(line: str, premises: dict, steps: list, reader: _Reader) -> None:
+    """Add the premise or step of one line, stripped of its comment."""
+    formula = reader.formula
     # as in a justification, the keyword is the whole first word
     if line.startswith("premise") and line.split(None, 1)[0] == "premise":
         label, colon, formula_text = line[7:].partition(":")
@@ -288,11 +390,11 @@ def _parse_line(line: str, premises: dict, steps: list, formula) -> None:
     # the justification is read first: a binding states a schema's
     # operands whole, and the step's formula restates them as groups
     try:
-        just = _parse_justification(just_text, formula)
+        just, spelled = _parse_justification(just_text, formula)
     except (ParseError, RecursionError):
         formula(formula_text)  # an error in the formula is reported first
         raise
-    steps.append((formula(formula_text), just))
+    steps.append((reader.step(formula_text, just, spelled, steps), just))
 
 
 def identity_proof(a: F.Formula) -> ProofObject:

@@ -160,7 +160,23 @@ def has_dvar(x) -> bool:
 
 
 def is_ground(phi: MetaFormula) -> bool:
-    return not free_metavars(phi) and not has_dvar(phi)
+    """Whether phi has no free metavariable and no `DVar`.  One walk on an
+    explicit stack of (node, the names bound around it), which stops at
+    the first of either."""
+    stack = [(phi, frozenset())]
+    while stack:
+        x, bound = stack.pop()
+        t = type(x)
+        if t is MetaVar:
+            if x.name not in bound:
+                return False
+        elif t is DVar:
+            return False
+        elif t is ForAllIndex:
+            stack.append((x.body, bound | {x.var}))
+        elif t is not Const:
+            stack += [(getattr(x, f), bound) for f in x._children]
+    return True
 
 
 def map_atoms(phi: MetaFormula, fn, bound: str | None) -> MetaFormula:

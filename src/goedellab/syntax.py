@@ -324,15 +324,23 @@ class Cursor:
     reads as its node.  Anywhere else GROUP is a parse error.  A group
     counts as one token where an error's position counts all of its
     tokens, so a caller that gets a ParseError reads the text again
-    without the memo, for the error of the text alone.  `one_group`
-    tells whether the whole text is one parenthesized group, which a
-    memo may record as it is."""
+    without the memo, for the error of the text alone.
+
+    A call of `formula` that joins two operands by a binary connective
+    sets `joined` to the token index where it started.  A formula read by
+    a call that joined none is one operand: no binary connective joins it
+    outside its parentheses, though a quantifier's body runs on to its
+    end.  So the whole text is one operand unless `joined` is 0, and
+    `consequent` tells whether the right operand of the last `->` read
+    is, which in a text whose main connective is `->` is that
+    connective's consequent."""
 
     lexeme: str
     neg = imp = None
     # token -> constructor; read here, so a chain of them nests one call deep each
     prefixes: dict = {}
-    one_group = False
+    joined = -1
+    consequent = False
 
     def __init_subclass__(cls):
         cls.scanner = None  # compiled when the syntax first reads a text
@@ -441,8 +449,6 @@ class Cursor:
             if tokens[self.i] != ")":
                 self.expect(")")
             self.i += 1
-            if not i:
-                self.one_group = tokens[self.i] == END
         elif tok == GROUP:
             self.i = i + 1
             left = self.reused[i]
@@ -459,16 +465,19 @@ class Cursor:
             op = _BINARY.get(tok)
             if op is None or op[0] < level:
                 return left
-            self.i += 1
+            start = self.i = self.i + 1
             right = self.formula(op[1])
             if tok == "->":
                 left = self.imp(left, right)
+                # no call starts where another does
+                self.consequent = self.joined != start
             elif tok == "&":
                 left = self.neg(self.imp(left, self.neg(right)))
             elif tok == "|":
                 left = self.imp(self.neg(left), right)
             else:
                 left = self.iff(left, right)
+            self.joined = i
 
     def parse(self, rule):
         """Apply a grammar rule that must consume the whole input."""

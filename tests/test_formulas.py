@@ -1,6 +1,9 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +90,40 @@ def test_free_vars_and_substitute():
 def test_substitute_respects_binding():
     f = F.parse_formula("forall x0. x0 = x0")
     assert F.substitute(f, 0, F.ZERO) == f
+
+
+def test_substitute_returns_what_it_does_not_change_as_itself():
+    f = F.parse_formula("(Dem(x2) -> forall x0. (x0 = x1 -> ~x0 = S(x2)))")
+    g = F.substitute(f, 1, F.Num(3))
+    assert F.print_formula(g) == "(Dem(x2) -> forall x0. (x0 = S(S(S(0))) -> ~(x0 = S(x2))))"
+    # the antecedent and the negation have nothing to replace
+    assert g.left is f.left and g.right.body.right is f.right.body.right
+    # nor has anything where x0 is bound, or x5 is not free
+    assert F.substitute(f, 0, F.ZERO) is f and F.substitute(f, 5, F.ZERO) is f
+
+
+_DEEP = """
+from goedellab import formulas as F
+f = F.Eq(F.Var(0), F.Var(1))
+for _ in range(1500):
+    f = F.Not(f)
+t = F.Var(0)
+for _ in range(1500):
+    t = F.Succ(t)
+g = F.Implies(f, F.Dem(t))
+h = F.substitute(g, 0, F.Num(3))
+print(sorted(F.free_vars(g)), sorted(F.free_vars(h)), h.right == F.Dem(F.Num(1503)),
+      F.substitute(g, 1, F.ZERO).right is g.right, F.substitute(g, 2, F.ZERO) is g)
+"""
+
+
+def test_substitute_and_free_vars_walk_1500_nested_negations():
+    # in a child process: a RecursionError over deep nodes is slow to fail
+    # inside pytest
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", _DEEP], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout == "[0, 1] [1] True True True\n", out.stderr
 
 
 def test_parse_errors_carry_position():

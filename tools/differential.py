@@ -36,9 +36,12 @@ are the same text for both trees.  Five families of K cases each:
 - proof: a proof file, a chain of 8-48 steps or the identity derivation
   of a random formula, built and printed by the benchmark's own
   `perfbench/wl_proof.py`; then that file with one step negated, with one
-  restated group respaced, and with one character dropped.  The answer
-  is each step's printed formula and justification, the premises and
-  `kernel.check_proof`'s verdict, or the error that ends the reading.
+  restated group respaced, with one character dropped, and with the
+  outer parentheses dropped from one step's formula, from one binding or
+  from one MP antecedent, so that a step that restates it is spelled as
+  the printer would not spell it.  The answer is each step's printed
+  formula and justification, the premises and `kernel.check_proof`'s
+  verdict, or the error that ends the reading.
 
 A change that means to alter some answers names them with `--allow REGEX`:
 a case whose parent answer, as JSON, matches REGEX is counted as an
@@ -297,10 +300,53 @@ def _respaced(rng: random.Random, text: str) -> str:
     return text
 
 
+def _unwrapped(text: str) -> str:
+    """text without its outer parentheses where they are one group around
+    an implication, as a printed formula starting with `(` is, else text."""
+    if text[:1] == "(" and _group_at(text, 0) == text:
+        return text[1:-1]
+    return text
+
+
+def _unparenthesized(rng: random.Random, text: str, what: str) -> str:
+    """text with one formula spelled as the printer would not, but read
+    alike: the outer parentheses dropped from a step's formula ("step"),
+    from one of a schema's bindings ("binding"), or from the formula of a
+    step that an MP cites as its antecedent ("antecedent").  A step that
+    restates it then no longer restates its printed text."""
+    lines = text.splitlines(keepends=True)
+    if what == "antecedent":
+        cited = [int(line.split()[-1]) for line in lines if " ; MP " in line]
+        ks = [k - 1 for k in cited if 0 < k <= len(lines)]
+    else:
+        ks = list(range(len(lines)))
+    rng.shuffle(ks)
+    for k in ks:
+        head, sep, just = lines[k].partition(" ; ")
+        if what == "binding":
+            parts = just.split(" := ")
+            if len(parts) < 2:
+                continue
+            i = rng.randrange(1, len(parts))
+            # the value runs to the "; " before the next name, or to the "]"
+            cut = parts[i].rfind("; " if i < len(parts) - 1 else "]")
+            value = parts[i][:cut]
+            if _unwrapped(value) != value:
+                parts[i] = _unwrapped(value) + parts[i][cut:]
+                lines[k] = head + sep + " := ".join(parts)
+                break
+        else:
+            number, dot, formula = head.partition(". ")
+            if _unwrapped(formula) != formula:
+                lines[k] = number + dot + _unwrapped(formula) + sep + just
+                break
+    return "".join(lines)
+
+
 def proof_texts(rng: random.Random) -> list[str]:
     """A proof file printed as the benchmark prints it, then the same with
-    one step negated, one restated group respaced and one character
-    dropped."""
+    one step negated, one restated group respaced, one character dropped,
+    and one formula, binding or MP antecedent unparenthesized."""
     if PERFBENCH not in sys.path:
         sys.path.insert(0, PERFBENCH)
     import wl_proof
@@ -314,7 +360,8 @@ def proof_texts(rng: random.Random) -> list[str]:
     k = rng.randrange(1, len(steps))
     negated[k] = (("not", steps[k][0]), steps[k][1])
     drop = rng.randrange(len(text))
-    return [text, wl_proof.proof_text(negated), _respaced(rng, text), text[:drop] + text[drop + 1:]]
+    return [text, wl_proof.proof_text(negated), _respaced(rng, text), text[:drop] + text[drop + 1:],
+            _unparenthesized(rng, text, rng.choice(("step", "binding", "antecedent")))]
 
 
 # --- one tree's answers --------------------------------------------------
