@@ -14,6 +14,8 @@ assumption audit meaningful.
 from __future__ import annotations
 
 import re
+from functools import reduce
+from operator import and_
 
 from . import meta as M
 from .errors import ParseError, WorkbenchError
@@ -398,24 +400,28 @@ def _find_contradictions(facts) -> tuple[list[Finding], list[frozenset[str]]]:
     return findings, needs
 
 
-def classify(d: M.Designator, theory: list[M.MetaFormula]) -> str:
-    """Provability status of the designated proposition under the ground
-    facts of a report: provable, refutable, independent, overdetermined,
-    or unknown when neither side is settled."""
-    pos = M.DemOf(d)
-    neg_side = M.DemOf(M.NegD(d))
+def classify(rows: int, pos: int | None, neg: int | None) -> str:
+    """Provability status of a designated proposition d under a report's
+    ground facts: provable, refutable, independent, overdetermined, or
+    unknown.  Bit r of `rows` is set when every fact holds in row r of
+    their truth table; `pos` and `neg` are the columns of Dem[d] and
+    Dem[~d], None for an atom the facts do not mention."""
 
-    def entails(phi: M.MetaFormula) -> bool:
-        return M.tautological_consequence(theory, phi)
+    def settled(column):
+        # (the facts entail the atom, its negation): no row where they
+        # hold has it false, or true; a free atom has both values in each
+        if column is None:
+            return not rows, not rows
+        return not rows & ~column, not rows & column
 
-    p, n = entails(pos), entails(neg_side)
+    (p, not_p), (n, not_n) = settled(pos), settled(neg)
     if p and n:
         return "overdetermined"
     if p:
         return "provable"
     if n:
         return "refutable"
-    if entails(M.MNot(pos)) and entails(M.MNot(neg_side)):
+    if not_p and not_n:
         return "independent"
     return "unknown"
 
@@ -430,9 +436,14 @@ def check_script(script: DerivationScript) -> AuditReport:
     # the formulas of the valid, hypothesis-free ground steps
     theory = [s.formula for s, ground in facts if ground]
     # its ground App and InE designators, by canonical text
-    designators = {M.canonical_text(d): d for phi in theory for d in walk(phi)
+    designators = {M.canonical_text(d) for phi in theory for d in walk(phi)
                    if isinstance(d, (M.App, M.InE)) and not M.desig_metavars(d)}
-    classification = {k: classify(designators[k], theory) for k in sorted(designators)}
+    classification = {}
+    if designators:
+        full, values, column = M._truth_rows(theory)
+        rows = reduce(and_, values, full)
+        classification = {k: classify(rows, column.get("Dem[%s]" % k), column.get("Dem[~%s]" % k))
+                          for k in sorted(designators)}
     consumed = frozenset().union(*(s.assumptions for s in steps if s.ok))
     return AuditReport(steps, findings, classification, consumed, script.labels())
 

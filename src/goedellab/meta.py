@@ -142,19 +142,6 @@ def desig_metavars(d: Designator) -> set[str]:
     return {t.name for t in walk(d) if isinstance(t, MetaVar)}
 
 
-def free_metavars(phi: MetaFormula) -> set[str]:
-    free, stack = set(), [(phi, frozenset())]  # (formula, the names bound around it)
-    while stack:
-        x, bound = stack.pop()
-        if isinstance(x, (Assert, DemOf)):
-            free |= desig_metavars(x.desig) - bound
-        elif isinstance(x, ForAllIndex):
-            stack.append((x.body, bound | {x.var}))
-        else:
-            stack += ((getattr(x, f), bound) for f in x._children)
-    return free
-
-
 def has_dvar(x) -> bool:
     return any(isinstance(d, DVar) for d in walk(x))
 
@@ -355,14 +342,15 @@ def parse_desig(text: str) -> Designator:
 MAX_ATOMS = 14
 
 
-def _truth_rows(formulas: list[MetaFormula]) -> tuple[int, list[int]]:
+def _truth_rows(formulas: list[MetaFormula]) -> tuple[int, list[int], dict[str, int]]:
     """(full, one int per formula whose bit r says it holds in row r of
-    the truth table over the formulas' atoms, sorted by key), each
-    formula's quantifier prefix stripped.  An atom is an Assert, a DemOf,
-    or a quantified formula under a connective, which is opaque: its
-    body's atoms are not counted.  Its key is its `canonical_text`, which
-    writes InE(t) as App(q,t), the same proposition; distinct atoms are
-    independent: no theory of provability is baked in here.
+    the truth table over the formulas' atoms, sorted by key, and each
+    atom's column by its key), each formula's quantifier prefix stripped.
+    An atom is an Assert, a DemOf, or a quantified formula under a
+    connective, which is opaque: its body's atoms are not counted.  Its
+    key is its `canonical_text`, which writes InE(t) as App(q,t), the
+    same proposition; distinct atoms are independent: no theory of
+    provability is baked in here.
 
     Each formula is walked once into a program of atom keys and
     connectives, node before operands, right operand first: read
@@ -400,17 +388,17 @@ def _truth_rows(formulas: list[MetaFormula]) -> tuple[int, list[int]]:
         else:
             values.append(column[t])
     values.reverse()
-    return full, values
+    return full, values, column
 
 
 def tautological_consequence(
     premises: list[MetaFormula], conclusion: MetaFormula
 ) -> bool:
     """Truth-table check over the modal atoms of premises and conclusion."""
-    full, values = _truth_rows(premises + [conclusion])
+    full, values, _ = _truth_rows(premises + [conclusion])
     return reduce(and_, values[:-1], full) & ~values[-1] == 0
 
 
 def satisfiable(formulas: list[MetaFormula]) -> bool:
-    full, values = _truth_rows(formulas)
+    full, values, _ = _truth_rows(formulas)
     return reduce(and_, values, full) != 0

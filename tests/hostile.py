@@ -59,6 +59,15 @@ step p := assume P
 step n := assume N
 """
 
+
+def _chain_script(last: str, atoms: int) -> str:
+    """An audit script assuming (Dem[App(n,n)] -> ... (Dem[App(2,2)] ->
+    last)) for n = atoms."""
+    for k in range(2, atoms + 1):
+        last = "(Dem[App(%d,%d)] -> %s)" % (k, k, last)
+    return "assume A : %s\nstep 1 := assume A\n" % last
+
+
 ROWS = [
     # deep shapes: each fails first in the parser, `syntax.Cursor.formula`
     # or the `atom` and `term` it calls
@@ -117,4 +126,17 @@ ROWS = [
                    ["audit", "cores", "{bad}"], ["model", "check", "{bad}", "p"])),
     Row("audit-cores-8-labels", ["audit", "cores", "{script}"], (0,),
         {"script": EIGHT_LABELS}),
+    # the truth-table bound: 15 atoms, and 14 with questions about
+    # Dem[App(1,1)] and each Dem[~App(k,k)], which the facts do not mention
+    Row("audit-run-15-atoms", ["audit", "run", "{script}"], (3,),
+        {"script": _chain_script("Dem[App(1,1)]", 15)}),
+    Row("audit-run-14-atoms-free-question", ["audit", "run", "{script}"], (0,),
+        {"script": _chain_script("App(1,1)", 14)}),
+    # a template with another free variable than x0, and a deep one
+    Row("diagonalize-not-unary", ["diagonalize", "--template", "x1 = x1"], (1,)),
+    Row("diagonalize-1500-not", ["diagonalize", "--template", "~" * 1500 + "x1 = x1"], (1,),
+        open_item=12),
+    # the materialization and decode bounds
+    Row("subnum-0-300000", ["subnum", "0", "300000"], (3,)),
+    Row("diagnum-520k-bits", ["diagnum", "0x" + "f" * 130_000], (3,)),
 ]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from goedellab import audit
 from goedellab import meta as M
 from goedellab.errors import ParseError, ResourceBound
+from goedellab.syntax import walk
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +351,187 @@ def test_compare_modes():
     assert result["only_goedel"] == ["CONS"]
     assert result["canonical_classification"] == {"App(q,q)": "overdetermined"}
     assert result["goedel_classification"] == {"App(q,q)": "independent"}
+
+
+# --- classification off one truth table --------------------------------
+
+
+def per_question(d, theory):
+    """The status of d as `classify` read it before it took one truth
+    table: each question asked with a truth table of its own, over the
+    theory's atoms and the question's."""
+    pos, neg = M.DemOf(d), M.DemOf(M.NegD(d))
+
+    def entails(phi):
+        return M.tautological_consequence(theory, phi)
+
+    p, n = entails(pos), entails(neg)
+    if p and n:
+        return "overdetermined"
+    if p:
+        return "provable"
+    if n:
+        return "refutable"
+    if entails(M.MNot(pos)) and entails(M.MNot(neg)):
+        return "independent"
+    return "unknown"
+
+
+def referee_classification(report):
+    """The report's classification asked question by question over its
+    valid, hypothesis-free ground steps, with the atom bound one higher,
+    so that a question's own atom does not tip 14 atoms of facts over it."""
+    theory = [s.formula for s in report.steps
+              if s.ok and not s.hypotheses and M.is_ground(s.formula)]
+    designators = {M.canonical_text(d): d for phi in theory for d in walk(phi)
+                   if isinstance(d, (M.App, M.InE)) and not M.desig_metavars(d)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M, "MAX_ATOMS", M.MAX_ATOMS + 1)
+        return {k: per_question(d, theory) for k, d in designators.items()}
+
+
+@pytest.mark.parametrize("text", SHIPPED,
+                         ids=["canonical", "canonical-with-cons", "goedel", "goedel-extended"])
+def test_shipped_scripts_classify_as_each_question_did(text):
+    report = audit.check_script(audit.parse_script(text))
+    assert report.classification == referee_classification(report)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_scripts())
+def test_mutated_scripts_classify_as_each_question_did(text):
+    try:
+        report = audit.check_script(audit.parse_script(text))
+    except ParseError:
+        reject()  # a dropped or moved step that a `derive` cites
+    assert report.classification == referee_classification(report)
+
+
+# InE(t) and App(q,t) name one proposition
+SEEDED_DESIGNATORS = ["App(1,1)", "App(2,3)", "App(0,5)", "App(q,q)", "InE(q)", "App(q,3)",
+                      "InE(3)"]
+
+
+def seeded_script(rng):
+    """A script assuming 1-9 facts over 2-5 designators d, built from the
+    atoms Dem[d], Dem[~d], d and ~d with ~, -> and <->, at most 14 atoms
+    in all, which one in four joins in one fact; one in six also
+    supposes a formula, which is no fact."""
+    designators = rng.sample(SEEDED_DESIGNATORS, rng.randint(2, 5))
+    # d and ~d come as a pair, since a ~ put before one gives the other
+    units = [[form % d] for d in designators for form in ("Dem[%s]", "Dem[~%s]")]
+    units += [[d, "~" + d] for d in designators]
+    rng.shuffle(units)
+    atoms, limit = [], rng.randint(1, 14)
+    for unit in units:
+        if len(atoms) + len(unit) <= limit:
+            atoms += unit
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return "~" * rng.randrange(2) + rng.choice(atoms)
+        form = rng.choice(("~%s", "(%s -> %s)", "(%s <-> %s)"))
+        return form % tuple(formula(depth - 1) for _ in range(form.count("%s")))
+
+    facts = [formula(rng.choice((0, 0, 1, 2))) for _ in range(rng.randint(1, 9))]
+    if rng.randrange(4) == 0:  # and one fact over every atom drawn
+        facts[0] = " -> ".join(rng.sample(atoms, len(atoms)))
+    lines = ["assume A%d : %s" % (i, f) for i, f in enumerate(facts)]
+    lines += ["step %d := assume A%d" % (i, i) for i in range(len(facts))]
+    if rng.randrange(6) == 0:
+        lines.append("step h := suppose %s" % formula(1))
+    return "\n".join(lines) + "\n"
+
+
+def test_seeded_scripts_classify_as_each_question_did():
+    rng = random.Random(2828)
+    verdicts, inconsistent_theories = set(), 0
+    for _ in range(600):
+        report = audit.check_script(audit.parse_script(seeded_script(rng)))
+        assert report.classification == referee_classification(report)
+        verdicts |= set(report.classification.values())
+        if not M.satisfiable([s.formula for s in report.steps if not s.hypotheses]):
+            inconsistent_theories += 1
+            assert set(report.classification.values()) == {"overdetermined"}
+    assert verdicts == {"provable", "refutable", "independent", "overdetermined", "unknown"}
+    assert inconsistent_theories >= 10
+
+
+# one designator of each verdict
+FIVE_VERDICTS = """\
+assume A : Dem[App(1,1)]
+assume B : Dem[~App(2,2)]
+assume C : ~Dem[App(3,3)]
+assume D : ~Dem[~App(3,3)]
+assume E : Dem[App(4,4)]
+assume F : Dem[~App(4,4)]
+assume G : App(5,5)
+step 1 := assume A
+step 2 := assume B
+step 3 := assume C
+step 4 := assume D
+step 5 := assume E
+step 6 := assume F
+step 7 := assume G
+"""
+
+
+def test_one_table_reads_all_five_verdicts():
+    report = audit.check_script(audit.parse_script(FIVE_VERDICTS))
+    assert report.classification == {
+        "App(1,1)": "provable", "App(2,2)": "refutable", "App(3,3)": "independent",
+        "App(4,4)": "overdetermined", "App(5,5)": "unknown"} == referee_classification(report)
+
+
+@pytest.mark.parametrize("text, tables", [
+    (audit.GOEDEL_SCRIPT_TEXT, 1),
+    (audit.CANONICAL_SCRIPT_TEXT, 3),
+    (audit.GOEDEL_SCRIPT_TEXT + audit.GOEDEL_EXTENSION_TEXT, 2),
+    (FIVE_VERDICTS, 1),
+], ids=["goedel", "canonical", "goedel-extended", "five-verdicts"])
+def test_one_truth_table_serves_every_designator(monkeypatch, text, tables):
+    # the canonical replay's `derive` and its iff-neg finding take one
+    # table each, and the extended replay's contradictory pair one
+    calls = []
+    truth_rows = M._truth_rows
+    monkeypatch.setattr(M, "_truth_rows", lambda formulas: calls.append(1) or truth_rows(formulas))
+    audit.check_script(audit.parse_script(text))
+    assert len(calls) == tables
+
+
+# 14 atoms: App(1,1) and Dem[App(k,k)] for k = 2..14
+FOURTEEN = "App(1,1)"
+for k in range(2, 15):
+    FOURTEEN = "(Dem[App(%d,%d)] -> %s)" % (k, k, FOURTEEN)
+
+
+def test_fourteen_atoms_and_a_free_question_answer():
+    # the facts do not mention Dem[App(1,1)] or any Dem[~App(k,k)], so
+    # the questions about them take no 15th column
+    report = audit.check_script(audit.parse_script(
+        "assume A : %s\nassume B : Dem[App(2,2)]\nstep 1 := assume A\nstep 2 := assume B\n"
+        % FOURTEEN))
+    expected = {"App(%d,%d)" % (k, k): "unknown" for k in range(1, 15)}
+    expected["App(2,2)"] = "provable"
+    assert report.classification == expected == referee_classification(report)
+
+
+def test_fifteen_atoms_are_over_the_bound():
+    script = audit.parse_script("assume A : %s\nstep 1 := assume A\n" % OVER_BOUND)
+    with pytest.raises(ResourceBound, match="^15 modal atoms exceed the truth-table bound$"):
+        audit.check_script(script)
+
+
+def test_opaque_atoms_over_the_bound_answer_without_a_ground_designator():
+    # 15 quantified atoms under connectives, and no ground designator to
+    # classify, so no table is built
+    opaque = "(all n. Dem[App(n,1)])"
+    for k in range(2, 16):
+        opaque = "((all n. Dem[App(n,%d)]) -> %s)" % (k, opaque)
+    report = audit.check_script(audit.parse_script("assume A : %s\nstep 1 := assume A\n" % opaque))
+    assert report.all_valid() and report.classification == {}
+    with pytest.raises(ResourceBound, match="^15 modal atoms"):
+        M.satisfiable([report.steps[0].formula])
 
 
 # --- engine rule checking ----------------------------------------------

@@ -249,14 +249,27 @@ def _mutated(rng, text):
     return text
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.sampled_from(sorted(SCANNERS)), st.randoms(use_true_random=False),
-       st.lists(st.sampled_from(_PIECES), max_size=10))
-def test_scanner_agrees_with_the_per_position_referee(syntax, rng, pieces):
+def _scans_as_the_referee(syntax, rng, pieces):
     cursor_class, pattern, keywords = SCANNERS[syntax]
     for text in (_mutated(rng, _PRINTED[syntax](rng)), "".join(pieces)):
         assert _outcome(_scanned, cursor_class, text) == _outcome(
             _referee_tokens, pattern, keywords, text), text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SCANNERS)), st.randoms(use_true_random=False),
+       st.lists(st.sampled_from(_PIECES), max_size=10))
+def test_scanner_agrees_with_the_per_position_referee(syntax, rng, pieces):
+    _scans_as_the_referee(syntax, rng, pieces)
+
+
+def test_seeded_scanner_agrees_with_the_per_position_referee():
+    # hypothesis draws a `Random`'s values from a distribution of its own,
+    # not the generator's, so the generator's own is sampled here too
+    rng = random.Random(2803)
+    for _ in range(5000):
+        pieces = [rng.choice(_PIECES) for _ in range(rng.randrange(11))]
+        _scans_as_the_referee(rng.choice(sorted(SCANNERS)), rng, pieces)
 
 
 def test_scanner_agrees_with_the_referee_on_deep_numerals():
@@ -350,9 +363,7 @@ def _read(cursor_class, text):
         return str(e)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_a_printed_numeral_reads_as_its_runs_read(rng):
+def _numeral_reads_as_its_runs(rng):
     depth = rng.choice((0, 1, 2, 5, NUMERAL_TOKEN - 1, NUMERAL_TOKEN, NUMERAL_TOKEN + 1))
     numeral = "S(" * depth + "0" + ")" * depth
     text = rng.choice(("%s = x1", "Dem(%s)", "x0 = S(%s)", "(Dem(x0) -> diag(%s) = 0)",
@@ -365,15 +376,25 @@ def test_a_printed_numeral_reads_as_its_runs_read(rng):
     assert _read(F._Parser, text) == _read(_RunsOnly, text), text
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_printed_numeral_reads_as_its_runs_read(rng):
+    _numeral_reads_as_its_runs(rng)
+
+
+def test_a_seeded_printed_numeral_reads_as_its_runs_read():
+    rng = random.Random(2804)
+    for _ in range(5000):
+        _numeral_reads_as_its_runs(rng)
+
+
 class _WordsOnly(M._MetaParser):
     """The meta parser without its designator token: App(i,j) and InE(j)
     are read from their words and punctuation."""
     lexeme = r"<->|->|[~().,\[\]]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*\*?"
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_a_designator_token_reads_as_its_words_read(rng):
+def _designator_reads_as_its_words(rng):
     term = lambda: rng.choice(("q", "0", "7", "n", "xInE", "q_1", "9" * 18, "9" * 19, "00"))
     text = rng.choice((
         M.print_meta(random_meta(rng, rng.randrange(4))),
@@ -389,3 +410,15 @@ def test_a_designator_token_reads_as_its_words_read(rng):
         text = rng.choice((text[:i] + text[i + 1:], text[:i] + rng.choice("),") + text[i:],
                            text[:i] + text[i:j][::-1] + text[j:]))
     assert _read(M._MetaParser, text) == _read(_WordsOnly, text), text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_designator_token_reads_as_its_words_read(rng):
+    _designator_reads_as_its_words(rng)
+
+
+def test_a_seeded_designator_token_reads_as_its_words_read():
+    rng = random.Random(2805)
+    for _ in range(5000):
+        _designator_reads_as_its_words(rng)
