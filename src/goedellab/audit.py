@@ -400,21 +400,22 @@ def _find_contradictions(facts) -> tuple[list[Finding], list[frozenset[str]]]:
     return findings, needs
 
 
-def classify(rows: int, pos: int | None, neg: int | None) -> str:
-    """Provability status of a designated proposition d under a report's
+def classify(d: M.Designator, rows: int, column: dict[str, int]) -> str:
+    """Provability status of the designated proposition under a report's
     ground facts: provable, refutable, independent, overdetermined, or
     unknown.  Bit r of `rows` is set when every fact holds in row r of
-    their truth table; `pos` and `neg` are the columns of Dem[d] and
-    Dem[~d], None for an atom the facts do not mention."""
+    their truth table, and `column` maps each of their atoms' keys to its
+    column."""
 
-    def settled(column):
+    def settled(atom):
         # (the facts entail the atom, its negation): no row where they
         # hold has it false, or true; a free atom has both values in each
-        if column is None:
+        c = column.get(M.canonical_text(atom))
+        if c is None:
             return not rows, not rows
-        return not rows & ~column, not rows & column
+        return not rows & ~c, not rows & c
 
-    (p, not_p), (n, not_n) = settled(pos), settled(neg)
+    (p, not_p), (n, not_n) = settled(M.DemOf(d)), settled(M.DemOf(M.NegD(d)))
     if p and n:
         return "overdetermined"
     if p:
@@ -436,14 +437,13 @@ def check_script(script: DerivationScript) -> AuditReport:
     # the formulas of the valid, hypothesis-free ground steps
     theory = [s.formula for s, ground in facts if ground]
     # its ground App and InE designators, by canonical text
-    designators = {M.canonical_text(d) for phi in theory for d in walk(phi)
+    designators = {M.canonical_text(d): d for phi in theory for d in walk(phi)
                    if isinstance(d, (M.App, M.InE)) and not M.desig_metavars(d)}
     classification = {}
     if designators:
         full, values, column = M._truth_rows(theory)
         rows = reduce(and_, values, full)
-        classification = {k: classify(rows, column.get("Dem[%s]" % k), column.get("Dem[~%s]" % k))
-                          for k in sorted(designators)}
+        classification = {k: classify(d, rows, column) for k, d in sorted(designators.items())}
     consumed = frozenset().union(*(s.assumptions for s in steps if s.ok))
     return AuditReport(steps, findings, classification, consumed, script.labels())
 
