@@ -663,14 +663,10 @@ def goedel_script(extended: bool = False) -> DerivationScript:
     return parse_script(text)
 
 
-def goedel_replay(extended: bool = False) -> AuditReport:
-    return check_script(goedel_script(extended))
-
-
 def compare_modes() -> dict:
     """Which labeled premises are exclusive to the paradoxical replay."""
     canonical = check_script(canonical_antinomy_script())
-    goedel = goedel_replay()
+    goedel = check_script(goedel_script())
     a, b = canonical.consumed, goedel.consumed
     return {
         "schema": "audit-compare/1",

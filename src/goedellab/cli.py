@@ -20,7 +20,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import NotWellFormed, ParseError, ResourceBound, WorkbenchError
+from .errors import WorkbenchError
 
 if TYPE_CHECKING:
     from . import audit, codec
@@ -274,7 +274,7 @@ def cmd_audit_canonical(args) -> int:
 def cmd_audit_goedel(args) -> int:
     from . import audit
 
-    return _report_result(args, audit.goedel_replay(extended=args.extended))
+    return _report_result(args, audit.check_script(audit.goedel_script(args.extended)))
 
 
 def cmd_audit_compare(args) -> int:
@@ -365,12 +365,7 @@ def cmd_model_valid(args) -> int:
 
     f = modal.parse_modal(args.formula)
     valid = modal.is_valid(f, args.logic)
-    counter = None
-    if not valid:
-        try:
-            counter = modal.find_countermodel(f, args.logic)
-        except ResourceBound:
-            counter = None
+    counter = None if valid else modal.model_within_bound(modal.Neg(f), args.logic)
     if args.json:
         payload = {"schema": "model-valid/1", "logic": args.logic,
                    "formula": modal.print_modal(f), "valid": valid}
@@ -479,17 +474,8 @@ def main(argv: list[str] | None = None) -> int:
         # inside the try: int_option raises WorkbenchError while parsing
         args = parser.parse_args(argv)
         return args.func(args)
-    except NotWellFormed as e:
-        print("not-well-formed: %s" % e, file=sys.stderr)
-        return 1
-    except ParseError as e:
-        print("parse error: %s" % e, file=sys.stderr)
-        return 1
-    except ResourceBound as e:
-        print("resource bound: %s" % e, file=sys.stderr)
-        return 3
     except WorkbenchError as e:
-        print("error: %s" % e, file=sys.stderr)
+        print("%s: %s" % (e.label, e), file=sys.stderr)
         return e.exit_code
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)

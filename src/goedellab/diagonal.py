@@ -60,8 +60,3 @@ def diagonalize(
         sentence_code=sentence_code,
         fixed_point_checked=True,
     )
-
-
-def goedel_sentence(cache: codec.IndexTable | None = None) -> DiagonalCertificate:
-    """Certificate for the E-membership formula at its own index."""
-    return diagonalize(e_membership_formula(), cache)

@@ -1,12 +1,16 @@
 """Shared exception types.  Exit codes follow the CLI contract:
-1 domain error, 2 usage error, 3 resource bound."""
+1 domain error, 2 usage error, 3 resource bound.  The CLI prints an
+error on stderr as `<label>: <message>`."""
 
 
 class WorkbenchError(Exception):
     exit_code = 1
+    label = "error"
 
 
 class ParseError(WorkbenchError):
+    label = "parse error"
+
     def __init__(self, message, position=None):
         self.position = position
         if position is not None:
@@ -16,6 +20,8 @@ class ParseError(WorkbenchError):
 
 class NotWellFormed(WorkbenchError):
     """A Goedel number whose decoding is not exactly one formula."""
+
+    label = "not-well-formed"
 
 
 class NotUnary(WorkbenchError):
@@ -30,3 +36,4 @@ class ResourceBound(WorkbenchError):
     """A requested computation exceeds its configured bound; never a wrong answer."""
 
     exit_code = 3
+    label = "resource bound"

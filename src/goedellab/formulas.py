@@ -273,25 +273,20 @@ class _Parser(Cursor):
         self.fail("expected a term, found %r" % tok, i)
 
 
-def parse_formula(text: str, memo: dict | None = None) -> Formula:
-    """The formula of text.  A memo holds the groups of one file (see
-    `syntax.remember`): a group of it that text restates is read as the
-    node recorded, unscanned, and text is recorded in it as itself when it
-    is one group, else as `(text)`: a printed formula never wraps a group
-    in a second pair of parentheses.  Errors, and the formula, are those
-    of text read alone."""
-    if memo is None:
-        p = _Parser(text)
-        return p.parse(p.formula)
-    return read_formula(text, memo)[0]
+def parse_formula(text: str) -> Formula:
+    """The formula of text; a file's texts are read by `read_formula`."""
+    p = _Parser(text)
+    return p.parse(p.formula)
 
 
 def read_formula(text: str, memo: dict) -> tuple[Formula, bool, bool]:
-    """`parse_formula(text, memo)`, and how text was read (see
-    `syntax.Cursor`): whether it is one operand, and whether the right
-    operand of the last `->` read is, which is the consequent of text's
-    main `->` where it has one.  A text that is one operand and starts
-    with `(` is one group."""
+    """The formula of text, read with a memo of the groups of one file
+    (see `syntax.remember`), which records text: a group of the memo that
+    text restates is read as the node recorded, unscanned.  Errors, and
+    the formula, are those of text read alone.  Also how text was read
+    (see `syntax.Cursor`): whether it is one operand, and whether the
+    right operand of the last `->` read is, which is the consequent of
+    text's main `->` where it has one."""
     try:
         p = _Parser(text, memo)
         f = p.parse(p.formula)
@@ -299,7 +294,7 @@ def read_formula(text: str, memo: dict) -> tuple[Formula, bool, bool]:
         parse_formula(text)  # raises the error of text alone
         raise
     one = p.joined != 0
-    remember(memo, text if one and p.tokens[0] == "(" else "(" + text + ")", f)
+    remember(memo, text, f, one)
     return f, one, p.consequent
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from . import codec
 from . import formulas as F
-from .errors import NotClosed, ParseError, ResourceBound
-from .syntax import KEY, Node, decimal, extends_right, is_natural, remember
+from .errors import NotClosed, ParseError, ResourceBound, WorkbenchError
+from .syntax import Node, decimal, extends_right, is_natural, remember
 
 # eval_term refuses to enumerate past this index
 MAX_EVAL_INDEX = 10_000
@@ -146,9 +146,11 @@ def check_proof(p: ProofObject, premises: dict[str, F.Formula] | None = None) ->
         elif isinstance(just, EvalFact):
             if not isinstance(f, F.Eq):
                 return bad("EVAL applies to term equations only")
+            # an open term, a bound, or a diag of a number that codes no
+            # unary formula makes an invalid step, not an error
             try:
                 left, right = eval_term(f.left), eval_term(f.right)
-            except (NotClosed, ResourceBound) as e:
+            except WorkbenchError as e:
                 return bad("evaluation failed: %s" % e)
             if left != right:
                 return bad("equation is false: %d != %d" % (left, right))
@@ -249,7 +251,7 @@ class _Reader:
     only where it was read as one operand and, left of `->`, does not run
     on to the end of its group; else it stands in parentheses.  Any other
     spelling is read as it is.  A composed text is recorded in the memo
-    as `parse_formula` would record it, so later texts read alike."""
+    as a read one is (see `syntax.remember`), so later texts read alike."""
 
     def __init__(self):
         self.memo: dict = {}
@@ -279,10 +281,7 @@ class _Reader:
             if r is None:
                 return self.formula(text)
             self.read[text] = r
-            # as parse_formula records it: as itself only if one group
-            # that is not a group of the memo already
-            one_group = r[1][0] and text[0] == "(" and text not in self.memo.get(text[:KEY], ())
-            remember(self.memo, text if one_group else "(" + text + ")", r[0])
+            remember(self.memo, text, r[0], r[1][0])
         return r[0]
 
     def _consequent(self, text: str, i: int, j: int, known: int):
@@ -339,7 +338,7 @@ def parse_proof_file(text: str) -> tuple[ProofObject, dict[str, F.Formula]]:
     """The proof and premises of a proof file.  A formula that the file
     restates whole is read once, and so is a formula group that it
     restates: its node is shared by every formula that restates it (see
-    `formulas.parse_formula`).  A step that restates the texts it cites is
+    `formulas.read_formula`).  A step that restates the texts it cites is
     not read at all (see `_Reader`).  A parse error inside a formula or
     term names its 1-based line."""
     premises: dict[str, F.Formula] = {}

@@ -132,7 +132,7 @@ class ForAllIndex(Node):
 
 
 MetaFormula = Assert | DemOf | MNot | MImplies | MIff | ForAllIndex
-print_meta = print_desig = print_node
+print_meta = print_node
 
 
 # --- structural helpers ------------------------------------------------

@@ -466,10 +466,13 @@ def is_valid(f: ModalFormula, logic: str = "GL") -> bool:
     return not is_satisfiable(Neg(f), logic)
 
 
-def find_countermodel(
-    f: ModalFormula, logic: str = "GL", max_worlds: int | None = None
-) -> ModelWitness | None:
-    return find_model(Neg(f), logic, max_worlds)
+def model_within_bound(f: ModalFormula, logic: str) -> ModelWitness | None:
+    """`find_model(f, logic)`, or None where the search would pass its
+    bound: no witness within it."""
+    try:
+        return find_model(f, logic)
+    except ResourceBound:
+        return None
 
 
 # --- verdicts and the shipped corpus -----------------------------------
@@ -482,10 +485,7 @@ def status(f: ModalFormula, logic: str) -> str:
         return "unsatisfiable"
     if is_valid(f, logic):
         return "valid"
-    try:
-        witness = find_model(f, logic)
-    except ResourceBound:
-        witness = None
+    witness = model_within_bound(f, logic)
     if witness is not None:
         return "satisfiable (%d worlds)" % witness.model.worlds
     return "satisfiable"

@@ -7,7 +7,7 @@ pattern, its AST constructors and the rules of its own operands.
 `is_natural` is the rule for what a decimal literal is: `decimal`
 converts a literal that it has accepted, as a proof file or an audit
 script reads one outside a formula, and `Cursor.number` converts one
-that a scanner matched.  `remember` records a parsed group in a memo,
+that a scanner matched.  `remember` records a parsed text in a memo,
 the table through which `Cursor` reads a group restated in one file
 once.  `print_node` is the one printer of all three syntaxes: it prints
 any node, on an explicit stack, from the `_pieces` its class declares
@@ -278,10 +278,15 @@ def read_text(path: str) -> str:
                                  % (path, e.object[e.start], e.start)) from None
 
 
-def remember(memo: dict, text: str, node: Node) -> None:
-    """Record in memo that text, a parenthesized group, parses as node.
+def remember(memo: dict, text: str, node: Node, one: bool) -> None:
+    """Record in memo that text, read as one operand or not (see
+    `Cursor`), parses as node.  A text that is one group, and not yet a
+    group of the memo, is recorded as itself, any other as `(text)`: a
+    printed formula never wraps a group in a second pair of parentheses.
     A memo maps the first KEY characters of each group to {group: node},
     the last SHARED groups recorded with those characters."""
+    if not (one and text[0] == "(" and text not in memo.get(text[:KEY], ())):
+        text = "(" + text + ")"
     if len(text) >= KEY:
         groups = memo.setdefault(text[:KEY], {})
         groups[text] = node

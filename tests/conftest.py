@@ -1,8 +1,16 @@
 import random
 
+from hypothesis import Phase
+
 from goedellab import formulas as F
 from goedellab import meta as M
 from goedellab import modal as Md
+
+# the phases of a test that draws a random stream (`st.randoms`) and has
+# a seeded loop beside it: a failing example fails the test as drawn, not
+# minimized, since such a stream prints as `HypothesisRandom(generated
+# data)` either way
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
 def random_term(

@@ -104,6 +104,8 @@ ROWS = [
     Row("enumerate-negative", ["enumerate", "--up-to=-5"], (1,)),
     Row("enumerate-huge-exponent", ["enumerate", "--up-to", "1e100000000"], (1,)),
     Row("enumerate-fraction", ["enumerate", "--up-to", "12e-1"], (1,)),
+    Row("enumerate-empty-bound", ["enumerate", "--up-to", ""], (1,)),
+    Row("enumerate-no-bound", ["enumerate"], (2,)),
     Row("diagnum-hex-length-mismatch", ["diagnum", "hex3:ff"], (1,)),
     Row("diagnum-non-ascii", ["diagnum", "hex2:" + ARABIC_12], (1,)),
     Row("decode-non-ascii", ["decode", ARABIC_12], (1,)),
@@ -124,6 +126,10 @@ ROWS = [
     *(Row("not-utf8-" + "-".join(argv[:2]), argv, (1,), {"bad": b"\xff\xfe1. 0 = 0 ; EVAL\n"})
       for argv in (["prove", "check", "{bad}"], ["audit", "run", "{bad}"],
                    ["audit", "cores", "{bad}"], ["model", "check", "{bad}", "p"])),
+    # extra or missing arguments and files
+    Row("audit-goedel-extra-argument", ["audit", "goedel", "extra"], (2,)),
+    Row("audit-compare-extra-argument", ["audit", "compare", "x"], (2,)),
+    Row("audit-cores-missing-file", ["audit", "cores", "missing.audit"], (1,)),
     Row("audit-cores-8-labels", ["audit", "cores", "{script}"], (0,),
         {"script": EIGHT_LABELS}),
     # the truth-table bound: 15 atoms, and 14 with questions about

@@ -73,7 +73,7 @@ def test_criterion_3_enumeration_vs_oracle(capsys):
 
 def test_criterion_4_diagonal_fixed_point(capsys):
     with criterion(capsys, 4, "diagonal fixed point, two routes"):
-        cert = diagonal.goedel_sentence()
+        cert = diagonal.diagonalize(diagonal.e_membership_formula())
         assert cert.fixed_point_checked
         # route one: substitute and encode directly
         direct = codec.encode_formula(
@@ -116,7 +116,7 @@ def test_criterion_6_minimal_cores(capsys):
 
 def test_criterion_7_independence_and_compare(capsys):
     with criterion(capsys, 7, "independence run and mode contrast"):
-        report = audit.goedel_replay()
+        report = audit.check_script(audit.goedel_script())
         assert report.all_valid()
         assert report.classification == {"App(q,q)": "independent"}
         assert report.consumed == {"DEF_E", "REFL", "CONS"}
@@ -144,7 +144,7 @@ def test_criterion_8_modal_oracles(capsys):
 
         loeb = modal.parse_modal("[]([]p -> p) -> []p")
         assert modal.is_valid(loeb, "GL")
-        counter = modal.find_countermodel(loeb, "K")
+        counter = modal.find_model(modal.Neg(loeb), "K")
         assert counter is not None and counter.model.worlds <= 2
         assert counter.model.forces(counter.world, modal.Neg(loeb))
 

@@ -20,7 +20,7 @@ def canonical():
 
 @pytest.fixture(scope="module")
 def goedel():
-    return audit.goedel_replay()
+    return audit.check_script(audit.goedel_script())
 
 
 # --- the canonical replay ----------------------------------------------
@@ -334,7 +334,7 @@ def test_hypothetical_steps_carry_their_suppositions(goedel):
 
 
 def test_extended_mode_flips_to_overdetermined():
-    ext = audit.goedel_replay(extended=True)
+    ext = audit.check_script(audit.goedel_script(extended=True))
     assert ext.all_valid()
     x4 = ext.step("x4")
     assert M.print_meta(x4.formula) == "Dem[App(q,q)]"

@@ -221,6 +221,24 @@ def test_prove_check_missing_file(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("arg, message", [
+    ("0", "Goedel numbers are naturals >= 1"),
+    ("S(0)", "empty sequence"),
+    ("S(S(0))", "token string ends inside a formula"),
+    ("41006250000", "decoded formula is not unary in x0"),
+])
+def test_eval_of_diag_of_no_unary_formula_is_an_invalid_step(tmp_path, capsys, arg, message):
+    path = tmp_path / "diag.proof"
+    path.write_text("1. diag(%s) = 0 ; EVAL\n" % arg)
+    code, out, err = run(capsys, "prove", "check", str(path))
+    assert (code, out, err) == (1, "invalid at step 1: evaluation failed: %s\n" % message, "")
+    code, out, err = run(capsys, "--json", "prove", "check", str(path))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"schema": "proof/1", "valid": False, "step": 1,
+                               "reason": "evaluation failed: " + message,
+                               "conclusion": "diag(%s) = 0" % arg}
+
+
 def test_premises_are_read_as_universal_closures(tmp_path, capsys):
     path = tmp_path / "gen.proof"
     path.write_text("premise H : x0 = 0\n1. x0 = 0 ; PREMISE H\n2. forall x0. x0 = 0 ; GEN 1 x0\n")
@@ -672,6 +690,26 @@ def test_usage_error_is_exit_two(capsys):
 def test_formula_parse_error_is_exit_one(capsys):
     code, _, err = run(capsys, "encode", "Dem(")
     assert code == 1 and err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("argv, exit_code, line", [
+    (["decode", "1"], 1, "not-well-formed: empty sequence"),
+    (["encode", "0 = "], 1, "parse error: expected a term, found '<end>' (at position 4)"),
+    (["subnum", "0", "300000"], 3,
+     "resource bound: code has 300002 tokens, over the bound of 200000 to materialize"),
+    (["diagonalize", "--template", "x1 = x1"], 1,
+     "error: diagonalization needs free variable set exactly {x0}"),
+    (["model", "check", "m.json", "p", "--world", "١"], 1,
+     "error: not a number: '١' (digits must be ASCII)"),
+    (["prove", "check", "missing.proof"], 1,
+     "error: [Errno 2] No such file or directory: 'missing.proof'"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_an_error_is_one_labelled_line_on_stderr(tmp_path, capsys, monkeypatch, argv,
+                                                exit_code, line):
+    # the golden corpus records stdout and exit codes, not stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps({"worlds": 3, "relation": [], "valuation": {}}))
+    assert run(capsys, *argv) == (exit_code, "", line + "\n")
 
 
 # --- decimal literals longer than int() converts -----------------------

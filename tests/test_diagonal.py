@@ -19,7 +19,7 @@ def test_membership_formula_code():
 
 
 def test_goedel_sentence_certificate():
-    cert = diagonal.goedel_sentence()
+    cert = diagonal.diagonalize(diagonal.e_membership_formula())
     assert cert.q == 169
     assert cert.fixed_point_checked
     assert cert.psi == diagonal.e_membership_formula()
@@ -53,7 +53,7 @@ def test_diagonalize_rejects_non_unary():
 
 
 def test_certificate_json_shape():
-    d = diagonal.goedel_sentence().to_json_dict()
+    d = diagonal.diagonalize(diagonal.e_membership_formula()).to_json_dict()
     assert d["q"] == 169
     assert d["fixed_point_checked"] is True
     assert int(d["sentence_code_hex"], 16) == codec.sub_num(169, 169)

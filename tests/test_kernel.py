@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_formula
+from conftest import NO_SHRINK, random_formula
 from goedellab import kernel
 from goedellab import formulas as F
 from goedellab.errors import ParseError
@@ -117,6 +117,20 @@ def test_eval_fact_respects_resource_bounds():
     f = F.Eq(F.Sub(F.Num(10**6), F.ZERO), F.ZERO)
     verdict = kernel.check_proof(kernel.ProofObject(((f, kernel.EvalFact()),)))
     assert not verdict.ok and "evaluation failed" in verdict.reason
+
+
+# diag of a number that codes no unary formula: 0 is no Goedel number,
+# 1 and 2 decode to no formula, and 41006250000 codes `0 = 0`, a closed one
+@pytest.mark.parametrize("arg, message", [
+    (F.ZERO, "Goedel numbers are naturals >= 1"),
+    (F.Num(1), "empty sequence"),
+    (F.Num(2), "token string ends inside a formula"),
+    (F.Num(41006250000), "decoded formula is not unary in x0"),
+])
+def test_eval_of_diag_of_no_unary_formula_is_a_failed_step(arg, message):
+    f = F.Eq(F.Diag(arg), F.ZERO)
+    verdict = kernel.check_proof(kernel.ProofObject(((f, kernel.EvalFact()),)))
+    assert verdict == kernel.Verdict(False, 1, "evaluation failed: " + message)
 
 
 def test_inst_requires_closed_witness():
@@ -432,7 +446,7 @@ def _random_file(rng):
     return lines
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, phases=NO_SHRINK)
 @given(st.randoms(use_true_random=False))
 def test_a_file_reads_each_formula_as_it_reads_alone(rng):
     lines = _random_file(rng)
@@ -527,12 +541,12 @@ def test_a_memo_keeps_the_last_groups_that_share_a_start():
     memo = {}
     texts = ["(" * KEY + "x0 = %d" % k + ")" * KEY for k in range(3 * SHARED)]
     for text in texts:
-        F.parse_formula(text, memo)
+        F.read_formula(text, memo)
     # each `(` is tried against at most SHARED groups, however many a file has
     assert max(len(groups) for groups in memo.values()) == SHARED
     # the last ones recorded are kept: restating the last text reuses it
-    last = F.parse_formula(texts[-1], memo)
-    assert F.parse_formula("~" + texts[-1], memo).sub is last
+    last = F.read_formula(texts[-1], memo)[0]
+    assert F.read_formula("~" + texts[-1], memo)[0].sub is last
 
 
 def test_a_formula_restated_whole_is_read_once():

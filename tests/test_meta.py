@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_meta
+from conftest import NO_SHRINK, random_meta
 from goedellab import meta as M
 from goedellab.errors import ParseError, ResourceBound
 from goedellab.syntax import walk
@@ -70,7 +70,7 @@ def _in_one_form(rng, depth):
         assert M.parse_meta(M.print_meta(phi)) == phi
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(st.integers(0, 4), st.randoms(use_true_random=False))
 def test_meta_formulas_are_in_one_form_by_construction(depth, rng):
     _in_one_form(rng, depth)

@@ -348,7 +348,7 @@ def test_loeb_valid_in_gl_only_with_small_k_countermodel():
     assert Md.is_valid(loeb, "GL")
     assert not Md.is_valid(loeb, "K")
     assert not Md.is_valid(loeb, "K4")
-    counter = Md.find_countermodel(loeb, "K")
+    counter = Md.find_model(Md.Neg(loeb), "K")
     assert counter is not None and counter.model.worlds <= 2
     assert counter.model.forces(counter.world, Md.Neg(loeb))
 
@@ -363,7 +363,7 @@ def test_four_axiom_needs_transitivity():
     f = Md.parse_modal("[]p -> [][]p")
     assert Md.is_valid(f, "K4") and Md.is_valid(f, "GL")
     assert not Md.is_valid(f, "K")
-    counter = Md.find_countermodel(f, "K")
+    counter = Md.find_model(Md.Neg(f), "K")
     assert counter is not None
     assert counter.model.forces(counter.world, Md.Neg(f))
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_formula, random_meta, random_modal
+from conftest import NO_SHRINK, random_formula, random_meta, random_modal
 from goedellab import audit, codec, diagonal, kernel
 from goedellab import formulas as F
 from goedellab import meta as M
@@ -116,7 +116,7 @@ def _as_values(x, y, show):
         assert twin == x and hash(twin) == hash(x) and show(twin) == show(x)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(_ast, st.integers(0, 3), st.randoms(use_true_random=False))
 def test_nodes_hash_compare_and_copy_as_values(drawn, depth2, rng2):
     syntax, depth, rng = drawn

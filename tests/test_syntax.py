@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_formula, random_meta, random_modal, random_term
+from conftest import NO_SHRINK, random_formula, random_meta, random_modal, random_term
 from goedellab import formulas as F, meta as M, modal as Mo
 from goedellab.errors import ParseError
 from goedellab.formulas import NUMERAL_TOKEN
@@ -256,7 +256,7 @@ def _scans_as_the_referee(syntax, rng, pieces):
             _referee_tokens, pattern, keywords, text), text
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, phases=NO_SHRINK)
 @given(st.sampled_from(sorted(SCANNERS)), st.randoms(use_true_random=False),
        st.lists(st.sampled_from(_PIECES), max_size=10))
 def test_scanner_agrees_with_the_per_position_referee(syntax, rng, pieces):
@@ -376,7 +376,7 @@ def _numeral_reads_as_its_runs(rng):
     assert _read(F._Parser, text) == _read(_RunsOnly, text), text
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, phases=NO_SHRINK)
 @given(st.randoms(use_true_random=False))
 def test_a_printed_numeral_reads_as_its_runs_read(rng):
     _numeral_reads_as_its_runs(rng)
@@ -412,7 +412,7 @@ def _designator_reads_as_its_words(rng):
     assert _read(M._MetaParser, text) == _read(_WordsOnly, text), text
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, phases=NO_SHRINK)
 @given(st.randoms(use_true_random=False))
 def test_a_designator_token_reads_as_its_words_read(rng):
     _designator_reads_as_its_words(rng)
