@@ -497,14 +497,35 @@ def _scan_unary(bound: int):
                 stack.append((q2, j, slots2, tokens + toks, seen))
 
 
+# The enumeration this process has scanned: (bound, entries), every unary
+# formula with code <= bound as (code, formula), ascending.  One tuple, so
+# that a reader never pairs a new bound with an old list.  Nodes are
+# immutable, so the entries are shared by every answer read off them.
+_table: tuple[int, list[tuple[int, F.Formula]]] = (0, [])
+
+
 def unary_formulas_below(bound: int) -> list[tuple[int, F.Formula]]:
-    """Sorted (code, formula) for every unary formula with code <= bound."""
-    found = sorted(_scan_unary(bound))
-    return [(code, tokens_to_formula(list(tk))) for code, tk in found]
+    """Sorted (code, formula) for every unary formula with code <= bound,
+    as a new list.  A bound within the table's is read off it; a larger one
+    is scanned once and replaces the table."""
+    global _table
+    if bound > _table[0]:
+        found = sorted(_scan_unary(bound))
+        _table = (bound, [(code, tokens_to_formula(list(tk))) for code, tk in found])
+    entries = _table[1]
+    return entries[:bisect.bisect_right(entries, bound, key=itemgetter(0))]
 
 
-def count_unary_below(bound: int) -> int:
-    return sum(1 for _ in _scan_unary(bound))
+def count_unary_below(bound: int, stop: int | None = None) -> int:
+    """How many unary formulas have code <= bound, or stop if that many or
+    more do.  A bound within the table's is read off it; a larger one is
+    counted as the scan streams, up to stop, and the table stays as it is."""
+    have, entries = _table
+    if bound <= have:
+        n = bisect.bisect_right(entries, bound, key=itemgetter(0))
+    else:
+        n = sum(1 for _ in itertools.islice(_scan_unary(bound), stop))
+    return n if stop is None else min(n, stop)
 
 
 def formula_at(n: int, cache: "IndexTable | None" = None) -> F.Formula:
@@ -525,8 +546,9 @@ def formula_at(n: int, cache: "IndexTable | None" = None) -> F.Formula:
         bound *= 10**8
 
 
-def index_of(f: F.Formula, cache: "IndexTable | None" = None) -> int:
-    """Inverse of formula_at; errors unless free vars are exactly {x0}."""
+def index_of(f: F.Formula, cache: "IndexTable | None" = None, stop: int | None = None) -> int:
+    """Inverse of formula_at; errors unless free vars are exactly {x0}.
+    With stop, the count stops there: an index of stop or more is stop."""
     if F.free_vars(f) != {0}:
         raise NotUnary(
             "free variable set is %s, need exactly {x0}" % sorted(F.free_vars(f))
@@ -535,11 +557,23 @@ def index_of(f: F.Formula, cache: "IndexTable | None" = None) -> int:
     if cache is not None:
         hit = cache.index_of(code)
         if hit is not None:
-            return hit
-    n = count_unary_below(code - 1)
-    if cache is not None:
+            return hit if stop is None else min(hit, stop)
+    n = count_unary_below(code - 1, stop)
+    if cache is not None and n != stop:
         cache.record_single(n, code, f)
     return n
+
+
+def numeral_limit(psi: F.Formula) -> int:
+    """The least m for which psi with the numeral of m for x0 is over
+    MAX_TOKENS tokens, so that sub_num(index of psi, m) must raise
+    ResourceBound: each of psi's k free x0 becomes m + 1 tokens, so the
+    code has len(tokens) + k * m.  k counts free occurrences only, so the
+    limit is exact when psi also binds x0, and under the symbolic route's
+    refusal of an m over MAX_TOKENS."""
+    n = len(formula_tokens(psi))
+    k = len(formula_tokens(F.substitute(psi, 0, F.Num(1)))) - n
+    return max(0, (MAX_TOKENS - n) // k + 1)
 
 
 # --- numeric substitution functions ------------------------------------

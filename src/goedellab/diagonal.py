@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import codec
 from . import formulas as F
-from .errors import NotUnary
+from .errors import NotUnary, ResourceBound
 from .syntax import Node
 
 
@@ -42,7 +42,14 @@ def diagonalize(
     numerically by two routes."""
     if F.free_vars(psi) != {0}:
         raise NotUnary("diagonalization needs free variable set exactly {x0}")
-    q = codec.index_of(psi, cache)
+    # the count stops at the first index whose sentence cannot be built
+    limit = codec.numeral_limit(psi)
+    q = codec.index_of(psi, cache, limit)
+    if q == limit:
+        raise ResourceBound(
+            "template index is at least %d, so its sentence would have over %d tokens"
+            % (limit, codec.MAX_TOKENS)
+        )
     sentence = F.substitute(psi, 0, F.Num(q))
     # route 1: symbolic substitute-then-encode
     sentence_code = codec.encode_formula(sentence)

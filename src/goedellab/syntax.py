@@ -130,13 +130,29 @@ def _compile_fields(cls) -> None:
     """Compile `__init__` and `_values` onto the class that declares
     `_fields`, as `_compile_show` compiles `_show`.  Both read and write
     each slot by name, as fast as hand-written ones; a loop over setattr
-    would build a node three times as slowly."""
+    would build a node three times as slowly.
+
+    A class whose `__new__` may fold, returning a node it was given, gets
+    an `__init__` that refuses a built node: Python runs `__init__` on
+    whatever instance of the class `__new__` returns, and a fold that
+    returned one of its own class would re-point that node's fields.  A
+    fresh instance refers to no object but its class, a built one also to
+    its field and `_hash` (`gc.get_referents` lists what the slots that
+    are set hold); reading an empty slot would raise, at three times the
+    cost."""
     owner = next(c for c in cls.__mro__ if "_fields" in vars(c))
     fields = owner._fields
+    guard = ""
     namespace: dict = {}
-    exec("def __init__(self, %s):\n%s    self._hash = None\n"
+    if "__new__" in vars(owner):
+        import gc  # for the three classes that fold, not on every start-up
+
+        guard = ("    if len(referents(self)) > 1:\n        raise AssertionError("
+                 "'%s.__new__ returned a built node')\n" % owner.__name__)
+        namespace["referents"] = gc.get_referents
+    exec("def __init__(self, %s):\n%s%s    self._hash = None\n"
          "def _values(self):\n    return (%s)\n"
-         % (", ".join(fields), "".join("    self.%s = %s\n" % (f, f) for f in fields),
+         % (", ".join(fields), guard, "".join("    self.%s = %s\n" % (f, f) for f in fields),
             "".join("self.%s, " % f for f in fields)), namespace)
     owner.__init__, owner._values = namespace["__init__"], namespace["_values"]
 

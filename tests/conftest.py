@@ -1,7 +1,9 @@
 import random
 
+import pytest
 from hypothesis import Phase
 
+from goedellab import codec
 from goedellab import formulas as F
 from goedellab import meta as M
 from goedellab import modal as Md
@@ -11,6 +13,13 @@ from goedellab import modal as Md
 # minimized, since such a stream prints as `HypothesisRandom(generated
 # data)` either way
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """codec's enumeration table emptied for one test, so that its answers
+    come from the scanner and not from a table an earlier test grew."""
+    monkeypatch.setattr(codec, "_table", (0, []))
 
 
 def random_term(

@@ -7,7 +7,7 @@ text or bytes), and the exits allowed.  `open_item` is the ROADMAP item
 that mends a row that fails today, and None for a row that passes.
 `tests/test_hostile.py` runs each row as its own process; every row must
 exit in 0-3 without a `Traceback` on stderr, and with a message on stderr
-for an exit of 1-3.
+for an exit of 1-3: `message`, where a row names it.
 
 The shapes are built here, not stored."""
 
@@ -25,6 +25,7 @@ class Row(NamedTuple):
     exits: tuple[int, ...]
     files: dict[str, str | bytes] = {}
     open_item: int | None = None
+    message: str | None = None
 
 
 HUGE = "9" * 5000  # sys.get_int_max_str_digits() is 4300 by default
@@ -144,5 +145,11 @@ ROWS = [
         open_item=12),
     # the materialization and decode bounds
     Row("subnum-0-300000", ["subnum", "0", "300000"], (3,)),
+    # index 466,234, refused once the count reaches 49,998: 9 tokens and
+    # four x0 are over 200,000 tokens from that numeral on
+    Row("diagonalize-count-past-the-token-bound",
+        ["diagonalize", "--template", "~Dem(sub(x0,x0)) -> x0 = x0"], (3,),
+        message="resource bound: template index is at least 49998, so its sentence would "
+                "have over 200000 tokens"),
     Row("diagnum-520k-bits", ["diagnum", "0x" + "f" * 130_000], (3,)),
 ]

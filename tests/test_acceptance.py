@@ -58,7 +58,7 @@ def test_criterion_2_worked_constants(capsys):
         assert codec.decode_formula(51018336) == dem
 
 
-def test_criterion_3_enumeration_vs_oracle(capsys):
+def test_criterion_3_enumeration_vs_oracle(capsys, empty_table):
     with criterion(capsys, 3, "enumeration agrees with brute force"):
         oracle = _oracle_unary_below(10**12)
         entries = codec.unary_formulas_below(10**12)

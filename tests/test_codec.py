@@ -174,13 +174,13 @@ def _oracle_unary_below(bound):
 
 
 @pytest.mark.parametrize("bound", [10**12, 10**16])
-def test_enumeration_matches_brute_force_oracle(bound):
+def test_enumeration_matches_brute_force_oracle(bound, empty_table):
     oracle = _oracle_unary_below(bound)
     got = codec.unary_formulas_below(bound)
     assert [(c, tuple(codec.formula_tokens(f))) for c, f in got] == oracle
 
 
-def test_enumeration_small_counts():
+def test_enumeration_small_counts(empty_table):
     # frozen counts, cross-checked by the oracle test above at 1e12/1e16
     assert codec.count_unary_below(10**12) == 2
     assert codec.count_unary_below(10**16) == 7
@@ -266,12 +266,12 @@ def _unpruned_unary_below(bound):
 
 
 @pytest.mark.parametrize("bound", [10**20, 10**24, 10**28, 10**32])
-def test_pruned_scan_matches_the_unpruned_scan(bound):
+def test_pruned_scan_matches_the_unpruned_scan(bound, empty_table):
     got = codec.unary_formulas_below(bound)
     assert [(c, tuple(codec.formula_tokens(f))) for c, f in got] == _unpruned_unary_below(bound)
 
 
-def test_enumeration_large_counts():
+def test_enumeration_large_counts(empty_table):
     # frozen counts; 1e28 and 1e32 are cross-checked by the unpruned scan
     assert codec.count_unary_below(10**28) == 78
     assert codec.count_unary_below(10**32) == 187
@@ -330,6 +330,80 @@ def test_index_of_requires_unary():
         codec.index_of(F.Eq(F.ZERO, F.ZERO))
     with pytest.raises(NotUnary):
         codec.index_of(F.Eq(F.Var(1), F.Var(0)))
+
+
+# --- the table a process keeps, against the scanner --------------------
+
+
+def _fresh(bound):
+    """Sorted (code, tokens) of a scan of its own, which reads no table."""
+    return sorted(codec._scan_unary(bound))
+
+
+def _pick_bound(rng, codes):
+    """A bound from 1e10 to 1e40: log-uniform, or a code, or a code - 1."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return int(10 ** rng.uniform(10, 40))
+    return rng.choice(codes) - (kind == 2)
+
+
+def test_seeded_mixed_calls_answer_as_a_fresh_scan(empty_table):
+    rng = random.Random(3001)
+    referee = _fresh(10**40)
+    codes = [c for c, _ in referee]
+    kinds = {"below": 0, "count": 0, "at": 0, "index": 0}
+    for _ in range(200):
+        kind = rng.choice(sorted(kinds))
+        kinds[kind] += 1
+        if kind == "below":
+            b = _pick_bound(rng, codes)
+            got = codec.unary_formulas_below(b)
+            assert [(c, tuple(codec.formula_tokens(f))) for c, f in got] == _fresh(b)
+        elif kind == "count":
+            b = _pick_bound(rng, codes)
+            assert codec.count_unary_below(b) == len(_fresh(b))
+        elif kind == "at":
+            n = rng.randrange(len(codes))
+            assert codec.formula_tokens(codec.formula_at(n)) == list(referee[n][1])
+        else:
+            code, tokens = rng.choice(referee)
+            f = codec.tokens_to_formula(list(tokens))
+            assert codec.index_of(f) == len(_fresh(code - 1))
+    assert min(kinds.values()) >= 30
+
+
+def test_an_answer_is_a_new_list_and_a_count_above_the_table_streams(empty_table):
+    got = codec.unary_formulas_below(10**20)
+    assert codec._table[0] == 10**20
+    expected = list(got)
+    got.clear()
+    smaller = codec.unary_formulas_below(10**16)
+    smaller.reverse()
+    smaller.append(expected[-1])
+    assert codec.unary_formulas_below(10**20) == expected
+    assert codec.unary_formulas_below(10**16) == expected[:7]
+    # a count within the bound is read off the table, one above it streams
+    table = codec._table
+    assert codec.count_unary_below(10**16) == 7
+    assert codec.count_unary_below(10**28) == 78
+    assert codec.count_unary_below(10**28, stop=20) == 20
+    assert codec._table is table
+    # a list above the bound replaces the table
+    assert len(codec.unary_formulas_below(10**24)) == 38 and codec._table[0] == 10**24
+
+
+def test_numeral_limit_is_the_first_index_whose_sentence_cannot_be_built():
+    for text, limit in [
+        ("Dem(x0)", 199_999),  # 2 + m > 200,000 from m = 199,999 on
+        ("~Dem(sub(x0,x0)) -> x0 = x0", 49_998),  # 9 tokens and 4 x0
+        ("(forall x0. Dem(x0)) -> Dem(x0)", 199_994),  # one x0 of two is free
+    ]:
+        psi = F.parse_formula(text)
+        n = len(codec.formula_tokens(psi))
+        k = len(codec.formula_tokens(F.substitute(psi, 0, F.Num(1)))) - n
+        assert codec.numeral_limit(psi) == limit
+        assert n + k * (limit - 1) <= codec.MAX_TOKENS < n + k * limit
 
 
 # --- round trips --------------------------------------------------------

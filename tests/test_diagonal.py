@@ -2,7 +2,7 @@ import pytest
 
 from goedellab import codec, diagonal
 from goedellab import formulas as F
-from goedellab.errors import NotUnary
+from goedellab.errors import NotUnary, ResourceBound
 
 
 def test_membership_formula_shape():
@@ -57,3 +57,37 @@ def test_certificate_json_shape():
     assert d["q"] == 169
     assert d["fixed_point_checked"] is True
     assert int(d["sentence_code_hex"], 16) == codec.sub_num(169, 169)
+
+
+def test_diagonalize_stops_counting_at_the_first_index_it_cannot_build(monkeypatch):
+    # under a bound of 400 tokens the limits fall among the first 403
+    # indices; each template is refused exactly where its numeric route
+    # must refuse, and built below that
+    monkeypatch.setattr(codec, "MAX_TOKENS", 400)
+    message = "template index is at least %d, so its sentence would have over 400 tokens"
+    built = refused = 0
+    for q, (_, psi) in enumerate(codec.unary_formulas_below(10**36)):
+        limit = codec.numeral_limit(psi)
+        if q < limit:
+            assert diagonal.diagonalize(psi).q == q
+            built += 1
+        else:
+            with pytest.raises(ResourceBound, match="^%s$" % (message % limit)):
+                diagonal.diagonalize(psi)
+            with pytest.raises(ResourceBound):
+                codec.sub_num(q, q)
+            refused += 1
+    assert built > 300 and refused > 30
+
+
+def test_a_template_that_binds_x0_stops_where_its_symbolic_route_refuses(monkeypatch):
+    # 7 tokens with one free x0 at index 4,855: its sentence has 4,862 tokens
+    psi = F.parse_formula("Dem(x0) -> forall x0. Dem(x0)")
+    monkeypatch.setattr(codec, "MAX_TOKENS", 4_862)
+    assert codec.numeral_limit(psi) == 4_856
+    assert diagonal.diagonalize(psi).q == 4_855
+    monkeypatch.setattr(codec, "MAX_TOKENS", 4_861)
+    with pytest.raises(ResourceBound, match="^template index is at least 4855, "):
+        diagonal.diagonalize(psi)
+    with pytest.raises(ResourceBound, match="^code has 4862 tokens"):
+        codec.sub_num(4_855, 4_855)

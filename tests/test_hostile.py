@@ -36,6 +36,8 @@ def test_a_hostile_input_ends_in_an_exit_with_a_message(tmp_path, row):
     assert proc.returncode in row.exits
     if proc.returncode:
         assert proc.stderr.strip()
+    if row.message is not None:
+        assert proc.stderr.strip() == row.message
 
 
 def test_the_table_names_each_row_once():

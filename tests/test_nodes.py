@@ -244,3 +244,29 @@ def test_generalize_is_not_modus_ponens_and_evalfact_has_no_fields():
     assert kernel.EvalFact() == kernel.EvalFact() and repr(kernel.EvalFact()) == "EvalFact()"
     assert hash(kernel.EvalFact()) == hash(())
     assert repr(kernel.VALID) == "Verdict(ok=True, step=None, reason=None)"
+
+
+# each class whose constructor folds, with an operand that builds a node of
+# the class: the fold turns NegD(NegD(d)) and MNot(MNot(phi)) into d and
+# phi, and S of a numeral into a numeral, never into its own operand
+FOLDING = {
+    "NegD": (M.NegD, M.App(M.Const(1), M.Const(2))),
+    "MNot": (M.MNot, M.DemOf(M.InE(M.Q))),
+    "Succ": (F.Succ, F.Var(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDING))
+def test_a_fold_that_returns_its_operand_is_refused_before_it_rebuilds_it(name, monkeypatch):
+    cls, operand = FOLDING[name]
+    inner = cls(operand)
+    before = repr(inner)
+    # a broken fold: an operand of the class comes back as it is, so Python
+    # would run __init__ on that built node and point its field at itself
+    monkeypatch.setattr(cls, "__new__",
+                        lambda c, arg: arg if isinstance(arg, c) else Node.__new__(c))
+    with pytest.raises(AssertionError, match=r"%s\.__new__ returned a built node" % name):
+        cls(inner)
+    assert getattr(inner, cls._fields[0]) is operand and repr(inner) == before
+    # a node the broken fold builds fresh is built as before
+    assert repr(cls(operand)) == before

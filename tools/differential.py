@@ -8,7 +8,7 @@ answers in a child process of its own (this file, run with `--child` and
 that tree's `src` first on the path, under PYTHONHASHSEED=0), and the two
 answer lists are compared line by line.  The inputs come from the
 generators below and the benchmark's, which both children share, so they
-are the same text for both trees.  Five families of K cases each:
+are the same text for both trees.  Six families of K cases each:
 
 - meta: a meta formula, as text.  The answer is its printed form and that
   of its negation, `satisfiable` of it with the case before it, and
@@ -42,6 +42,16 @@ are the same text for both trees.  Five families of K cases each:
   the printer would not spell it.  The answer is each step's printed
   formula and justification, the premises and `kernel.check_proof`'s
   verdict, or the error that ends the reading.
+- scan: one seeded sequence of enumeration calls, answered in order by
+  one process, so that what an earlier call leaves behind meets every
+  later one: `unary_formulas_below` and `count_unary_below` at a bound
+  from 1e10 to 1e40, log-uniform or the code, or the code - 1, of a
+  random formula in x0 alone; `formula_at` and `diagonalize` of the
+  template at an index below 400; `index_of` of such a formula; and
+  `sub_num` of an index below 400 and a numeral below 300.  The answer is
+  the count, the printed formula or index, a list's length and digest,
+  the certificate's q and the digests of its sentence and code, or the
+  error.
 
 A change that means to alter some answers names them with `--allow REGEX`:
 a case whose parent answer, as JSON, matches REGEX is counted as an
@@ -52,6 +62,7 @@ answer agrees, and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import math
@@ -266,6 +277,45 @@ def token_cases(rng: random.Random) -> list[list[int]]:
     return [tokens, replaced, dropped, tokens + [rng.choice(pool)]]
 
 
+def _unary_term(rng: random.Random, depth: int) -> list[int]:
+    kind = rng.randrange(5 if depth > 0 else 2)
+    if kind < 2:
+        return [(_VAR, _ZERO)[kind]]
+    if kind == 2:
+        return [_S] + _unary_term(rng, depth - 1)
+    if kind == 3:
+        return [_DIAG] + _unary_term(rng, depth - 1)
+    return [_SUB] + _unary_term(rng, depth - 1) + _unary_term(rng, depth - 1)
+
+
+def unary_tokens(rng: random.Random, primes: list[int]) -> tuple[list[int], int]:
+    """The Polish tokens of a random formula whose one variable is x0,
+    bound nowhere, and its code, at most 1e40."""
+    while True:
+        depth = rng.randrange(3)
+        tokens = [_NOT] * rng.randrange(2) + rng.choice([
+            [_DEM] + _unary_term(rng, depth),
+            [_EQ] + _unary_term(rng, depth) + _unary_term(rng, depth)])
+        code = _encode([[tok, 1] for tok in tokens], primes)
+        if _VAR in tokens and code <= 10**40:
+            return tokens, code
+
+
+def scan_call(rng: random.Random, primes: list[int]) -> tuple:
+    """One enumeration call: its name and its arguments."""
+    kind = rng.choice(["below", "count", "at", "index", "diagonalize", "sub_num"])
+    if kind in ("below", "count"):
+        how = rng.randrange(3)
+        if how == 0:
+            return kind, int(10 ** rng.uniform(10, 40))
+        return kind, unary_tokens(rng, primes)[1] - (how == 2)
+    if kind == "index":
+        return kind, unary_tokens(rng, primes)[0]
+    if kind == "sub_num":
+        return kind, rng.randrange(400), rng.randrange(300)
+    return kind, rng.randrange(400)
+
+
 def modal_text(rng: random.Random, depth: int) -> str:
     """A modal formula's text, with every connective and prefix."""
     kind = rng.randrange(5 if depth > 0 else 1)
@@ -466,8 +516,39 @@ def proof_answers(seed: int, count: int):
     yield from itertools.islice(cases(), count)
 
 
+def scan_answers(seed: int, count: int):
+    from goedellab import codec, diagonal, formulas
+
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    def answer(call):
+        kind, arg = call[0], call[1]
+        if kind == "below":
+            entries = codec.unary_formulas_below(arg)
+            return [len(entries), digest("\n".join("%x %s" % (c, formulas.print_formula(f))
+                                                   for c, f in entries))]
+        if kind == "count":
+            return codec.count_unary_below(arg)
+        if kind == "at":
+            return formulas.print_formula(codec.formula_at(arg))
+        if kind == "index":
+            return codec.index_of(codec.tokens_to_formula(arg))
+        if kind == "sub_num":
+            return digest("%x" % codec.sub_num(arg, call[2]))
+        cert = diagonal.diagonalize(codec.formula_at(arg))
+        return [cert.q, digest(formulas.print_formula(cert.sentence)),
+                digest("%x" % cert.sentence_code)]
+
+    rng = random.Random(seed)
+    primes = _first_primes(64)
+    for _ in range(count):
+        call = scan_call(rng, primes)
+        yield json.dumps(call), [_answer(lambda: answer(call))]
+
+
 FAMILIES = {"meta": meta_answers, "audit": audit_answers, "codec": codec_answers,
-            "print": print_answers, "proof": proof_answers}
+            "print": print_answers, "proof": proof_answers, "scan": scan_answers}
 
 
 def child(family: str, seed: int, count: int, tree: str) -> None:
